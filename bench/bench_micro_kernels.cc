@@ -2,8 +2,9 @@
 // results: binary vs heap k-way merges (reference [9]'s observation),
 // partition-phase insertion with and without speculative run selection,
 // the offline sorts on canonical distributions, and the dispatched
-// hot-path kernels (sort/kernels.h) at every level this CPU supports,
-// each against the pre-kernel scalar baseline kept here as legacy_*.
+// hot-path kernels (sort/kernels.h) and the CRC32 kernels
+// (common/crc32.h) at every level this CPU supports, each against the
+// pre-kernel scalar baseline kept here as legacy_*.
 //
 // The report context carries kernel_level (process dispatch level) and
 // bench_seed, so JSON output (--benchmark_format=json) stays comparable
@@ -12,12 +13,15 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
 #include "common/cpu_features.h"
+#include "common/crc32.h"
 #include "common/random.h"
 #include "sort/impatience_sorter.h"
 #include "sort/kernels.h"
@@ -428,6 +432,43 @@ void BM_GatherByIndex(benchmark::State& state, KernelLevel level) {
                           static_cast<int64_t>(n));
 }
 
+// CRC32 as it was before the kernel layer: one dependent table lookup per
+// byte.
+uint32_t LegacyCrc32(const uint8_t* data, size_t n) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// The checksum behind every wire frame and run-file block, over random
+// bytes at the sizes those carry.
+void BM_Crc32(benchmark::State& state, KernelLevel level, bool legacy) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(BenchSeed());
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextUint64());
+  for (auto _ : state) {
+    const uint32_t crc = legacy ? LegacyCrc32(bytes.data(), n)
+                                : Crc32(bytes.data(), n, level);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+
 void RegisterKernelBenchmarks() {
   std::vector<KernelLevel> levels = {KernelLevel::kScalar};
   const KernelLevel best = DetectKernelLevel();
@@ -498,6 +539,33 @@ void RegisterKernelBenchmarks() {
         (std::string("BM_GatherByIndex/") + KernelLevelName(level)).c_str(),
         [level](benchmark::State& s) { BM_GatherByIndex(s, level); })
         ->Arg(1 << 20);
+  }
+
+  // Legacy bytewise vs the portable slicing-by-8 (scalar level) vs the
+  // PCLMULQDQ fold (avx2 level and up), at one 44-byte event, 4 KiB, one
+  // 1024-event frame payload, and one 64 KiB spill block.
+  std::vector<std::pair<const char*, KernelLevel>> crc_arms = {
+      {"portable", KernelLevel::kScalar}};
+  if (best >= KernelLevel::kAVX2) {
+    crc_arms.emplace_back("fold", KernelLevel::kAVX2);
+  }
+  for (const size_t n : {size_t{44}, size_t{4096}, size_t{45080},
+                         size_t{65536}}) {
+    benchmark::RegisterBenchmark(
+        ("BM_Crc32/legacy/bytes:" + std::to_string(n)).c_str(),
+        [](benchmark::State& s) {
+          BM_Crc32(s, KernelLevel::kScalar, /*legacy=*/true);
+        })
+        ->Arg(static_cast<int64_t>(n));
+    for (const auto& [arm, level] : crc_arms) {
+      benchmark::RegisterBenchmark(
+          (std::string("BM_Crc32/") + arm + "/bytes:" + std::to_string(n))
+              .c_str(),
+          [level = level](benchmark::State& s) {
+            BM_Crc32(s, level, /*legacy=*/false);
+          })
+          ->Arg(static_cast<int64_t>(n));
+    }
   }
 }
 

@@ -253,6 +253,10 @@ class PartitionOp : public Sink<W> {
   }
 
   void PunctuateBands() {
+    // Before the first event there is no watermark to punctuate from, and
+    // kMinTimestamp - latency would overflow into a huge punctuation that
+    // late-drops everything after it.
+    if (high_watermark_ == kMinTimestamp) return;
     TRACE_SPAN("framework.punctuation_round");
     const uint64_t round_start_ns = Clock::Nanos();
     if (parallel_) {

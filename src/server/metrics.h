@@ -62,7 +62,8 @@ struct ShardMetrics {
   // drain loop popped it.
   HistogramSnapshot queue_wait;
   // Wall-clock nanoseconds the drain loop spent applying one frame to the
-  // pipeline (time the queue could not drain — the stall the frame caused).
+  // pipeline (time the queue could not drain — the stall the frame caused),
+  // plus one sample per burst-boundary flush of a half-filled batch.
   HistogramSnapshot drain_stall;
   // Event-time lag per session, worst session first.
   std::vector<SessionWatermark> watermarks;

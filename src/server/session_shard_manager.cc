@@ -117,7 +117,9 @@ struct SessionShardManager::Shard {
   // Latency distributions (atomic buckets): recorded by the drain loop,
   // snapshotted concurrently by SnapshotShards without pipeline_mu.
   LatencyHistogram queue_wait;   // Submit-to-pop wait per frame.
-  LatencyHistogram drain_stall;  // Pipeline-apply time per frame.
+  // Pipeline-apply time: one sample per frame plus one per burst-boundary
+  // flush.
+  LatencyHistogram drain_stall;
 };
 
 SessionShardManager::SessionShardManager(ShardManagerOptions options,
@@ -314,9 +316,12 @@ void SessionShardManager::WorkerLoop(Shard* s) {
       Process(s, frame);
       // Burst boundary: nothing else queued right now, so push any
       // half-filled batch into the pipeline instead of letting it sit
-      // until the next frame arrives.
+      // until the next frame arrives. The flush is pipeline work like a
+      // frame's, so it is timed into drain_stall as its own sample.
       if (s->queue.size() == 0) {
+        const uint64_t flush_start_ns = Clock::Nanos();
         s->pipeline.ingress().FlushPending();
+        s->drain_stall.Record(Clock::Nanos() - flush_start_ns);
         burst_end = true;
         frontier = s->streams->partition().band_punctuation(0);
       }

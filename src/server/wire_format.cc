@@ -10,35 +10,67 @@ namespace server {
 
 namespace {
 
-// Little-endian primitive append/read. Byte-by-byte shifts, not memcpy of
-// host representations, so the encoding is identical on any endianness.
-void PutU8(uint8_t v, std::vector<uint8_t>* out) { out->push_back(v); }
+// Little-endian field writer over an output already sized for the whole
+// frame. Fixed-width byte-by-byte shifts, not memcpy of host
+// representations, so the encoding is identical on any endianness; the
+// compiler merges each field into one store on little-endian hosts.
+class FieldWriter {
+ public:
+  explicit FieldWriter(uint8_t* p) : p_(p) {}
 
-void PutU16(uint16_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  void U8(uint8_t v) { *p_++ = v; }
+  void U16(uint16_t v) { Store<2>(v); }
+  void U32(uint32_t v) { Store<4>(v); }
+  void U64(uint64_t v) { Store<8>(v); }
+  void I32(int32_t v) { Store<4>(static_cast<uint32_t>(v)); }
+  void I64(int64_t v) { Store<8>(static_cast<uint64_t>(v)); }
+  void Text(const std::string& s) {
+    if (!s.empty()) std::memcpy(p_, s.data(), s.size());
+    p_ += s.size();
   }
-}
-
-void PutU64(uint64_t v, std::vector<uint8_t>* out) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  // Packed wire events (kWireEventBytes each); shared by kEvents and
+  // kResultChunk so a result record round-trips bit-identically to the
+  // ingress encoding.
+  void Events(const std::vector<Event>& events) {
+    for (const Event& e : events) {
+      I64(e.sync_time);
+      I64(e.other_time);
+      I32(e.key);
+      U64(e.hash);
+      for (int c = 0; c < 4; ++c) I32(e.payload[c]);
+    }
   }
-}
 
-void PutI32(int32_t v, std::vector<uint8_t>* out) {
-  PutU32(static_cast<uint32_t>(v), out);
-}
+ private:
+  template <int kBytes>
+  void Store(uint64_t v) {
+    for (int i = 0; i < kBytes; ++i) {
+      p_[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    p_ += kBytes;
+  }
 
-void PutI64(int64_t v, std::vector<uint8_t>* out) {
-  PutU64(static_cast<uint64_t>(v), out);
-}
+  uint8_t* p_;
+};
 
+// Counts the bytes FieldWriter stores for the same payload calls, so
+// AppendFrame sizes its output once before writing.
+class FieldCounter {
+ public:
+  void U32(uint32_t) { n_ += 4; }
+  void U64(uint64_t) { n_ += 8; }
+  void I64(int64_t) { n_ += 8; }
+  void Text(const std::string& s) { n_ += s.size(); }
+  void Events(const std::vector<Event>& events) {
+    n_ += events.size() * kWireEventBytes;
+  }
+  size_t size() const { return n_; }
+
+ private:
+  size_t n_ = 0;
+};
+
+// Little-endian reads, byte by byte for the same reason.
 uint16_t GetU16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] | (static_cast<uint16_t>(p[1]) << 8));
 }
@@ -57,17 +89,6 @@ uint64_t GetU64(const uint8_t* p) {
 
 int32_t GetI32(const uint8_t* p) { return static_cast<int32_t>(GetU32(p)); }
 int64_t GetI64(const uint8_t* p) { return static_cast<int64_t>(GetU64(p)); }
-
-// One packed wire event (kWireEventBytes); shared by kEvents and
-// kResultChunk so a result record round-trips bit-identically to the
-// ingress encoding.
-void PutEvent(const Event& e, std::vector<uint8_t>* out) {
-  PutI64(e.sync_time, out);
-  PutI64(e.other_time, out);
-  PutI32(e.key, out);
-  PutU64(e.hash, out);
-  for (int c = 0; c < 4; ++c) PutI32(e.payload[c], out);
-}
 
 void GetEvent(const uint8_t* q, Event* e) {
   e->sync_time = GetI64(q);
@@ -100,44 +121,42 @@ uint8_t AuxOf(const Frame& frame) {
   }
 }
 
-void AppendPayload(const Frame& frame, std::vector<uint8_t>* out) {
+// Emits `frame`'s payload through a FieldWriter or a FieldCounter.
+template <typename Out>
+void EmitPayload(const Frame& frame, Out* out) {
   switch (frame.type) {
-    case FrameType::kEvents: {
-      PutU32(static_cast<uint32_t>(frame.events.size()), out);
-      for (const Event& e : frame.events) PutEvent(e, out);
+    case FrameType::kEvents:
+      out->U32(static_cast<uint32_t>(frame.events.size()));
+      out->Events(frame.events);
       return;
-    }
     case FrameType::kPunctuation:
-      PutI64(frame.punctuation, out);
+      out->I64(frame.punctuation);
       return;
     case FrameType::kMetricsResponse:
     case FrameType::kTraceResponse:
-      out->insert(out->end(), frame.text.begin(), frame.text.end());
+      out->Text(frame.text);
       return;
     case FrameType::kReject:
-      PutU64(frame.reject_count, out);
+      out->U64(frame.reject_count);
       return;
     case FrameType::kSubscribeAck:
-      PutU64(frame.subscription_id, out);
+    case FrameType::kResultSubscribeAck:
+      out->U64(frame.subscription_id);
       return;
     case FrameType::kTelemetryChunk:
-      PutU64(frame.telemetry_seq, out);
-      PutU64(frame.telemetry_dropped, out);
-      out->insert(out->end(), frame.text.begin(), frame.text.end());
+      out->U64(frame.telemetry_seq);
+      out->U64(frame.telemetry_dropped);
+      out->Text(frame.text);
       return;
-    case FrameType::kResultSubscribeAck:
-      PutU64(frame.subscription_id, out);
+    case FrameType::kResultChunk:
+      out->U64(frame.result_seq);
+      out->U64(frame.result_dropped);
+      out->I64(frame.result_watermark);
+      out->U32(frame.result_shard);
+      out->U32(frame.result_stream);
+      out->U32(static_cast<uint32_t>(frame.events.size()));
+      out->Events(frame.events);
       return;
-    case FrameType::kResultChunk: {
-      PutU64(frame.result_seq, out);
-      PutU64(frame.result_dropped, out);
-      PutI64(frame.result_watermark, out);
-      PutU32(frame.result_shard, out);
-      PutU32(frame.result_stream, out);
-      PutU32(static_cast<uint32_t>(frame.events.size()), out);
-      for (const Event& e : frame.events) PutEvent(e, out);
-      return;
-    }
     case FrameType::kFlushSession:
     case FrameType::kFlushAck:
     case FrameType::kShutdown:
@@ -278,26 +297,27 @@ DecodeStatus ParsePayload(FrameType type, uint8_t aux, const uint8_t* p,
 
 }  // namespace
 
-uint32_t Crc32(const uint8_t* data, size_t n) {
-  // One table, one polynomial: the shared common/crc32 implementation also
-  // frames the on-disk run files (storage tier).
-  return impatience::Crc32(data, n);
-}
-
 void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  AppendPayload(frame, &payload);
-  IMPATIENCE_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
+  FieldCounter counter;
+  EmitPayload(frame, &counter);
+  const size_t payload_len = counter.size();
+  IMPATIENCE_CHECK_MSG(payload_len <= kMaxPayloadBytes,
                        "frame payload exceeds kMaxPayloadBytes");
-  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
-  PutU32(kWireMagic, out);
-  PutU8(static_cast<uint8_t>(frame.type), out);
-  PutU8(AuxOf(frame), out);
-  PutU16(0, out);  // reserved
-  PutU64(frame.session_id, out);
-  PutU32(static_cast<uint32_t>(payload.size()), out);
-  PutU32(Crc32(payload.data(), payload.size()), out);
-  out->insert(out->end(), payload.begin(), payload.end());
+  const size_t start = out->size();
+  out->resize(start + kFrameHeaderBytes + payload_len);
+  uint8_t* header = out->data() + start;
+  uint8_t* payload = header + kFrameHeaderBytes;
+  FieldWriter body(payload);
+  EmitPayload(frame, &body);
+  // The header goes last: its CRC is taken over the payload in place.
+  FieldWriter h(header);
+  h.U32(kWireMagic);
+  h.U8(static_cast<uint8_t>(frame.type));
+  h.U8(AuxOf(frame));
+  h.U16(0);  // reserved
+  h.U64(frame.session_id);
+  h.U32(static_cast<uint32_t>(payload_len));
+  h.U32(Crc32(payload, payload_len));
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t n) {

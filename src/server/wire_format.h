@@ -14,8 +14,8 @@
 //
 // All multi-byte fields are little-endian, encoded and decoded byte by
 // byte — a frame produced on any host round-trips on any other. The CRC
-// covers the payload only; header corruption is caught by the magic check
-// and the length bound. Payloads:
+// (impatience::Crc32, common/crc32.h) covers the payload only; header
+// corruption is caught by the magic check and the length bound. Payloads:
 //
 //   kEvents          u32 count, then per event: i64 sync_time,
 //                    i64 other_time, i32 key, u64 hash, 4 x i32 payload
@@ -187,9 +187,6 @@ struct Frame {
   // accepted into a shard queue, for queue-wait accounting.
   uint64_t enqueue_ns = 0;
 };
-
-// CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `n` bytes.
-uint32_t Crc32(const uint8_t* data, size_t n);
 
 // Serializes `frame` and appends the bytes to `out`.
 void AppendFrame(const Frame& frame, std::vector<uint8_t>* out);

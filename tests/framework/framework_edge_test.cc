@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "engine/streamable.h"
 #include "framework/impatience_framework.h"
 #include "workload/generators.h"
@@ -157,6 +158,33 @@ TEST(FrameworkEdgeTest, FiveBandsStress) {
   EXPECT_EQ(sinks.back()->events().size(), events.size());
   for (size_t i = 1; i < sinks.size(); ++i) {
     EXPECT_LE(sinks[i - 1]->events().size(), sinks[i]->events().size());
+  }
+}
+
+// A punctuation round before the first event has no watermark to
+// punctuate from. It must be a no-op, not kMinTimestamp - latency wrapped
+// into a huge punctuation that late-drops every event after it.
+TEST(FrameworkEdgeTest, PunctuationBeforeFirstEventDropsNothing) {
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel bands" : "sequential bands");
+    ThreadPool pool(2);
+    std::vector<Event> events = InOrderEvents(1000);
+    for (size_t i = 0; i < events.size(); i += 10) {
+      events[i].sync_time = std::max<Timestamp>(0, events[i].sync_time - 50);
+    }
+    QueryPipeline<4> q(NoPunctIngress());
+    FrameworkOptions options;
+    options.reorder_latencies = {10, 100};
+    options.punctuation_period = 100;
+    options.parallel_bands = parallel;
+    options.thread_pool = &pool;
+    Streamables<4> streams = ToStreamables<4>(q.disordered(), options);
+    CollectSink<4>* full = streams.stream(1).Collect();
+    streams.mutable_partition()->ForcePunctuation();
+    EXPECT_EQ(streams.partition().band_punctuation(0), kMinTimestamp);
+    q.Run(events);
+    EXPECT_EQ(streams.TotalDrops(), 0u);
+    EXPECT_EQ(full->events().size(), events.size());
   }
 }
 

@@ -5,9 +5,11 @@
 // counted. This is the race ISSUE 4's single-op snapshot closes; the TSan
 // pass of tools/check.sh runs this test multi-threaded.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,6 +146,73 @@ TEST(ShardSnapshotResetTest, WatermarksTrackSessionsAndFrontier) {
     EXPECT_GE(w.lag, 0);
     EXPECT_EQ(w.label, std::to_string(w.session_id));
   }
+}
+
+TEST(ShardSnapshotResetTest, BurstBoundaryFlushIsTimedAsDrainStall) {
+  // One sub-batch frame and then an idle queue: the worker applies the
+  // frame, finds nothing else queued, and flushes the half-filled batch.
+  // That flush is shard busy time too, so drain_stall holds two samples.
+  SessionShardManager manager(TestOptions(1));
+  Frame frame;
+  frame.type = FrameType::kEvents;
+  frame.session_id = 1;
+  for (Timestamp t = 0; t < 10; ++t) frame.events.push_back(MakeEvent(t, 1));
+  const QueuePush push = manager.Submit(std::move(frame)).push;
+  ASSERT_TRUE(push == QueuePush::kOk || push == QueuePush::kBlocked);
+  manager.Shutdown();
+
+  const std::vector<ShardMetrics> shards = manager.SnapshotShards();
+  ASSERT_EQ(shards.size(), 1u);
+  EXPECT_EQ(shards[0].queue_wait.count(), 1u);
+  EXPECT_EQ(shards[0].drain_stall.count(), 2u);
+}
+
+// Runs one session's disordered events through a fresh single-shard
+// manager, optionally preceded by a kFlushSession, and returns the
+// (sync_time, key) sequence the pipeline emitted.
+std::vector<std::pair<Timestamp, int32_t>> RunSession(bool flush_first,
+                                                      uint64_t* dropped) {
+  std::vector<std::pair<Timestamp, int32_t>> out;
+  ShardManagerOptions options = TestOptions(1);
+  options.manual_drain = true;
+  SessionShardManager manager(options,
+                              [&out](size_t, size_t, const Event& e) {
+                                out.emplace_back(e.sync_time, e.key);
+                              });
+  auto submit = [&manager](Frame frame) {
+    frame.session_id = 7;
+    ASSERT_EQ(manager.Submit(std::move(frame)).push, QueuePush::kOk);
+  };
+  if (flush_first) {
+    Frame flush;
+    flush.type = FrameType::kFlushSession;
+    submit(std::move(flush));
+  }
+  Frame events;
+  events.type = FrameType::kEvents;
+  for (Timestamp t = 0; t < 2000; ++t) {
+    const Timestamp sync = t % 10 == 0 ? std::max<Timestamp>(0, t - 50) : t;
+    events.events.push_back(MakeEvent(sync, static_cast<int32_t>(t)));
+  }
+  submit(std::move(events));
+  manager.DrainShardForTest(0);
+  manager.Shutdown();
+  *dropped = manager.SnapshotShards()[0].dropped_late;
+  return out;
+}
+
+TEST(ShardSnapshotResetTest, FlushBeforeFirstEventMatchesFreshShard) {
+  // A kFlushSession that reaches a shard before any event forces a
+  // punctuation round with no watermark yet; it must leave the shard
+  // exactly as a fresh one, not late-drop everything that follows.
+  uint64_t fresh_dropped = 0;
+  uint64_t flushed_dropped = 0;
+  const auto fresh = RunSession(/*flush_first=*/false, &fresh_dropped);
+  const auto flushed = RunSession(/*flush_first=*/true, &flushed_dropped);
+  EXPECT_EQ(fresh_dropped, 0u);
+  EXPECT_EQ(flushed_dropped, 0u);
+  EXPECT_EQ(fresh.size(), 2000u);
+  EXPECT_EQ(flushed, fresh);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "tests/testing/corrupt_corpus.h"
 
 namespace impatience {
@@ -49,8 +50,9 @@ Frame DecodeOne(const std::vector<uint8_t>& bytes) {
 TEST(WireFormatTest, Crc32KnownVector) {
   // The IEEE 802.3 check value: CRC32("123456789") = 0xCBF43926.
   const char* s = "123456789";
-  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(s), 9), 0xCBF43926u);
-  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(impatience::Crc32(reinterpret_cast<const uint8_t*>(s), 9),
+            0xCBF43926u);
+  EXPECT_EQ(impatience::Crc32(nullptr, 0), 0u);
 }
 
 TEST(WireFormatTest, EventsRoundTrip) {
@@ -195,7 +197,7 @@ TEST(WireFormatTest, TraceRequestWithPayloadRejected) {
   for (int i = 0; i < 4; ++i) {
     bytes[16 + i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  const uint32_t crc = Crc32(&junk, 1);
+  const uint32_t crc = impatience::Crc32(&junk, 1);
   for (int i = 0; i < 4; ++i) {
     bytes[20 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
@@ -292,7 +294,7 @@ TEST(WireFormatTest, SubscribeRequestWithPayloadRejected) {
   for (int i = 0; i < 4; ++i) {
     bytes[16 + i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  const uint32_t crc = Crc32(&junk, 1);
+  const uint32_t crc = impatience::Crc32(&junk, 1);
   for (int i = 0; i < 4; ++i) {
     bytes[20 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
@@ -317,7 +319,7 @@ TEST(WireFormatTest, TelemetryChunkShortPayloadRejected) {
   for (int i = 0; i < 4; ++i) {
     bytes[16 + i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  const uint32_t crc = Crc32(bytes.data() + 24, 8);
+  const uint32_t crc = impatience::Crc32(bytes.data() + 24, 8);
   for (int i = 0; i < 4; ++i) {
     bytes[20 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
@@ -417,7 +419,7 @@ TEST(WireFormatTest, EventsCountPayloadMismatchRejected) {
   for (int i = 0; i < 4; ++i) {
     bytes[16 + i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  const uint32_t crc = Crc32(payload.data(), payload.size());
+  const uint32_t crc = impatience::Crc32(payload.data(), payload.size());
   for (int i = 0; i < 4; ++i) {
     bytes[20 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }

@@ -31,13 +31,19 @@ bool LoopbackChannel::Write(const uint8_t* data, size_t n) {
 int64_t LoopbackChannel::Read(uint8_t* out, size_t n, bool blocking) {
   std::unique_lock<std::mutex> lock(mu_);
   if (blocking) {
-    cv_.wait(lock, [this] { return !inbox_.empty(); });
-  } else if (inbox_.empty()) {
+    cv_.wait(lock, [this] { return inbox_.size() > read_pos_; });
+  } else if (inbox_.size() == read_pos_) {
     return 0;
   }
-  const size_t take = std::min(n, inbox_.size());
-  std::memcpy(out, inbox_.data(), take);
-  inbox_.erase(0, take);
+  const size_t take = std::min(n, inbox_.size() - read_pos_);
+  std::memcpy(out, inbox_.data() + read_pos_, take);
+  read_pos_ += take;
+  // Drop the consumed prefix once it is at least half the inbox, so each
+  // byte moves O(1) times however far the reader trails the writers.
+  if (read_pos_ * 2 >= inbox_.size()) {
+    inbox_.erase(0, read_pos_);
+    read_pos_ = 0;
+  }
   return static_cast<int64_t>(take);
 }
 

@@ -61,6 +61,7 @@ class LoopbackChannel : public ByteChannel {
   std::mutex mu_;
   std::condition_variable cv_;
   std::string inbox_;
+  size_t read_pos_ = 0;  // Consumed prefix of inbox_.
 };
 
 // ByteChannel over any non-blocking Transport (transport.h). Write

@@ -1,6 +1,7 @@
 #include "server/ingest_service.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -121,30 +122,28 @@ void Connection::Dispatch(Frame& frame) {
           trace::HarvestChunks(
               service_->exporter_->options().max_chunk_bytes, &bodies,
               &stats);
-          uint64_t sent = 0;
-          uint64_t chunks_dropped = 0;
+          // A hub of one for this request: seq and dropped are scoped to
+          // the dump, and a refusal never sheds.
+          SubscriptionHub dump(/*shed_after_drops=*/SIZE_MAX,
+                               [](uint64_t, uint64_t) { return true; });
+          dump.Subscribe(frame.session_id, 0, ChunkSink());
           for (std::string& body : bodies) {
             Frame chunk;
             chunk.type = FrameType::kTelemetryChunk;
-            chunk.session_id = frame.session_id;
             chunk.telemetry_streams = kTelemetryDump;
-            chunk.telemetry_seq = sent + 1;
-            chunk.telemetry_dropped = chunks_dropped;
             chunk.text = std::move(body);
-            if (TrySend(chunk)) {
-              ++sent;
-            } else {
-              ++chunks_dropped;
-            }
+            dump.FanOut(&chunk, 0, /*weight=*/1);
           }
-          service_->exporter_->NoteDump(sent, chunks_dropped);
+          const SubscriptionHub::Counters sent = dump.counters();
+          service_->exporter_->NoteDump(sent.chunks_sent,
+                                        sent.chunks_dropped);
           char footer[128];
           std::snprintf(footer, sizeof(footer),
                         "{\"dropped\":%llu,\"chunks\":%llu,"
                         "\"chunks_dropped\":%llu}",
                         static_cast<unsigned long long>(stats.dropped),
-                        static_cast<unsigned long long>(sent),
-                        static_cast<unsigned long long>(chunks_dropped));
+                        static_cast<unsigned long long>(sent.chunks_sent),
+                        static_cast<unsigned long long>(sent.chunks_dropped));
           response.text = footer;
           break;
         }
@@ -164,20 +163,8 @@ void Connection::Dispatch(Frame& frame) {
         service_->exporter_->Unsubscribe(subscription_id_);
         subscription_id_ = 0;
       }
-      TelemetryExporter::TrySink sink;
-      if (try_send_) {
-        sink = try_send_;
-      } else {
-        // Loopback transports have no bounded telemetry path; their
-        // inbox is consumed synchronously by the test/bench client.
-        const SendFn send = send_;
-        sink = [send](std::string bytes) {
-          send(std::move(bytes));
-          return true;
-        };
-      }
       subscription_id_ = service_->exporter_->Subscribe(
-          frame.session_id, frame.telemetry_streams, std::move(sink));
+          frame.session_id, frame.telemetry_streams, ChunkSink());
       Frame ack;
       ack.type = FrameType::kSubscribeAck;
       ack.session_id = frame.session_id;
@@ -192,18 +179,6 @@ void Connection::Dispatch(Frame& frame) {
         service_->result_exporter_->Unsubscribe(result_subscription_id_);
         result_subscription_id_ = 0;
       }
-      ResultExporter::TrySink sink;
-      if (try_send_) {
-        sink = try_send_;
-      } else {
-        // Loopback transports have no bounded write path; their inbox is
-        // consumed synchronously by the test/bench client.
-        const SendFn send = send_;
-        sink = [send](std::string bytes) {
-          send(std::move(bytes));
-          return true;
-        };
-      }
       // Pipeline output carries no session ids (sessions blend inside a
       // shard pipeline), so the per-session filter resolves to the shard
       // this session's frames route to.
@@ -212,8 +187,7 @@ void Connection::Dispatch(Frame& frame) {
               ? service_->manager_.ShardOf(frame.session_id)
               : ResultExporter::kAllShards;
       result_subscription_id_ = service_->result_exporter_->Subscribe(
-          frame.session_id, frame.result_filter, shard_filter,
-          std::move(sink));
+          frame.session_id, frame.result_filter, shard_filter, ChunkSink());
       Frame ack;
       ack.type = FrameType::kResultSubscribeAck;
       ack.session_id = frame.session_id;
@@ -274,17 +248,22 @@ void Connection::Dispatch(Frame& frame) {
 
 void Connection::Send(const Frame& frame) { service_->SendOn(send_, frame); }
 
-bool Connection::TrySend(const Frame& frame) {
-  const std::vector<uint8_t> bytes = EncodeFrame(frame);
-  std::string wire(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+bool Connection::TrySendBytes(std::string bytes) {
+  const size_t n = bytes.size();
   if (try_send_) {
-    if (!try_send_(std::move(wire))) return false;
+    if (!try_send_(std::move(bytes))) return false;
   } else {
-    send_(std::move(wire));
+    send_(std::move(bytes));
   }
   service_->frames_out_.fetch_add(1, std::memory_order_relaxed);
-  service_->bytes_out_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  service_->bytes_out_.fetch_add(n, std::memory_order_relaxed);
   return true;
+}
+
+SubscriptionHub::TrySink Connection::ChunkSink() {
+  // `this` outlives every call: the destructor unsubscribes first, which
+  // waits out any in-flight delivery.
+  return [this](std::string bytes) { return TrySendBytes(std::move(bytes)); };
 }
 
 IngestService::IngestService(ServiceOptions options)
@@ -319,11 +298,11 @@ void IngestService::Shutdown() { manager_.Shutdown(); }
 
 void IngestService::SendOn(const Connection::SendFn& send,
                            const Frame& frame) {
-  const std::vector<uint8_t> bytes = EncodeFrame(frame);
+  std::string bytes;
+  AppendFrame(frame, &bytes);
   frames_out_.fetch_add(1, std::memory_order_relaxed);
   bytes_out_.fetch_add(bytes.size(), std::memory_order_relaxed);
-  send(std::string(reinterpret_cast<const char*>(bytes.data()),
-                   bytes.size()));
+  send(std::move(bytes));
 }
 
 void IngestService::OnSessionFlushed(uint64_t session_id) {

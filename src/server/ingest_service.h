@@ -71,7 +71,7 @@ class Connection {
  private:
   friend class IngestService;
   using SendFn = std::function<void(std::string bytes)>;
-  // Best-effort bounded send for telemetry chunks: false refuses the
+  // Best-effort bounded send for streamed chunks: false refuses the
   // bytes (budget full) instead of queueing them. Optional — transports
   // without one (loopback) fall back to the unbounded send.
   using TrySendFn = std::function<bool(std::string bytes)>;
@@ -80,9 +80,13 @@ class Connection {
 
   void Dispatch(Frame& frame);
   void Send(const Frame& frame);
-  // Routes the frame through try_send_ when available; true if it was
-  // accepted (counted as sent), false if the telemetry budget refused it.
-  bool TrySend(const Frame& frame);
+  // Routes encoded bytes through try_send_ when available; true if they
+  // were accepted (counted as sent), false if the bounded budget refused
+  // them.
+  bool TrySendBytes(std::string bytes);
+  // The sink streamed chunks (telemetry, results, trace dumps) deliver
+  // through, so they count in frames_out/bytes_out like other replies.
+  SubscriptionHub::TrySink ChunkSink();
 
   IngestService* const service_;
   const SendFn send_;

@@ -8,7 +8,9 @@
 #define IMPATIENCE_SERVER_METRICS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
@@ -137,6 +139,54 @@ struct ServerMetrics {
   std::vector<ShardMetrics> shards;
 };
 
+// The metric schema: every exported metric is one row of a descriptor
+// table (MetricTable()), and the text, JSON and Prometheus renderers and
+// the telemetry metrics delta all walk it — adding a metric is adding a
+// row. A row's scope follows from its name (impatience_io_loop_*,
+// impatience_shard_*, impatience_session_*, else service-wide) and picks
+// its series labels: none, loop, shard, or shard plus session.
+enum class MetricType : uint8_t { kCounter, kGauge, kHistogram };
+enum class MetricScope : uint8_t { kService, kIoLoop, kShard, kSession };
+// Histogram units print as "_ns" in text and JSON, "_nanoseconds" in
+// Prometheus.
+enum class MetricUnit : uint8_t { kNone, kNanoseconds };
+// How a counter or gauge value prints where the formats differ.
+enum class MetricStyle : uint8_t {
+  kUnsigned,
+  kSigned,       // Event-time lags.
+  kBool,         // 0/1 in text and Prometheus, false/true in JSON.
+  kKernelLevel,  // The level number; its name (a string) in JSON.
+  kCount,        // A collection size; JSON carries it as the array itself.
+};
+
+// The objects a getter may read; a renderer fills those in scope.
+struct MetricSource {
+  const ServerMetrics* service = nullptr;
+  const IoLoopMetrics* loop = nullptr;
+  const ShardMetrics* shard = nullptr;
+  const SessionWatermark* session = nullptr;
+};
+
+struct MetricDef {
+  const char* name;  // Family name; histograms leave off the unit suffix.
+  MetricType type;
+  MetricScope scope;
+  const char* help;
+  // Counters and gauges read `value`; histograms read `histogram`.
+  uint64_t (*value)(const MetricSource&);
+  const HistogramSnapshot& (*histogram)(const MetricSource&);
+  MetricStyle style;
+  MetricUnit unit;
+};
+
+// Every exported metric, in rendering order.
+std::span<const MetricDef> MetricTable();
+
+// A row's JSON key: its name without "impatience_" and the prefix its
+// JSON nesting implies ("io_loop_", "shard_", "session_watermark_",
+// "telemetry_", "results_"); a histogram's unit suffix is not included.
+std::string_view MetricJsonKey(const MetricDef& def);
+
 // Prometheus-style exposition: "# HELP"-less "name{shard=\"i\"} value"
 // lines, one block per counter family. Includes latency quantiles and
 // watermark lag.
@@ -152,6 +202,16 @@ std::string RenderMetricsJson(const ServerMetrics& m);
 // watermark-lag gauges. Label values are escaped per the Prometheus text
 // format (backslash, double quote, newline).
 std::string RenderMetricsPrometheus(const ServerMetrics& m);
+
+// The telemetry metrics-delta body: one JSON object of shard rows rolled
+// up across `shards` — counters as differences from `prev` (the previous
+// round's snapshot, nullptr on the first round, clamped at zero), gauges
+// as current values, the queue-wait histogram as count/sum differences
+// plus its current p99 — then the exporter's cumulative span-ring drops
+// and a per-shard breakdown.
+std::string RenderMetricsDelta(const std::vector<ShardMetrics>& shards,
+                               const std::vector<ShardMetrics>* prev,
+                               uint64_t span_ring_drops);
 
 }  // namespace server
 }  // namespace impatience

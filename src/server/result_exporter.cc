@@ -10,8 +10,10 @@ namespace server {
 
 namespace {
 
-size_t ClampChunkBytes(size_t v) {
-  return std::min<size_t>(std::max<size_t>(v, 1024), 4u << 20);
+// A subscriber's filter is its shard (or kAllShards); a chunk's key is
+// the shard that emitted it.
+bool ShardMatches(uint64_t shard_filter, uint64_t shard) {
+  return shard_filter == ResultExporter::kAllShards || shard_filter == shard;
 }
 
 }  // namespace
@@ -23,7 +25,8 @@ ResultExporter::ResultExporter(ResultStreamOptions options, size_t num_shards)
       }()),
       records_per_chunk_(std::max<size_t>(
           1, (options_.max_chunk_bytes - kResultChunkHeaderBytes) /
-                 kWireEventBytes)) {
+                 kWireEventBytes)),
+      hub_(options_.shed_after_drops, ShardMatches) {
   slots_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     slots_.push_back(std::make_unique<ShardSlot>());
@@ -31,9 +34,9 @@ ResultExporter::ResultExporter(ResultStreamOptions options, size_t num_shards)
 }
 
 void ResultExporter::OnResult(size_t shard, size_t stream, const Event& e) {
-  // Relaxed is fine: a subscriber racing in simply starts at the next
-  // sealed chunk, per the delivery-start contract.
-  if (!active_.load(std::memory_order_relaxed)) return;
+  // A subscriber racing in simply starts at the next sealed chunk, per
+  // the delivery-start contract.
+  if (hub_.empty()) return;
   IMPATIENCE_CHECK(shard < slots_.size());
   ShardSlot* slot = slots_[shard].get();
   // A call can seal twice: the pending records of a previous stream, then
@@ -57,10 +60,11 @@ void ResultExporter::OnResult(size_t shard, size_t stream, const Event& e) {
     }
   }
   if (!sealed_prev.empty()) {
-    FanOut(shard, prev_stream, watermark, sealed_prev);
+    Publish(shard, prev_stream, watermark, std::move(sealed_prev));
   }
   if (!sealed_full.empty()) {
-    FanOut(shard, static_cast<uint32_t>(stream), watermark, sealed_full);
+    Publish(shard, static_cast<uint32_t>(stream), watermark,
+            std::move(sealed_full));
   }
 }
 
@@ -81,83 +85,37 @@ void ResultExporter::OnShardProgress(size_t shard, Timestamp watermark) {
       sealed.swap(slot->pending);
     }
   }
-  if (!sealed.empty()) FanOut(shard, stream, frontier, sealed);
+  if (!sealed.empty()) Publish(shard, stream, frontier, std::move(sealed));
 }
 
-uint64_t ResultExporter::Subscribe(uint64_t session_id, uint8_t filter,
+uint64_t ResultExporter::Subscribe(uint64_t session_id, uint8_t /*filter*/,
                                    size_t shard_filter, TrySink sink) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Subscription sub;
-  sub.id = next_id_++;
-  sub.session_id = session_id;
-  sub.filter = filter;
-  sub.shard_filter = shard_filter;
-  sub.sink = std::move(sink);
-  subs_.push_back(std::move(sub));
-  active_.store(true, std::memory_order_relaxed);
-  return subs_.back().id;
+  return hub_.Subscribe(session_id, shard_filter, std::move(sink));
 }
 
-void ResultExporter::Unsubscribe(uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = subs_.begin(); it != subs_.end(); ++it) {
-    if (it->id == id) {
-      subs_.erase(it);
-      break;
-    }
-  }
-  active_.store(!subs_.empty(), std::memory_order_relaxed);
-}
+void ResultExporter::Unsubscribe(uint64_t id) { hub_.Unsubscribe(id); }
 
-void ResultExporter::FanOut(size_t shard, uint32_t stream,
-                            Timestamp watermark,
-                            const std::vector<Event>& records) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.chunks_built;
-  for (size_t i = 0; i < subs_.size();) {
-    Subscription& sub = subs_[i];
-    if (sub.shard_filter != kAllShards && sub.shard_filter != shard) {
-      ++i;
-      continue;
-    }
-    Frame chunk;
-    chunk.type = FrameType::kResultChunk;
-    chunk.session_id = sub.session_id;
-    chunk.result_seq = sub.seq + 1;
-    chunk.result_dropped = sub.dropped;
-    chunk.result_watermark = watermark;
-    chunk.result_shard = static_cast<uint32_t>(shard);
-    chunk.result_stream = stream;
-    chunk.events = records;
-    const std::vector<uint8_t> bytes = EncodeFrame(chunk);
-    if (sub.sink(std::string(reinterpret_cast<const char*>(bytes.data()),
-                             bytes.size()))) {
-      ++sub.seq;
-      sub.consecutive_drops = 0;
-      ++counters_.chunks_sent;
-      counters_.records_streamed += records.size();
-      ++i;
-      continue;
-    }
-    sub.dropped += records.size();
-    ++counters_.chunks_dropped;
-    counters_.records_dropped += records.size();
-    if (++sub.consecutive_drops >= options_.shed_after_drops) {
-      // Persistently stalled: stop offering it chunks at all. The
-      // connection itself stays up — it can resubscribe once it drains.
-      ++counters_.subscribers_shed;
-      subs_.erase(subs_.begin() + static_cast<ptrdiff_t>(i));
-      continue;
-    }
-    ++i;
-  }
-  active_.store(!subs_.empty(), std::memory_order_relaxed);
+void ResultExporter::Publish(size_t shard, uint32_t stream,
+                             Timestamp watermark, std::vector<Event> records) {
+  Frame chunk;
+  chunk.type = FrameType::kResultChunk;
+  chunk.result_watermark = watermark;
+  chunk.result_shard = static_cast<uint32_t>(shard);
+  chunk.result_stream = stream;
+  chunk.events = std::move(records);
+  hub_.FanOut(&chunk, shard, /*weight=*/chunk.events.size());
 }
 
 ResultStreamMetrics ResultExporter::Counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ResultStreamMetrics c = counters_;
-  c.subscribers = subs_.size();
+  const SubscriptionHub::Counters hub = hub_.counters();
+  ResultStreamMetrics c;
+  c.subscribers = hub.subscribers;
+  c.chunks_built = hub.fan_outs;
+  c.chunks_sent = hub.chunks_sent;
+  c.chunks_dropped = hub.chunks_dropped;
+  c.records_streamed = hub.weight_sent;
+  c.records_dropped = hub.weight_dropped;
+  c.subscribers_shed = hub.subscribers_shed;
   return c;
 }
 

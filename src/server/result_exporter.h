@@ -13,42 +13,34 @@
 // shard the subscribing session routes to) or takes every shard's output
 // (kResultFilterAll).
 //
-// Backpressure contract — identical to the telemetry exporter's: a sink
-// returning false means the connection's bounded write budget is full.
-// The chunk is dropped for that subscriber only; its cumulative dropped
-// RECORD count rises (made explicit in the next delivered chunk) while
-// its delivered sequence numbers stay gap-free. `shed_after_drops`
-// consecutive refusals unsubscribe the subscriber entirely (counted in
-// subscribers_shed; the connection stays up and can resubscribe). The
-// exporter never blocks on a subscriber and never buffers beyond one
-// unsealed chunk per shard, so a stalled subscriber cannot stall ingest
-// or other sessions.
+// Delivery is the SubscriptionHub's single backpressure contract
+// (subscription_hub.h), with drops counted in records: a refused chunk's
+// records surface as the subscriber's rising cumulative dropped count
+// while its delivered sequence numbers stay gap-free, and persistent
+// refusal sheds the subscription. Beyond that the exporter buffers only
+// one unsealed chunk per shard, so a stalled subscriber cannot stall
+// ingest or other sessions.
 //
 // Delivery starts at the first chunk sealed after Subscribe; chunks
 // sealed while no subscriber matches are discarded, not queued.
 //
-// Locking: Subscribe/Unsubscribe and the fan-out share mu_ (so a
-// connection destructor's Unsubscribe waits out any in-flight delivery
-// to its sink). Each shard slot has its own mutex, held only while
-// appending or extracting pending records — never across the fan-out —
-// so the slot and exporter mutexes never nest.
+// Locking: each shard slot has its own mutex, held only while appending
+// or extracting pending records — never across the fan-out — so the slot
+// and hub mutexes never nest.
 
 #ifndef IMPATIENCE_SERVER_RESULT_EXPORTER_H_
 #define IMPATIENCE_SERVER_RESULT_EXPORTER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/event.h"
 #include "common/timestamp.h"
 #include "server/metrics.h"
-#include "server/wire_format.h"
+#include "server/subscription_hub.h"
 
 namespace impatience {
 namespace server {
@@ -63,10 +55,8 @@ struct ResultStreamOptions {
 
 class ResultExporter {
  public:
-  // Delivers one encoded frame toward the subscriber. Returns false to
-  // refuse (bounded queue full): the chunk is dropped, never retried.
-  // Must not block; called from shard worker threads.
-  using TrySink = std::function<bool(std::string bytes)>;
+  // Called from shard worker threads.
+  using TrySink = SubscriptionHub::TrySink;
 
   // Matches any shard in a subscription's filter.
   static constexpr size_t kAllShards = static_cast<size_t>(-1);
@@ -87,9 +77,10 @@ class ResultExporter {
   void OnShardProgress(size_t shard, Timestamp watermark);
 
   // Registers a subscriber; returns its subscription id. `filter` is the
-  // wire filter (kResultFilterSession / kResultFilterAll) echoed in
-  // acks; `shard_filter` is the shard it resolves to, or kAllShards.
-  // Chunks sent to this subscriber carry `session_id`.
+  // wire filter (kResultFilterSession / kResultFilterAll), which the
+  // caller echoes in its ack; delivery follows `shard_filter`, the shard
+  // it resolves to, or kAllShards. Chunks sent to this subscriber carry
+  // `session_id`.
   uint64_t Subscribe(uint64_t session_id, uint8_t filter,
                      size_t shard_filter, TrySink sink);
 
@@ -109,34 +100,14 @@ class ResultExporter {
     Timestamp watermark = kMinTimestamp;
   };
 
-  struct Subscription {
-    uint64_t id = 0;
-    uint64_t session_id = 0;
-    uint8_t filter = 0;
-    size_t shard_filter = kAllShards;
-    TrySink sink;
-    uint64_t seq = 0;      // Last delivered sequence number.
-    uint64_t dropped = 0;  // Cumulative records dropped for this sink.
-    size_t consecutive_drops = 0;
-  };
-
-  // Extracts the slot's pending records (caller must NOT hold slot->mu)
-  // and fans them out under mu_.
-  void Seal(size_t shard, ShardSlot* slot);
-  void FanOut(size_t shard, uint32_t stream, Timestamp watermark,
-              const std::vector<Event>& records);
+  // Seals `records` into one chunk and fans it out.
+  void Publish(size_t shard, uint32_t stream, Timestamp watermark,
+               std::vector<Event> records);
 
   const ResultStreamOptions options_;
   const size_t records_per_chunk_;
   std::vector<std::unique_ptr<ShardSlot>> slots_;
-
-  // Cheap early-out for the hot OnResult path while nobody subscribes.
-  std::atomic<bool> active_{false};
-
-  mutable std::mutex mu_;
-  std::vector<Subscription> subs_;
-  uint64_t next_id_ = 1;
-  ResultStreamMetrics counters_;
+  SubscriptionHub hub_;
 };
 
 }  // namespace server

@@ -8,25 +8,13 @@
 // shared with the one-shot dump path), packs them into bodies of at most
 // `max_chunk_bytes`, and offers each body to every span subscriber
 // through its try-sink. A metrics round snapshots the shards and emits
-// one JSON delta object (counters as differences since the previous
-// round, gauges as current values, latency histograms merged across
-// shards with HistogramSnapshot::operator+= and diffed on count/sum).
+// one JSON delta object against the previous round's snapshot, rendered
+// from the metric table (RenderMetricsDelta, metrics.h).
 //
-// Backpressure contract: a sink returning false means the connection's
-// bounded telemetry write budget is full — the chunk is dropped for that
-// subscriber (its cumulative `dropped` count rises, so the gap is
-// explicit in its own stream) and its sequence number does not advance,
-// keeping delivered sequence numbers gap-free. `shed_after_drops`
-// consecutive failures unsubscribe the subscriber entirely (counted in
-// subscribers_shed). The exporter never blocks on a subscriber and never
-// buffers beyond the per-connection budget, so a stalled subscriber
-// cannot stall ingest or other sessions.
-//
-// Lifetime: Subscribe/Unsubscribe and the fan-out run under one mutex.
-// A connection's destructor calls Unsubscribe, which therefore waits out
-// any in-flight delivery to that sink — after Unsubscribe returns no
-// thread can call the sink again (the same discipline as the service's
-// pending-flush table).
+// Delivery — per-subscriber sequence numbers, drops counted in chunks,
+// shedding of stalled subscribers, and the Unsubscribe-waits-out-delivery
+// lifetime rule — is the SubscriptionHub's single backpressure contract
+// (subscription_hub.h).
 
 #ifndef IMPATIENCE_SERVER_TELEMETRY_EXPORTER_H_
 #define IMPATIENCE_SERVER_TELEMETRY_EXPORTER_H_
@@ -36,11 +24,13 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "server/metrics.h"
+#include "server/subscription_hub.h"
 #include "server/wire_format.h"
 
 namespace impatience {
@@ -62,10 +52,8 @@ struct TelemetryOptions {
 
 class TelemetryExporter {
  public:
-  // Delivers one encoded frame toward the subscriber. Returns false to
-  // refuse (bounded queue full): the chunk is dropped, never retried.
-  // Must not block and must be callable from the drain thread.
-  using TrySink = std::function<bool(std::string bytes)>;
+  // Must be callable from the drain thread.
+  using TrySink = SubscriptionHub::TrySink;
   using SnapshotFn = std::function<std::vector<ShardMetrics>()>;
 
   TelemetryExporter(TelemetryOptions options, SnapshotFn snapshot);
@@ -100,40 +88,22 @@ class TelemetryExporter {
   const TelemetryOptions& options() const { return options_; }
 
  private:
-  struct Subscription {
-    uint64_t id = 0;
-    uint64_t session_id = 0;
-    uint8_t streams = 0;
-    TrySink sink;
-    uint64_t seq = 0;      // Last delivered sequence number.
-    uint64_t dropped = 0;  // Cumulative chunks dropped for this sink.
-    size_t consecutive_drops = 0;
-  };
-
   void ThreadMain();
-  // Offers `body` to every subscriber of `stream`; sheds stalled ones.
-  // Caller holds mu_.
-  void FanOutLocked(uint8_t stream, const std::string& body);
-  std::string BuildMetricsDeltaLocked();
+  // Fans one chunk body of `stream` out to its subscribers.
+  void Publish(uint8_t stream, std::string body);
 
   const TelemetryOptions options_;
   const SnapshotFn snapshot_;
+  SubscriptionHub hub_;
 
+  // Guards the tick state and the exporter's own counters (delivery
+  // counters live in hub_).
   mutable std::mutex mu_;
-  std::vector<Subscription> subs_;
-  uint64_t next_id_ = 1;
   uint64_t ticks_ = 0;
   size_t metrics_every_ = 1;
   TelemetryMetrics counters_;
-  // Previous metrics round, for delta computation.
-  bool have_prev_ = false;
-  uint64_t prev_frames_in_ = 0;
-  uint64_t prev_events_in_ = 0;
-  uint64_t prev_events_out_ = 0;
-  uint64_t prev_punctuations_in_ = 0;
-  uint64_t prev_queue_wait_count_ = 0;
-  uint64_t prev_queue_wait_sum_ = 0;
-  std::vector<uint64_t> prev_shard_events_in_;
+  // The previous metrics round's shards, the base of the next delta.
+  std::optional<std::vector<ShardMetrics>> prev_shards_;
 
   std::mutex thread_mu_;
   std::condition_variable cv_;

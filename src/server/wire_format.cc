@@ -295,9 +295,8 @@ DecodeStatus ParsePayload(FrameType type, uint8_t aux, const uint8_t* p,
   return DecodeStatus::kBadPayload;  // Unknown type byte.
 }
 
-}  // namespace
-
-void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
+template <typename Buffer>
+void AppendFrameTo(const Frame& frame, Buffer* out) {
   FieldCounter counter;
   EmitPayload(frame, &counter);
   const size_t payload_len = counter.size();
@@ -305,7 +304,7 @@ void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
                        "frame payload exceeds kMaxPayloadBytes");
   const size_t start = out->size();
   out->resize(start + kFrameHeaderBytes + payload_len);
-  uint8_t* header = out->data() + start;
+  uint8_t* header = reinterpret_cast<uint8_t*>(out->data()) + start;
   uint8_t* payload = header + kFrameHeaderBytes;
   FieldWriter body(payload);
   EmitPayload(frame, &body);
@@ -318,6 +317,16 @@ void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
   h.U64(frame.session_id);
   h.U32(static_cast<uint32_t>(payload_len));
   h.U32(Crc32(payload, payload_len));
+}
+
+}  // namespace
+
+void AppendFrame(const Frame& frame, std::vector<uint8_t>* out) {
+  AppendFrameTo(frame, out);
+}
+
+void AppendFrame(const Frame& frame, std::string* out) {
+  AppendFrameTo(frame, out);
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t n) {

@@ -190,6 +190,7 @@ struct Frame {
 
 // Serializes `frame` and appends the bytes to `out`.
 void AppendFrame(const Frame& frame, std::vector<uint8_t>* out);
+void AppendFrame(const Frame& frame, std::string* out);
 
 inline std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   std::vector<uint8_t> out;

@@ -54,12 +54,13 @@
 # loops under each detector across distinct schedules.
 #
 # An eighth pass sweeps IMPATIENCE_FAULT_SEED over 3 more seeds against
-# the ResultStream delivery-correctness battery: each seed replays a
+# the subscriber batteries — ResultStream, TelemetryStream, and the
+# SubscriptionHub both exporters fan out through: each seed replays a
 # distinct schedule of byte-split writes, subscriber stall windows, and
-# readiness shuffles against a live result subscriber, and the tests
-# assert gap-free, duplicate-free, reference-identical delivery (or an
-# ordered subsequence plus exact drop accounting where the stall sheds
-# chunks) under each sanitizer.
+# readiness shuffles against live result and telemetry subscribers, and
+# the tests assert gap-free, duplicate-free, reference-identical delivery
+# (or an ordered subsequence plus exact drop accounting where the stall
+# sheds chunks) under each sanitizer.
 #
 # Benches/examples/tools are skipped: they share the same code, and
 # building them under the sanitizers roughly doubles the wall clock for no
@@ -111,12 +112,13 @@ run_pass() {
   for seed in 55 89 144; do
     (cd "$build_dir" && \
       env IMPATIENCE_THREADS=8 IMPATIENCE_FAULT_SEED="$seed" $env_opts \
-        ctest --output-on-failure -j "$(nproc)" -L server -R "ResultStream")
+        ctest --output-on-failure -j "$(nproc)" -L server \
+        -R "ResultStream|TelemetryStream|SubscriptionHub")
   done
   echo "$name tier-1 (native + scalar + avx2 kernels + tracing on" \
     "+ 8-seed server fault sweep + forced-spill 64k budget, sync + async" \
-    "flusher pool + 3x live-telemetry server repeat + 3-seed live result" \
-    "subscriber sweep): OK"
+    "flusher pool + 3x live-telemetry server repeat + 3-seed live result," \
+    "telemetry and subscription-hub subscriber sweep): OK"
 }
 
 tsan_pass() {

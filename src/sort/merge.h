@@ -732,26 +732,6 @@ void HuffmanCursorMergeInto(std::vector<RunCursor<T>*>* cursors, Less less,
 // ---------------------------------------------------------------------------
 // Parallel Huffman merge.
 
-// Per-worker buffer pool for parallel merges. MergeBufferPool is not
-// thread-safe and must not be shared across workers without ownership
-// handoff; instead every thread acquires from and releases into its own
-// thread-local pool, capped so idle workers do not hoard scratch forever.
-inline constexpr size_t kWorkerMergePoolMaxBytes = size_t{32} << 20;
-
-template <typename T>
-MergeBufferPool<T>& WorkerMergePool() {
-  thread_local MergeBufferPool<T> pool;
-  return pool;
-}
-
-// Per-worker loser-tree scratch for the parallel merge's k-way leaf
-// tasks; a few hundred bytes per thread at the capped fan-in.
-template <typename T>
-LoserTreeScratch<T>& WorkerLoserTreeScratch() {
-  thread_local LoserTreeScratch<T> scratch;
-  return scratch;
-}
-
 // Tuning for ParallelMergeRunsInto.
 struct ParallelMergeOptions {
   // Fall back to sequential HuffmanMergeInto when the run set is smaller
@@ -781,11 +761,13 @@ struct ParallelMergeOptions {
 // execution-dependent disjoint_concats) reports the plan-phase binary
 // cascade regardless of how leaves execute.
 //
-// Consumes the run contents. `pool` recycles buffers on the sequential
-// fallback only; parallel tasks use per-worker pools. Requires T
-// default-constructible (the output is resized up front). Returns the
-// number of pool tasks the merge used — 0 means the sequential fallback
-// ran.
+// Consumes the run contents. Every buffer the merge uses comes from
+// `pool` and goes back to it, on the calling thread: interior-node buffers
+// are acquired before any task starts, and the consumed runs and node
+// buffers are released after the task group drains, so tasks never touch
+// the (single-threaded) pool. Requires T default-constructible (the output
+// is resized up front). Returns the number of pool tasks the merge used —
+// 0 means the sequential fallback ran.
 template <typename T, typename Less>
 size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
                              std::vector<T>* out,
@@ -953,6 +935,16 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
   const size_t out0 = out->size();
   out->resize(out0 + total);  // Pre-sized so halves can write in place.
 
+  // Every interior buffer comes from the caller's pool up front, on this
+  // thread; tasks only write into them.
+  MergeBufferPool<T> local_pool;
+  if (pool == nullptr) pool = &local_pool;
+  for (size_t j = 0; j + 1 < k; ++j) {
+    if (role[j] != kAbsorbed && j != final_node) {
+      nodes[j].buf = pool->Acquire(nodes[j].size);
+    }
+  }
+
   // Tasks record disjoint-concat fast paths here; folded into `stats`
   // after the group drains (the other MergeStats fields come from the
   // plan phase and are already exact).
@@ -963,22 +955,16 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
     Node& nd = nodes[j];
     if (role[j] == kKwayRoot) {
       TRACE_SPAN("merge.kway_leaf");
-      MergeBufferPool<T>& worker_pool = WorkerMergePool<T>();
-      nd.buf = worker_pool.Acquire(nd.size);
       const std::vector<int32_t>& leaves = kway_leaves[j];
       std::vector<std::vector<T>*> slots;
       slots.reserve(leaves.size());
       for (const int32_t id : leaves) slots.push_back(&rs[id]);
       MergeStats pass_stats;
+      LoserTreeScratch<T> scratch;
       merge_internal::LoserTreePass(slots.data(), slots.size(), less,
-                                    &nd.buf, &pass_stats,
-                                    &WorkerLoserTreeScratch<T>());
+                                    &nd.buf, &pass_stats, &scratch);
       disjoint_concats.fetch_add(pass_stats.disjoint_concats,
                                  std::memory_order_relaxed);
-      for (const int32_t id : leaves) {
-        worker_pool.Release(std::move(rs[id]));
-      }
-      worker_pool.Trim(kWorkerMergePoolMaxBytes);
       Node& parent = nodes[nd.parent];
       if (parent.missing.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         const size_t p = static_cast<size_t>(nd.parent);
@@ -1025,20 +1011,12 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
           disjoint_concats.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      // The final inputs are freed by the caller (rs.clear() / ~nodes);
-      // worker pools cannot recycle them because the split halves share
-      // both vectors until the group drains.
       return;
     }
-    MergeBufferPool<T>& worker_pool = WorkerMergePool<T>();
-    nd.buf = worker_pool.Acquire(nd.size);
     if (BinaryMergeRangesInto(a.data(), a.data() + a.size(), b.data(),
                               b.data() + b.size(), less, &nd.buf)) {
       disjoint_concats.fetch_add(1, std::memory_order_relaxed);
     }
-    worker_pool.Release(std::move(a));
-    worker_pool.Release(std::move(b));
-    worker_pool.Trim(kWorkerMergePoolMaxBytes);
     Node& parent = nodes[nd.parent];
     if (parent.missing.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       const size_t p = static_cast<size_t>(nd.parent);
@@ -1053,6 +1031,10 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
     stats->disjoint_concats +=
         disjoint_concats.load(std::memory_order_relaxed);
   }
+  // The group has drained: hand the consumed runs and every interior
+  // buffer back to the pool.
+  for (std::vector<T>& r : rs) pool->Release(std::move(r));
+  for (Node& nd : nodes) pool->Release(std::move(nd.buf));
   rs.clear();
   return task_nodes + (split_final ? 2 : 0);
 }

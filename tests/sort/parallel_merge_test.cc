@@ -128,6 +128,37 @@ TEST(ParallelMergeTest, StableOnTies) {
   EXPECT_EQ(got, want);  // Tags included: order of ties must match.
 }
 
+// Modelled on LoserTreeTest.PoolAccountingBoundsPeakAndLeaksNothing: the
+// sorter lends its head runs to the merge from its own pool, so every
+// buffer the parallel executor consumes or allocates must come back to
+// that pool — otherwise OutstandingBytes(), and with it the sorter's
+// MemoryBytes(), ratchets up after every parallel merge.
+TEST(ParallelMergeTest, PoolAccountingLeaksNothing) {
+  ThreadPool tp(4);
+  MergeBufferPool<int> pool;
+  // 16 runs x 32k ints = 2 MiB: above the parallel thresholds.
+  std::vector<std::vector<int>> runs;
+  size_t total = 0;
+  for (const std::vector<int>& r :
+       MakeRuns(std::vector<size_t>(16, size_t{1} << 15), /*seed=*/5)) {
+    std::vector<int> head = pool.Acquire(r.size());
+    head.insert(head.end(), r.begin(), r.end());
+    total += head.size();
+    runs.push_back(std::move(head));
+  }
+  ASSERT_GT(pool.OutstandingBytes(), 0u);
+  ParallelMergeOptions options;
+  options.pool = &tp;
+  std::vector<int> out;
+  const size_t tasks = ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr,
+                                             &pool, options);
+  ASSERT_GT(tasks, 0u);  // The task DAG ran, not the sequential fallback.
+  EXPECT_EQ(pool.OutstandingBytes(), 0u);
+  EXPECT_LE(pool.MemoryBytes(), pool.PeakBytes());
+  EXPECT_EQ(out.size(), total);
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+}
+
 TEST(ParallelMergeTest, AppendsAfterExistingOutput) {
   ThreadPool pool(2);
   std::vector<std::vector<int>> runs = {{3, 4, 7}, {1, 2, 9}, {5, 6, 8}};

@@ -272,6 +272,66 @@ TEST(LoserTreeTest, ParallelKwayLeavesByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// A run served in random-length chunks with empty chunks mixed in — the
+// shape a spilled run's block stream takes.
+class ChunkedCursor final : public RunCursor<Tagged> {
+ public:
+  ChunkedCursor(const std::vector<Tagged>& run, Rng* rng) : run_(run) {
+    size_t pos = 0;
+    while (pos < run_.size()) {
+      if (rng->NextBelow(4) == 0) ends_.push_back(pos);  // Empty chunk.
+      pos = std::min(run_.size(), pos + 1 + rng->NextBelow(16));
+      ends_.push_back(pos);
+    }
+  }
+  size_t total() const override { return run_.size(); }
+  std::pair<const Tagged*, const Tagged*> NextChunk() override {
+    if (next_ == ends_.size()) return {nullptr, nullptr};
+    const size_t lo = next_ == 0 ? 0 : ends_[next_ - 1];
+    const size_t hi = ends_[next_++];
+    return {run_.data() + lo, run_.data() + hi};
+  }
+
+ private:
+  const std::vector<Tagged>& run_;
+  std::vector<size_t> ends_;  // One past each chunk.
+  size_t next_ = 0;
+};
+
+// The spill tier's streaming merge must be byte-identical to the pairwise
+// cascade over the same runs, whatever the chunking: multi-chunk cursors,
+// empty chunks, empty runs, cross-cursor ties, and more cursors than one
+// loser tree's fan-in cap.
+TEST(HuffmanCursorMergeTest, ByteIdenticalToHuffmanCascade) {
+  const Shape kShapes[] = {Shape::kRandomTies, Shape::kAllTies,
+                           Shape::kSkewed, Shape::kWithEmpties};
+  const size_t kFanIns[] = {1, 2, 3, 8, 33, 64, 65, 100, 150};
+  for (const Shape shape : kShapes) {
+    for (const size_t k : kFanIns) {
+      const auto runs = MakeRuns(shape, k, /*seed=*/3000 + k);
+      auto runs_huffman = runs;
+      std::vector<Tagged> want;
+      HuffmanMergeInto(&runs_huffman, TimeLess{}, &want);
+
+      Rng rng(k);
+      std::vector<ChunkedCursor> owned;
+      owned.reserve(k);
+      std::vector<RunCursor<Tagged>*> cursors;
+      size_t total = 0;
+      for (const auto& r : runs) {
+        owned.emplace_back(r, &rng);
+        cursors.push_back(&owned.back());
+        total += r.size();
+      }
+      std::vector<Tagged> got;
+      MergeStats stats;
+      HuffmanCursorMergeInto(&cursors, TimeLess{}, &got, &stats);
+      ASSERT_EQ(got, want) << ShapeName(shape) << " k=" << k;
+      EXPECT_EQ(stats.elements_moved, total);
+    }
+  }
+}
+
 using LoserSorter = ImpatienceSorter<Timestamp, IdentityTimeOf>;
 
 ImpatienceConfig LoserTreeConfig() {

@@ -62,15 +62,11 @@ struct ImpatienceConfig {
   double compact_fraction = 0.5;
   size_t compact_min_bytes = 4096;
 
-  // Parallel punctuation merges (kHuffman policy only): when a punctuation
-  // releases at least `parallel_merge_min_runs` head runs totalling at
-  // least `parallel_merge_min_bytes`, the head runs are merged as a task
-  // DAG on the thread pool (see ParallelMergeRunsInto). Output is
+  // Pool for parallel punctuation merges (kHuffman policy only): a
+  // punctuation that releases enough head runs and bytes merges them as a
+  // task DAG on this pool (see ParallelMergeRunsInto). Output is
   // byte-identical to the sequential merge; with a 1-thread pool the
   // sequential path always runs.
-  bool parallel_merge = true;
-  size_t parallel_merge_min_runs = 4;
-  size_t parallel_merge_min_bytes = size_t{1} << 20;
   ThreadPool* thread_pool = nullptr;  // nullptr = ThreadPool::Global()
 
   // External-memory spill tier (storage/spill.h): when a memory budget is
@@ -343,14 +339,10 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
       auto less = [this](const T& a, const T& b) {
         return time_of_(a) < time_of_(b);
       };
-      if (config_.parallel_merge &&
-          config_.merge_policy == MergePolicy::kHuffman) {
-        ParallelMergeOptions po;
-        po.min_runs = config_.parallel_merge_min_runs;
-        po.min_total_bytes = config_.parallel_merge_min_bytes;
-        po.pool = config_.thread_pool;
-        const size_t tasks = ParallelMergeRunsInto(
-            &heads, less, out, &counters_.merge, &pool_, po);
+      if (config_.merge_policy == MergePolicy::kHuffman) {
+        const size_t tasks =
+            ParallelMergeRunsInto(&heads, less, out, &counters_.merge,
+                                  &pool_, config_.thread_pool);
         if (tasks > 0) {
           ++counters_.parallel_merges;
           counters_.merge_tasks += tasks;
@@ -589,7 +581,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     auto less = [this](const T& a, const T& b) {
       return time_of_(a) < time_of_(b);
     };
-    HuffmanCursorMergeInto(&cursors, less, out, &counters_.merge);
+    HuffmanCursorMergeInto(&cursors, less, out, &counters_.merge,
+                           &scratch_);
   }
 
   // Enforces the byte budget: trims the buffer pool, then spills victim
@@ -855,7 +848,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   uint64_t late_drops_ = 0;
   ImpatienceCounters counters_;
   MergeBufferPool<T> pool_;
-  // Loser-tree state reused across punctuations (kLoserTree policy).
+  // Loser-tree state reused across punctuations (kLoserTree policy and
+  // spilled-run cursor merges).
   LoserTreeScratch<T> scratch_;
 };
 

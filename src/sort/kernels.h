@@ -17,6 +17,7 @@
 #ifndef IMPATIENCE_SORT_KERNELS_H_
 #define IMPATIENCE_SORT_KERNELS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -550,17 +551,37 @@ MergeFastPath ClassifyDisjoint(const T* pa, const T* ea, const T* pb,
   return MergeFastPath::kNone;
 }
 
-// Merges the sorted ranges [pa, ea) and [pb, eb) into `out` (appended).
-// Stable: on ties, elements of the `a` range precede elements of the `b`
-// range. Disjoint ranges concatenate with two bulk copies; overlapping
-// ranges run a branchless (cmov) select loop that switches to galloping
-// bulk copies when one side wins repeatedly. Returns true when the
-// disjoint fast path ran (for the disjoint_concats statistic).
-template <typename T, typename Less>
-bool MergeIntoVector(const T* pa, const T* ea, const T* pb, const T* eb,
-                     Less less, std::vector<T>* out) {
-  out->reserve(out->size() + static_cast<size_t>(ea - pa) +
-               static_cast<size_t>(eb - pb));
+namespace detail {
+
+// Where the two-way merge loop writes: appended to a vector, or through a
+// pointer into pre-sized storage.
+template <typename T>
+struct VectorSink {
+  std::vector<T>* out;
+  void Put(const T& x) { out->push_back(x); }
+  void Append(const T* first, const T* last) {
+    out->insert(out->end(), first, last);
+  }
+};
+
+template <typename T>
+struct PointerSink {
+  T* dst;
+  void Put(const T& x) { *dst++ = x; }
+  void Append(const T* first, const T* last) {
+    dst = std::copy(first, last, dst);
+  }
+};
+
+// The two-way merge loop behind MergeIntoVector and MergeToPtr. Stable:
+// on ties, elements of the `a` range precede elements of the `b` range.
+// Disjoint ranges concatenate with two bulk copies; overlapping ranges run
+// a branchless (cmov) select loop that switches to galloping bulk copies
+// when one side wins repeatedly. Returns true when the disjoint fast path
+// ran (for the disjoint_concats statistic).
+template <typename T, typename Less, typename Sink>
+bool MergeRanges(const T* pa, const T* ea, const T* pb, const T* eb,
+                 Less less, Sink& sink) {
   bool disjoint = false;
   if (pa != ea && pb != eb) {
     switch (ClassifyDisjoint(pa, ea, pb, eb, less)) {
@@ -568,8 +589,8 @@ bool MergeIntoVector(const T* pa, const T* ea, const T* pb, const T* eb,
         disjoint = true;
         break;
       case MergeFastPath::kConcatBA:
-        out->insert(out->end(), pb, eb);
-        out->insert(out->end(), pa, ea);
+        sink.Append(pb, eb);
+        sink.Append(pa, ea);
         return true;
       case MergeFastPath::kNone: {
         int streak_a = 0;
@@ -580,7 +601,7 @@ bool MergeIntoVector(const T* pa, const T* ea, const T* pb, const T* eb,
         while (pa != ea && pb != eb) {
           const bool take_b = less(*pb, *pa);
           const T* src = take_b ? pb : pa;
-          out->push_back(*src);
+          sink.Put(*src);
           pb += take_b ? 1 : 0;
           pa += take_b ? 0 : 1;
           streak_b = take_b ? streak_b + 1 : 0;
@@ -588,13 +609,13 @@ bool MergeIntoVector(const T* pa, const T* ea, const T* pb, const T* eb,
           if (streak_b >= kGallopThreshold && pb != eb) {
             // Everything in b strictly below *pa comes next, in one block.
             const T* end = GallopLowerBound(pb, eb, *pa, less);
-            out->insert(out->end(), pb, end);
+            sink.Append(pb, end);
             pb = end;
             streak_b = 0;
           } else if (streak_a >= kGallopThreshold && pa != ea) {
             // Everything in a at or below *pb comes next (ties prefer a).
             const T* end = GallopUpperBound(pa, ea, *pb, less);
-            out->insert(out->end(), pa, end);
+            sink.Append(pa, end);
             pa = end;
             streak_a = 0;
           }
@@ -603,59 +624,36 @@ bool MergeIntoVector(const T* pa, const T* ea, const T* pb, const T* eb,
       }
     }
   }
-  out->insert(out->end(), pa, ea);
-  out->insert(out->end(), pb, eb);
+  sink.Append(pa, ea);
+  sink.Append(pb, eb);
   return disjoint;
 }
 
+}  // namespace detail
+
+// Merges the sorted ranges [pa, ea) and [pb, eb) into `out` (appended)
+// with the loop above. Returns true when the disjoint fast path ran.
+template <typename T, typename Less>
+bool MergeIntoVector(const T* pa, const T* ea, const T* pb, const T* eb,
+                     Less less, std::vector<T>* out) {
+  out->reserve(out->size() + static_cast<size_t>(ea - pa) +
+               static_cast<size_t>(eb - pb));
+  detail::VectorSink<T> sink{out};
+  return detail::MergeRanges(pa, ea, pb, eb, less, sink);
+}
+
 // Merges [pa, ea) and [pb, eb) into the pre-sized destination starting at
-// `dst` (the caller guarantees room for both ranges). Element order is
-// identical to MergeIntoVector; used by the parallel merge to let two
-// tasks write disjoint halves of one output. Returns one past the last
-// element written; sets *disjoint (if non-null) when the concat fast
-// path ran.
+// `dst` (the caller guarantees room for both ranges), in the same element
+// order as MergeIntoVector; the parallel merge uses it to let two tasks
+// write disjoint halves of one output. Returns one past the last element
+// written; sets *disjoint (if non-null) when the concat fast path ran.
 template <typename T, typename Less>
 T* MergeToPtr(const T* pa, const T* ea, const T* pb, const T* eb, Less less,
               T* dst, bool* disjoint = nullptr) {
-  if (disjoint != nullptr) *disjoint = false;
-  if (pa != ea && pb != eb) {
-    switch (ClassifyDisjoint(pa, ea, pb, eb, less)) {
-      case MergeFastPath::kConcatAB:
-        if (disjoint != nullptr) *disjoint = true;
-        break;
-      case MergeFastPath::kConcatBA:
-        if (disjoint != nullptr) *disjoint = true;
-        dst = std::copy(pb, eb, dst);
-        return std::copy(pa, ea, dst);
-      case MergeFastPath::kNone: {
-        int streak_a = 0;
-        int streak_b = 0;
-        while (pa != ea && pb != eb) {
-          const bool take_b = less(*pb, *pa);
-          const T* src = take_b ? pb : pa;
-          *dst++ = *src;
-          pb += take_b ? 1 : 0;
-          pa += take_b ? 0 : 1;
-          streak_b = take_b ? streak_b + 1 : 0;
-          streak_a = take_b ? 0 : streak_a + 1;
-          if (streak_b >= kGallopThreshold && pb != eb) {
-            const T* end = GallopLowerBound(pb, eb, *pa, less);
-            dst = std::copy(pb, end, dst);
-            pb = end;
-            streak_b = 0;
-          } else if (streak_a >= kGallopThreshold && pa != ea) {
-            const T* end = GallopUpperBound(pa, ea, *pb, less);
-            dst = std::copy(pa, end, dst);
-            pa = end;
-            streak_a = 0;
-          }
-        }
-        break;
-      }
-    }
-  }
-  dst = std::copy(pa, ea, dst);
-  return std::copy(pb, eb, dst);
+  detail::PointerSink<T> sink{dst};
+  const bool concat = detail::MergeRanges(pa, ea, pb, eb, less, sink);
+  if (disjoint != nullptr) *disjoint = concat;
+  return sink.dst;
 }
 
 }  // namespace kernels

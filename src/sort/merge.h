@@ -1,19 +1,29 @@
 // Merge kernels shared by the sorting algorithms.
 //
 // Patience/Impatience sort produce a set of sorted runs that must be merged
-// into one sorted sequence. Following the paper (§III-B, §III-E1) we merge
-// runs two at a time with binary merges rather than a k-way heap, and the
-// order in which runs are merged matters: merging the two smallest runs
-// first ("Huffman merge") minimizes the total number of element moves,
-// exactly as in Huffman coding. Both the Huffman order and a balanced
-// (non-Huffman) order are provided so the optimization can be ablated, plus
-// a heap-based k-way merge as a further ablation baseline.
+// into one sorted sequence. Following the paper (§III-B, §III-E1) runs
+// merge two at a time, smallest two first ("Huffman merge"), which
+// minimizes the total number of element moves exactly as in Huffman
+// coding. That order is decided in one place, BuildHuffmanPlan, and three
+// executors consume the plan:
 //
-// Performance notes: merges are allocation-free in steady state — a
-// MergeBufferPool recycles intermediate buffers (fresh allocations mean
-// page faults on first touch, which dominate small merges) — and the final
-// binary merge writes straight into the caller's output vector instead of
-// producing one more intermediate.
+//   * HuffmanMergeInto runs it node by node as a binary cascade.
+//   * ParallelMergeRunsInto runs it as a task DAG on the thread pool:
+//     small subtrees collapse into k-way loser-tree leaves and the final
+//     merge is split in two.
+//   * LoserTreeMergeInto (RAM runs) and HuffmanCursorMergeInto (chunked
+//     run cursors, e.g. spilled runs) run LoserTreePass keyed by each
+//     run's position in the plan's in-order leaf walk.
+//
+// Every executor breaks cross-run ties by that in-order position, which is
+// exactly the order the cascade's stable binary merges produce, so their
+// outputs are byte-identical by construction. A balanced (size-oblivious)
+// order and a k-way heap merge remain as ablation baselines.
+//
+// One pool: every executor takes its intermediate buffers from the
+// caller's MergeBufferPool and gives them, and the consumed input runs,
+// back to it on the calling thread. Steady-state merges therefore allocate
+// nothing, and the pool's accounting covers every byte a merge holds.
 
 #ifndef IMPATIENCE_SORT_MERGE_H_
 #define IMPATIENCE_SORT_MERGE_H_
@@ -103,46 +113,15 @@ class MergeBufferPool {
   size_t peak_bytes_ = 0;
 };
 
-namespace merge_internal {
 
-// The gallop machinery moved to sort/kernels.h with the two-way merge
-// kernel; these aliases keep the historical names working.
-using kernels::GallopLowerBound;
-using kernels::GallopUpperBound;
-using kernels::kGallopThreshold;
-
-}  // namespace merge_internal
-
-// Merges the sorted ranges [pa, ea) and [pb, eb) into `out` (appended).
-// Stable: on ties, elements of the `a` range precede elements of the `b`
-// range. Delegates to the kernel-layer merge: disjoint ranges concatenate
-// with bulk copies, overlapping ranges run a branchless select loop that
-// gallops when one side wins repeatedly. Returns true when the disjoint
-// fast path ran.
-template <typename T, typename Less>
-bool BinaryMergeRangesInto(const T* pa, const T* ea, const T* pb,
-                           const T* eb, Less less, std::vector<T>* out) {
-  return kernels::MergeIntoVector(pa, ea, pb, eb, less, out);
-}
-
-// Vector-input convenience over BinaryMergeRangesInto.
+// Merges the sorted vectors `a` and `b` into `out` (appended). Stable: on
+// ties, elements of `a` precede elements of `b`. Returns true when the
+// disjoint fast path ran (see kernels::MergeIntoVector).
 template <typename T, typename Less>
 bool BinaryMergeInto(const std::vector<T>& a, const std::vector<T>& b,
                      Less less, std::vector<T>* out) {
-  return BinaryMergeRangesInto(a.data(), a.data() + a.size(), b.data(),
-                               b.data() + b.size(), less, out);
-}
-
-// Merges [pa, ea) and [pb, eb) into the pre-sized destination starting at
-// `dst` (the caller guarantees room for both ranges). Element order is
-// identical to BinaryMergeRangesInto; used by the parallel merge to let two
-// tasks write disjoint halves of one output. Returns one past the last
-// element written; sets *disjoint (if non-null) when the concat fast path
-// ran.
-template <typename T, typename Less>
-T* BinaryMergeToPtr(const T* pa, const T* ea, const T* pb, const T* eb,
-                    Less less, T* dst, bool* disjoint = nullptr) {
-  return kernels::MergeToPtr(pa, ea, pb, eb, less, dst, disjoint);
+  return kernels::MergeIntoVector(a.data(), a.data() + a.size(), b.data(),
+                                  b.data() + b.size(), less, out);
 }
 
 // Statistics describing the work a merge performed; used by ablation
@@ -152,8 +131,8 @@ struct MergeStats {
   // order minimizes). For the binary cascades this is the sum of both
   // input sizes per merge; for the k-way loser tree it is the actual move
   // count — each element once per ping-pong pass. ParallelMergeRunsInto
-  // reports the plan-phase (binary-cascade) figure even when it executes
-  // plan subtrees as k-way leaf tasks, so the Huffman cost model stays
+  // reports the plan's binary-cascade figure even when it executes plan
+  // subtrees as k-way leaf tasks, so the Huffman cost model stays
   // comparable across execution strategies.
   uint64_t elements_moved = 0;
   // Number of merge steps: binary merges for the cascades, tree passes
@@ -174,6 +153,78 @@ struct MergeStats {
   uint64_t disjoint_concats = 0;
 };
 
+// ---------------------------------------------------------------------------
+// The Huffman merge plan.
+
+// The binary merge tree a smallest-two-first cascade builds over k runs.
+// Ids [0, k) name the input runs; id k + j names merges[j]'s output.
+struct HuffmanPlan {
+  struct Merge {
+    uint32_t left;
+    uint32_t right;
+    size_t size;  // Elements in the merged output.
+  };
+  size_t runs = 0;
+  // The k - 1 binary merges in cascade order: every merge's inputs are
+  // produced by earlier entries, and merges.back() is the root.
+  std::vector<Merge> merges;
+
+  uint32_t root() const {
+    return static_cast<uint32_t>(runs + merges.size() - 1);
+  }
+
+  // The input runs under `id`, left to right. Over the whole tree this is
+  // the cascade's tie order: run i's elements precede run j's equal ones
+  // iff i comes first, because every binary merge keeps its left input's
+  // equal elements first.
+  std::vector<uint32_t> LeafOrder(uint32_t id) const {
+    std::vector<uint32_t> leaves;
+    std::vector<uint32_t> stack = {id};
+    while (!stack.empty()) {
+      const uint32_t n = stack.back();
+      stack.pop_back();
+      if (n < runs) {
+        leaves.push_back(n);
+        continue;
+      }
+      const Merge& m = merges[n - runs];
+      stack.push_back(m.right);  // Left child on top: visited first.
+      stack.push_back(m.left);
+    }
+    return leaves;
+  }
+};
+
+// Plans the cascade over run `sizes` (at least one): repeatedly merges the
+// two smallest surviving runs, the first one popped on the left. This is
+// the only place the size heap runs.
+inline HuffmanPlan BuildHuffmanPlan(std::vector<size_t> sizes) {
+  HuffmanPlan plan;
+  const size_t k = sizes.size();
+  plan.runs = k;
+  if (k < 2) return plan;
+  plan.merges.reserve(k - 1);
+  std::vector<uint32_t> id(k);  // Id of what heap entry i holds now.
+  for (size_t i = 0; i < k; ++i) id[i] = static_cast<uint32_t>(i);
+  auto size_greater = [&sizes](size_t a, size_t b) {
+    return sizes[a] > sizes[b];
+  };
+  std::priority_queue<size_t, std::vector<size_t>, decltype(size_greater)>
+      heap(size_greater);
+  for (size_t i = 0; i < k; ++i) heap.push(i);
+  for (;;) {
+    const size_t a = heap.top();
+    heap.pop();
+    const size_t b = heap.top();
+    heap.pop();
+    plan.merges.push_back({id[a], id[b], sizes[a] + sizes[b]});
+    if (heap.empty()) return plan;
+    sizes[a] += sizes[b];
+    id[a] = static_cast<uint32_t>(k + plan.merges.size() - 1);
+    heap.push(a);
+  }
+}
+
 namespace merge_internal {
 
 template <typename T>
@@ -183,6 +234,14 @@ void DropEmptyRuns(std::vector<std::vector<T>>* runs) {
                                return r.empty();
                              }),
               runs->end());
+}
+
+template <typename T>
+std::vector<size_t> RunSizes(const std::vector<std::vector<T>>& runs) {
+  std::vector<size_t> sizes;
+  sizes.reserve(runs.size());
+  for (const std::vector<T>& r : runs) sizes.push_back(r.size());
+  return sizes;
 }
 
 }  // namespace merge_internal
@@ -205,76 +264,93 @@ void HuffmanMergeInto(std::vector<std::vector<T>>* runs, Less less,
   }
   MergeBufferPool<T> local_pool;
   if (pool == nullptr) pool = &local_pool;
-
-  // Min-heap of run indices ordered by current run size.
-  auto size_greater = [&rs](size_t a, size_t b) {
-    return rs[a].size() > rs[b].size();
-  };
-  std::priority_queue<size_t, std::vector<size_t>, decltype(size_greater)>
-      heap(size_greater);
-  for (size_t i = 0; i < rs.size(); ++i) heap.push(i);
-
-  while (true) {
-    const size_t a = heap.top();
-    heap.pop();
-    const size_t b = heap.top();
-    heap.pop();
+  const HuffmanPlan plan = BuildHuffmanPlan(merge_internal::RunSizes(rs));
+  const size_t k = plan.runs;
+  rs.resize(2 * k - 1);  // rs[k + j] holds merges[j]'s output.
+  for (size_t j = 0; j < plan.merges.size(); ++j) {
+    const HuffmanPlan::Merge& m = plan.merges[j];
+    // The root writes straight into the caller's output.
+    std::vector<T>* dst = out;
+    if (j + 1 < plan.merges.size()) {
+      rs[k + j] = pool->Acquire(m.size);
+      dst = &rs[k + j];
+    }
+    const bool disjoint = BinaryMergeInto(rs[m.left], rs[m.right], less, dst);
     if (stats != nullptr) {
-      stats->elements_moved += rs[a].size() + rs[b].size();
+      stats->elements_moved += m.size;
       ++stats->binary_merges;
+      if (disjoint) ++stats->disjoint_concats;
     }
-    if (heap.empty()) {
-      // Final merge: write straight into the caller's output. The inputs
-      // are consumed, so recycle them (and settle the pool's outstanding
-      // accounting for intermediates acquired above).
-      const bool disjoint = BinaryMergeInto(rs[a], rs[b], less, out);
-      if (stats != nullptr && disjoint) ++stats->disjoint_concats;
-      pool->Release(std::move(rs[a]));
-      pool->Release(std::move(rs[b]));
-      break;
-    }
-    std::vector<T> merged = pool->Acquire(rs[a].size() + rs[b].size());
-    const bool disjoint = BinaryMergeInto(rs[a], rs[b], less, &merged);
-    if (stats != nullptr && disjoint) ++stats->disjoint_concats;
-    pool->Release(std::move(rs[a]));
-    pool->Release(std::move(rs[b]));
-    rs[a] = std::move(merged);
-    heap.push(a);
+    pool->Release(std::move(rs[m.left]));
+    pool->Release(std::move(rs[m.right]));
   }
   rs.clear();
 }
 
 // ---------------------------------------------------------------------------
-// k-way loser-tree merge.
+// Run cursors and the k-way loser-tree pass.
 //
-// The Huffman cascade minimizes element moves but still writes and re-reads
-// every intermediate result once per tree level. A tournament (loser) tree
-// merges k runs in a single output pass with O(log k) comparisons per
-// element: tree[1..k-1] stores the run that lost each match, tree[0] the
+// A RunCursor yields one sorted run as a sequence of sorted chunks: a RAM
+// run is a single chunk (VectorRunCursor), a spilled run one chunk per
+// on-disk block. LoserTreePass merges k cursors with a tournament (loser)
+// tree: tree[1..k-1] stores the cursor that lost each match, tree[0] the
 // overall winner, and emitting the winner replays only its leaf-to-root
-// path. Keying the tree by (element, run rank) — where rank is the run's
-// in-order position in the Huffman merge-plan tree — makes the output
-// byte-identical to the pairwise HuffmanMergeInto cascade: two runs' ties
-// resolve by which side of their lowest common ancestor they sit on, and
-// the in-order traversal linearizes exactly those decisions.
+// path — one output pass with O(log k) comparisons per element, instead
+// of the cascade's pass per tree level. Presented in plan leaf order, with
+// ties to the lower slot, a k-way merge under that total order has exactly
+// one valid output, so neither chunking nor the single pass can change a
+// byte.
 
-// Fan-in cap per tree pass: beyond this the tree and the k run heads stop
-// fitting in L1/L2 and comparisons start missing cache, so wider merges run
-// as multiple passes over ping-pong buffers drawn from the MergeBufferPool
-// (consecutive-rank grouping keeps each pass byte-identical).
+template <typename T>
+class RunCursor {
+ public:
+  virtual ~RunCursor() = default;
+  // Exact number of elements the cursor yields across all chunks; drives
+  // the Huffman plan and output reservation.
+  virtual size_t total() const = 0;
+  // Next chunk [first, second), or {nullptr, nullptr} once exhausted.
+  // Pointers from the previous chunk are invalidated.
+  virtual std::pair<const T*, const T*> NextChunk() = 0;
+};
+
+// A RAM-resident sorted range as a single chunk. Does not own the range.
+template <typename T>
+class VectorRunCursor final : public RunCursor<T> {
+ public:
+  VectorRunCursor(const T* begin, const T* end) : begin_(begin), end_(end) {}
+  size_t total() const override {
+    return static_cast<size_t>(end_ - begin_);
+  }
+  std::pair<const T*, const T*> NextChunk() override {
+    if (done_ || begin_ == end_) return {nullptr, nullptr};
+    done_ = true;
+    return {begin_, end_};
+  }
+
+ private:
+  const T* begin_;
+  const T* end_;
+  bool done_ = false;
+};
+
+// Fan-in cap per tree pass for RAM merges: beyond this the tree and the k
+// run heads stop fitting in L1/L2 and comparisons start missing cache, so
+// wider merges run as multiple passes over ping-pong buffers drawn from
+// the MergeBufferPool (consecutive-rank grouping keeps each pass
+// byte-identical).
 inline constexpr size_t kLoserTreeMaxFanIn = 64;
 
 // Reusable loser-tree state: the loser array, the winner bracket used to
-// (re)build it, and the per-run cursors. Kept by the sorters across
-// punctuations so steady-state merges allocate nothing; MemoryBytes() feeds
-// the owners' memory accounting.
+// (re)build it, and the per-cursor chunk positions. Kept by the sorters
+// across punctuations so steady-state merges allocate nothing;
+// MemoryBytes() feeds the owners' memory accounting.
 template <typename T>
 struct LoserTreeScratch {
   std::vector<int32_t> tree;     // Losers; tree[0] holds the winner.
   std::vector<int32_t> winners;  // Winner bracket, build only.
-  std::vector<const T*> begin;   // Original run starts (concat detection).
-  std::vector<const T*> cur;     // Next unmerged element per run.
-  std::vector<const T*> end;     // One past each run.
+  std::vector<const T*> begin;   // Current chunk starts (concat detection).
+  std::vector<const T*> cur;     // Next unmerged element per cursor.
+  std::vector<const T*> end;     // One past each current chunk.
 
   size_t MemoryBytes() const {
     return (tree.capacity() + winners.capacity()) * sizeof(int32_t) +
@@ -283,95 +359,38 @@ struct LoserTreeScratch {
   }
 };
 
-namespace merge_internal {
-
-// In-order leaf ranks of the Huffman merge-plan tree. Replays the exact
-// size heap HuffmanMergeInto drives (same comparator results, same
-// push/pop sequence, so the same plan even through priority_queue tie
-// behavior), then walks the plan tree left-to-right. Run i's elements
-// precede run j's on cross-run ties iff (*rank)[i] < (*rank)[j] — the
-// linearization of every stability decision the pairwise cascade makes.
-// `sizes` is taken by value and consumed.
-inline void ComputeHuffmanRanks(std::vector<size_t> sizes,
-                                std::vector<uint32_t>* rank) {
-  const size_t k = sizes.size();
-  rank->resize(k);
-  if (k <= 1) {
-    if (k == 1) (*rank)[0] = 0;
-    return;
-  }
-  // Child ids: [0, k) = input run, >= k = plan node id-k.
-  struct PlanNode {
-    int32_t left;
-    int32_t right;
-  };
-  std::vector<PlanNode> plan;
-  plan.reserve(k - 1);
-  std::vector<int32_t> slot(k);
-  for (size_t i = 0; i < k; ++i) slot[i] = static_cast<int32_t>(i);
-  auto size_greater = [&sizes](size_t a, size_t b) {
-    return sizes[a] > sizes[b];
-  };
-  std::priority_queue<size_t, std::vector<size_t>, decltype(size_greater)>
-      heap(size_greater);
-  for (size_t i = 0; i < k; ++i) heap.push(i);
-  for (;;) {
-    const size_t a = heap.top();
-    heap.pop();
-    const size_t b = heap.top();
-    heap.pop();
-    plan.push_back(PlanNode{slot[a], slot[b]});
-    if (heap.empty()) break;
-    sizes[a] += sizes[b];
-    slot[a] = static_cast<int32_t>(k + plan.size() - 1);
-    heap.push(a);
-  }
-  uint32_t next_rank = 0;
-  std::vector<int32_t> stack;
-  stack.push_back(static_cast<int32_t>(k + plan.size() - 1));
-  while (!stack.empty()) {
-    const int32_t id = stack.back();
-    stack.pop_back();
-    if (id < static_cast<int32_t>(k)) {
-      (*rank)[id] = next_rank++;
-      continue;
-    }
-    const PlanNode& nd = plan[id - static_cast<int32_t>(k)];
-    stack.push_back(nd.right);  // Left child on top: visited first.
-    stack.push_back(nd.left);
-  }
-}
-
-// One loser-tree pass: merges the k rank-ordered runs `slots[0..k)` into
-// `out` (appended). Cross-run ties resolve by slot order, so the caller
-// must present runs in tie-break order (Huffman rank, or any order whose
-// stability it wants). Does not consume the run vectors. Only
-// `stats->disjoint_concats` is updated here (a run emitted start-to-end in
-// one bulk copy was disjoint from everything then unmerged); callers
-// account moves and pass counts themselves.
+// One loser-tree pass: merges `cursors[0..k)` into `out` (appended).
+// Cross-run ties resolve to the lower slot, so the caller presents cursors
+// in tie-break order. Counts a chunk emitted start-to-end in one bulk copy
+// (disjoint from everything then unmerged) in `*disjoint_concats` when
+// that is non-null; callers account moves and passes themselves.
 template <typename T, typename Less>
-void LoserTreePass(std::vector<T>* const* slots, size_t k, Less less,
-                   std::vector<T>* out, MergeStats* stats,
+void LoserTreePass(RunCursor<T>* const* cursors, size_t k, Less less,
+                   std::vector<T>* out, uint64_t* disjoint_concats,
                    LoserTreeScratch<T>* scratch) {
   size_t total = 0;
-  for (size_t i = 0; i < k; ++i) total += slots[i]->size();
+  for (size_t i = 0; i < k; ++i) total += cursors[i]->total();
   out->reserve(out->size() + total);
   if (k == 0) return;
-  if (k == 1) {
-    out->insert(out->end(), slots[0]->begin(), slots[0]->end());
-    return;
-  }
   LoserTreeScratch<T>& sc = *scratch;
   sc.begin.resize(k);
   sc.cur.resize(k);
   sc.end.resize(k);
-  for (size_t i = 0; i < k; ++i) {
-    sc.begin[i] = slots[i]->data();
-    sc.cur[i] = sc.begin[i];
-    sc.end[i] = sc.begin[i] + slots[i]->size();
-  }
+  // Loads cursor i's next non-empty chunk; an exhausted cursor parks at
+  // cur == end == nullptr.
+  auto refill = [&sc, cursors](size_t i) {
+    for (;;) {
+      const std::pair<const T*, const T*> c = cursors[i]->NextChunk();
+      if (c.first != c.second || c.first == nullptr) {
+        sc.begin[i] = sc.cur[i] = c.first;
+        sc.end[i] = c.second;
+        return;
+      }
+    }
+  };
+  for (size_t i = 0; i < k; ++i) refill(i);
   // True when slot i's current element must be emitted before slot j's:
-  // smaller element first, exhausted runs last, ties to the lower slot.
+  // smaller element first, exhausted cursors last, ties to the lower slot.
   auto beats = [&sc, &less](int32_t i, int32_t j) {
     if (sc.cur[j] == sc.end[j]) return sc.cur[i] != sc.end[i];
     if (sc.cur[i] == sc.end[i]) return false;
@@ -399,17 +418,27 @@ void LoserTreePass(std::vector<T>* const* slots, size_t k, Less less,
   }
   int32_t w = sc.winners[1];
   sc.tree[0] = w;
+  // Replays the winner's leaf-to-root path: the advanced (or exhausted)
+  // cursor competes with each stored loser on the way up; returns the new
+  // winner.
+  auto replay = [&sc, &beats, k](int32_t c) {
+    for (size_t t = (k + static_cast<size_t>(c)) >> 1; t >= 1; t >>= 1) {
+      if (beats(sc.tree[t], c)) std::swap(sc.tree[t], c);
+    }
+    sc.tree[0] = c;
+    return c;
+  };
   // Adaptive main loop, timsort-style. The lean path emits one element
   // and replays the winner's leaf-to-root path — the textbook log2(k)
   // compares per element, which is all a finely interleaved input can
   // ever pay. A gallop attempt additionally walks the path for the
-  // runner-up (the best run the winner defeated) and bulk-copies the
+  // runner-up (the best cursor the winner defeated) and bulk-copies the
   // winner's entire lead over it in one chunk, which is how runs with
   // temporal locality — the punctuation-merge common case — move at
   // memcpy speed. `min_streak` prices the attempt: it starts optimistic
   // (gallop immediately, so a time-disjoint run is emitted start-to-end
-  // in its first chunk), short chunks raise the bar until a run must win
-  // that many single steps in a row to earn another attempt, and long
+  // in its first chunk), short chunks raise the bar until a cursor must
+  // win that many single steps in a row to earn another attempt, and long
   // chunks lower it again.
   constexpr ptrdiff_t kGallopWin = 8;     // Chunk length that pays.
   constexpr int32_t kMaxMinStreak = 31;   // Attempt-rate floor, 1/31.
@@ -418,12 +447,8 @@ void LoserTreePass(std::vector<T>* const* slots, size_t k, Less less,
   while (sc.cur[w] != sc.end[w]) {
     if (streak < min_streak) {
       out->push_back(*sc.cur[w]);
-      ++sc.cur[w];
-      int32_t c = w;
-      for (size_t t = (k + static_cast<size_t>(w)) >> 1; t >= 1; t >>= 1) {
-        if (beats(sc.tree[t], c)) std::swap(sc.tree[t], c);
-      }
-      sc.tree[0] = c;
+      if (++sc.cur[w] == sc.end[w]) refill(w);
+      const int32_t c = replay(w);
       streak = c == w ? streak + 1 : 0;
       w = c;
       continue;
@@ -433,47 +458,40 @@ void LoserTreePass(std::vector<T>* const* slots, size_t k, Less less,
     for (size_t t = (k + static_cast<size_t>(w)) >> 1; t >= 1; t >>= 1) {
       if (ru == -1 || beats(sc.tree[t], ru)) ru = sc.tree[t];
     }
-    // Everything in the winner that precedes the runner-up's head is safe
-    // to emit without touching the tree: gallop for the boundary and bulk
-    // copy. Tie elements belong to whichever slot is lower.
+    // Everything in the winner's chunk that precedes the runner-up's head
+    // is safe to emit without touching the tree: gallop for the boundary
+    // and bulk copy. Tie elements belong to whichever slot is lower.
     const T* p = sc.cur[w];
     const T* bound;
     if (ru == -1 || sc.cur[ru] == sc.end[ru]) {
       bound = sc.end[w];
     } else if (w < ru) {
-      bound = GallopUpperBound(p, sc.end[w], *sc.cur[ru], less);
+      bound = kernels::GallopUpperBound(p, sc.end[w], *sc.cur[ru], less);
     } else {
-      bound = GallopLowerBound(p, sc.end[w], *sc.cur[ru], less);
+      bound = kernels::GallopLowerBound(p, sc.end[w], *sc.cur[ru], less);
     }
     out->insert(out->end(), p, bound);
-    if (stats != nullptr && p == sc.begin[w] && bound == sc.end[w]) {
-      ++stats->disjoint_concats;
+    if (disjoint_concats != nullptr && p == sc.begin[w] &&
+        bound == sc.end[w]) {
+      ++*disjoint_concats;
     }
-    sc.cur[w] = bound;
     min_streak = bound - p >= kGallopWin
                      ? 0
                      : std::min(kMaxMinStreak, min_streak + 1);
     streak = 0;
-    // Replay the winner's path: the advanced (or exhausted) run competes
-    // with each stored loser on the way up.
-    int32_t c = w;
-    for (size_t t = (k + static_cast<size_t>(w)) >> 1; t >= 1; t >>= 1) {
-      if (beats(sc.tree[t], c)) std::swap(sc.tree[t], c);
-    }
-    sc.tree[0] = c;
-    w = c;
+    sc.cur[w] = bound;
+    if (bound == sc.end[w]) refill(w);
+    w = replay(w);
   }
 }
 
-}  // namespace merge_internal
-
 // Merges `runs` (each sorted) into a single sorted sequence appended to
-// `out` with loser-tree passes of fan-in <= kLoserTreeMaxFanIn. Output is
-// byte-identical to HuffmanMergeInto on the same input: runs are arranged
-// in Huffman-rank order first (see ComputeHuffmanRanks), and wider-than-
-// one-tree merges group consecutive ranks per pass, which preserves every
-// cross-run tie decision. Consumes the run contents. `pool` recycles the
-// ping-pong buffers between passes; `scratch` recycles the tree state.
+// `out` with loser-tree passes of fan-in <= kLoserTreeMaxFanIn.
+// Byte-identical to HuffmanMergeInto on the same input: runs are arranged
+// in the plan's leaf order, and wider-than-one-tree merges group
+// consecutive leaves per pass, which preserves every cross-run tie
+// decision. Consumes the run contents. `pool` recycles the ping-pong
+// buffers between passes; `scratch` recycles the tree state.
 //
 // MergeStats semantics differ from the binary cascades: elements_moved
 // counts actual moves (each element once per pass — the quantity the tree
@@ -500,19 +518,38 @@ void LoserTreeMergeInto(std::vector<std::vector<T>>* runs, Less less,
   LoserTreeScratch<T> local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
 
-  const size_t k = rs.size();
-  std::vector<size_t> sizes(k);
-  for (size_t i = 0; i < k; ++i) sizes[i] = rs[i].size();
-  std::vector<uint32_t> rank;
-  merge_internal::ComputeHuffmanRanks(std::move(sizes), &rank);
-  std::vector<std::vector<T>> work(k);
-  for (size_t i = 0; i < k; ++i) work[rank[i]] = std::move(rs[i]);
+  const HuffmanPlan plan = BuildHuffmanPlan(merge_internal::RunSizes(rs));
+  std::vector<std::vector<T>> work;
+  work.reserve(rs.size());
+  for (const uint32_t i : plan.LeafOrder(plan.root())) {
+    work.push_back(std::move(rs[i]));
+  }
   rs.clear();
 
-  std::vector<std::vector<T>*> slots;
+  std::vector<VectorRunCursor<T>> cursors;
+  std::vector<RunCursor<T>*> slots;
+  // One tree pass over work[lo, hi) into `dst`; the consumed runs go back
+  // to the pool, where the next pass's Acquire finds them.
+  auto pass = [&](size_t lo, size_t hi, std::vector<T>* dst) {
+    cursors.clear();
+    slots.clear();
+    size_t moved = 0;
+    for (size_t i = lo; i < hi; ++i) {
+      cursors.emplace_back(work[i].data(), work[i].data() + work[i].size());
+      moved += work[i].size();
+    }
+    for (VectorRunCursor<T>& c : cursors) slots.push_back(&c);
+    LoserTreePass(slots.data(), slots.size(), less, dst,
+                  stats != nullptr ? &stats->disjoint_concats : nullptr,
+                  scratch);
+    if (stats != nullptr) {
+      stats->elements_moved += moved;
+      ++stats->binary_merges;
+    }
+    for (size_t i = lo; i < hi; ++i) pool->Release(std::move(work[i]));
+  };
   // Ping-pong: while more runs survive than one tree takes, merge groups
-  // of consecutive ranks into pool buffers; the sources released here are
-  // the buffers the next pass acquires.
+  // of consecutive leaves into pool buffers.
   while (work.size() > kLoserTreeMaxFanIn) {
     std::vector<std::vector<T>> next;
     next.reserve((work.size() + kLoserTreeMaxFanIn - 1) /
@@ -524,179 +561,32 @@ void LoserTreeMergeInto(std::vector<std::vector<T>>* runs, Less less,
         continue;
       }
       size_t group_total = 0;
-      slots.clear();
-      for (size_t i = lo; i < hi; ++i) {
-        group_total += work[i].size();
-        slots.push_back(&work[i]);
-      }
+      for (size_t i = lo; i < hi; ++i) group_total += work[i].size();
       std::vector<T> merged = pool->Acquire(group_total);
-      merge_internal::LoserTreePass(slots.data(), slots.size(), less,
-                                    &merged, stats, scratch);
-      if (stats != nullptr) {
-        stats->elements_moved += group_total;
-        ++stats->binary_merges;
-      }
-      for (size_t i = lo; i < hi; ++i) pool->Release(std::move(work[i]));
+      pass(lo, hi, &merged);
       next.push_back(std::move(merged));
     }
     work = std::move(next);
   }
-  slots.clear();
-  size_t total = 0;
-  for (std::vector<T>& r : work) {
-    total += r.size();
-    slots.push_back(&r);
-  }
-  merge_internal::LoserTreePass(slots.data(), slots.size(), less, out,
-                                stats, scratch);
-  if (stats != nullptr) {
-    stats->elements_moved += total;
-    ++stats->binary_merges;
-  }
-  for (std::vector<T>& r : work) pool->Release(std::move(r));
+  pass(0, work.size(), out);
 }
-
-// ---------------------------------------------------------------------------
-// Run cursors: streaming merge over runs that may not live in RAM.
-//
-// The storage tier spills cold runs to disk; at punctuation time their
-// released prefixes must merge with RAM-resident runs without staging the
-// disk data contiguously. A RunCursor yields one sorted run as a sequence
-// of sorted chunks (a RAM run is a single chunk; a spilled run is one
-// chunk per on-disk block), and HuffmanCursorMergeInto merges k cursors
-// with a loser tree keyed by (element, Huffman rank). The output is
-// byte-identical to HuffmanMergeInto / LoserTreeMergeInto of the same runs
-// in the same order: a k-way merge under a total tie order (lower rank
-// wins ties) has exactly one valid output sequence, so neither the
-// chunking nor the single-pass execution can change a byte.
-
-template <typename T>
-class RunCursor {
- public:
-  virtual ~RunCursor() = default;
-  // Exact number of elements the cursor yields across all chunks; drives
-  // the Huffman rank computation and output reservation.
-  virtual size_t total() const = 0;
-  // Next chunk [first, second), or {nullptr, nullptr} once exhausted.
-  // Pointers from the previous chunk are invalidated.
-  virtual std::pair<const T*, const T*> NextChunk() = 0;
-};
-
-// A RAM-resident sorted range as a single chunk. Does not own the range.
-template <typename T>
-class VectorRunCursor final : public RunCursor<T> {
- public:
-  VectorRunCursor(const T* begin, const T* end) : begin_(begin), end_(end) {}
-  size_t total() const override {
-    return static_cast<size_t>(end_ - begin_);
-  }
-  std::pair<const T*, const T*> NextChunk() override {
-    if (done_ || begin_ == end_) return {nullptr, nullptr};
-    done_ = true;
-    return {begin_, end_};
-  }
-
- private:
-  const T* begin_;
-  const T* end_;
-  bool done_ = false;
-};
-
-namespace merge_internal {
-
-// Single-pass k-way loser-tree merge over cursors presented in tie-break
-// order (ties resolve to the lower slot). Unlike LoserTreePass there is no
-// fan-in cap or ping-pong regrouping: a disk-backed merge is bandwidth-
-// bound, and regrouping would re-stage spilled data. disjoint_concats is
-// not tracked (chunk granularity hides whole-run copies).
-template <typename T, typename Less>
-void CursorLoserTreePass(RunCursor<T>* const* cursors, size_t k, Less less,
-                         std::vector<T>* out) {
-  std::vector<const T*> cur(k), end(k);
-  auto refill = [&cursors, &cur, &end](size_t i) {
-    for (;;) {
-      const std::pair<const T*, const T*> c = cursors[i]->NextChunk();
-      if (c.first == c.second) {
-        if (c.first == nullptr) {
-          cur[i] = end[i] = nullptr;
-          return false;
-        }
-        continue;  // Skip empty chunks.
-      }
-      cur[i] = c.first;
-      end[i] = c.second;
-      return true;
-    }
-  };
-  for (size_t i = 0; i < k; ++i) refill(i);
-  // Exhausted runs (cur == nullptr) lose to everything; ties go to the
-  // lower slot — the same total order as LoserTreePass.
-  auto beats = [&cur, &less](int32_t i, int32_t j) {
-    if (cur[j] == nullptr) return cur[i] != nullptr;
-    if (cur[i] == nullptr) return false;
-    if (less(*cur[i], *cur[j])) return true;
-    if (less(*cur[j], *cur[i])) return false;
-    return i < j;
-  };
-  std::vector<int32_t> tree(k);
-  std::vector<int32_t> winners(2 * k);
-  for (size_t i = 0; i < k; ++i) winners[k + i] = static_cast<int32_t>(i);
-  for (size_t n = k - 1; n >= 1; --n) {
-    const int32_t a = winners[2 * n];
-    const int32_t b = winners[2 * n + 1];
-    if (beats(a, b)) {
-      winners[n] = a;
-      tree[n] = b;
-    } else {
-      winners[n] = b;
-      tree[n] = a;
-    }
-  }
-  int32_t w = winners[1];
-  tree[0] = w;
-  while (cur[w] != nullptr) {
-    // The runner-up (second-smallest head) always sits among the losers on
-    // the winner's path; everything in the winner's current chunk that
-    // precedes it is safe to emit in one bulk copy.
-    int32_t ru = -1;
-    for (size_t t = (k + static_cast<size_t>(w)) >> 1; t >= 1; t >>= 1) {
-      if (ru == -1 || beats(tree[t], ru)) ru = tree[t];
-    }
-    const T* p = cur[w];
-    const T* bound;
-    if (ru == -1 || cur[ru] == nullptr) {
-      bound = end[w];
-    } else if (w < ru) {
-      bound = GallopUpperBound(p, end[w], *cur[ru], less);
-    } else {
-      bound = GallopLowerBound(p, end[w], *cur[ru], less);
-    }
-    out->insert(out->end(), p, bound);
-    cur[w] = bound;
-    if (cur[w] == end[w]) refill(w);
-    int32_t c = w;
-    for (size_t t = (k + static_cast<size_t>(w)) >> 1; t >= 1; t >>= 1) {
-      if (beats(tree[t], c)) std::swap(tree[t], c);
-    }
-    tree[0] = c;
-    w = c;
-  }
-}
-
-}  // namespace merge_internal
 
 // Merges `cursors` (each a sorted run) into `out` (appended), byte-
 // identical to HuffmanMergeInto / LoserTreeMergeInto of the same runs in
-// the same order: cursors are arranged by Huffman rank over their exact
-// totals, and cross-run ties resolve to the lower rank. Single streaming
-// pass; peak transient memory is one chunk per cursor plus the tree.
+// the same order: the plan is built over the cursors' exact totals and one
+// LoserTreePass merges them in its leaf order. No fan-in cap or ping-pong
+// regrouping: a disk-backed merge is bandwidth-bound, and regrouping would
+// re-stage spilled data. Peak transient memory is one chunk per cursor
+// plus the tree (`scratch`, optional, recycles it).
 //
 // MergeStats: elements_moved counts each element once (single pass),
-// binary_merges counts 1 per call, disjoint_concats is not tracked.
+// binary_merges counts 1 per call, disjoint_concats is not tracked (chunk
+// granularity hides whole-run copies).
 template <typename T, typename Less>
-void HuffmanCursorMergeInto(std::vector<RunCursor<T>*>* cursors, Less less,
-                            std::vector<T>* out,
-                            MergeStats* stats = nullptr) {
+void HuffmanCursorMergeInto(
+    std::vector<RunCursor<T>*>* cursors, Less less, std::vector<T>* out,
+    MergeStats* stats = nullptr,
+    std::type_identity_t<LoserTreeScratch<T>*> scratch = nullptr) {
   TRACE_SPAN("merge.cursor");
   std::vector<RunCursor<T>*>& cs = *cursors;
   cs.erase(std::remove_if(
@@ -704,322 +594,198 @@ void HuffmanCursorMergeInto(std::vector<RunCursor<T>*>* cursors, Less less,
                [](RunCursor<T>* c) { return c->total() == 0; }),
            cs.end());
   if (cs.empty()) return;
-  size_t total = 0;
-  for (const RunCursor<T>* c : cs) total += c->total();
-  out->reserve(out->size() + total);
+  std::vector<size_t> sizes;
+  sizes.reserve(cs.size());
+  for (const RunCursor<T>* c : cs) sizes.push_back(c->total());
   if (stats != nullptr) {
-    stats->elements_moved += total;
+    for (const size_t s : sizes) stats->elements_moved += s;
     ++stats->binary_merges;
   }
-  if (cs.size() == 1) {
-    for (;;) {
-      const std::pair<const T*, const T*> c = cs[0]->NextChunk();
-      if (c.first == nullptr) break;
-      out->insert(out->end(), c.first, c.second);
-    }
-    return;
-  }
-  const size_t k = cs.size();
-  std::vector<size_t> sizes(k);
-  for (size_t i = 0; i < k; ++i) sizes[i] = cs[i]->total();
-  std::vector<uint32_t> rank;
-  merge_internal::ComputeHuffmanRanks(std::move(sizes), &rank);
-  std::vector<RunCursor<T>*> slots(k);
-  for (size_t i = 0; i < k; ++i) slots[rank[i]] = cs[i];
-  merge_internal::CursorLoserTreePass(slots.data(), k, less, out);
+  LoserTreeScratch<T> local_scratch;
+  if (scratch == nullptr) scratch = &local_scratch;
+  const HuffmanPlan plan = BuildHuffmanPlan(std::move(sizes));
+  std::vector<RunCursor<T>*> slots;
+  slots.reserve(cs.size());
+  for (const uint32_t i : plan.LeafOrder(plan.root())) slots.push_back(cs[i]);
+  LoserTreePass(slots.data(), slots.size(), less, out, nullptr, scratch);
 }
 
 // ---------------------------------------------------------------------------
 // Parallel Huffman merge.
 
-// Tuning for ParallelMergeRunsInto.
-struct ParallelMergeOptions {
-  // Fall back to sequential HuffmanMergeInto when the run set is smaller
-  // than either threshold (task overhead would dominate) or the pool is
-  // serial.
-  size_t min_total_bytes = size_t{1} << 20;
-  size_t min_runs = 3;
-  ThreadPool* pool = nullptr;  // nullptr = ThreadPool::Global()
-  // Maximal plan subtrees whose fan-in fits this bound execute as one
-  // k-way loser-tree leaf task instead of a binary cascade (clamped to
-  // kLoserTreeMaxFanIn; values < 3 disable the collapse). Larger values
-  // minimize memory traffic, smaller ones expose more task parallelism.
-  size_t kway_leaf_fanin = kLoserTreeMaxFanIn;
-};
+// The parallel executor runs only when the merge can pay for its tasks: at
+// least this many runs totalling at least this many bytes, on a pool of
+// two or more threads. Smaller merges run HuffmanMergeInto instead.
+inline constexpr size_t kParallelMergeMinRuns = 4;
+inline constexpr size_t kParallelMergeMinBytes = size_t{1} << 20;
 
-// Merges `runs` smallest-two-first like HuffmanMergeInto, but executes the
-// merge tree as a task DAG on the thread pool: the plan phase replays the
-// exact size-heap HuffmanMergeInto would use (same pairs, same left/right
-// roles, so the same stability decisions), maximal plan subtrees whose
-// fan-in fits one loser tree collapse into single k-way leaf tasks (see
-// ParallelMergeOptions::kway_leaf_fanin) that merge their input runs in
-// one pass, every surviving interior merge starts as soon as its two
-// inputs are ready, and the final binary merge is split at a
-// GallopLowerBound midpoint so both halves of the output are written in
-// parallel into the pre-sized destination. Output is byte-identical to
-// HuffmanMergeInto on the same input, and MergeStats (bar the
-// execution-dependent disjoint_concats) reports the plan-phase binary
-// cascade regardless of how leaves execute.
+// Merges `runs` like HuffmanMergeInto, executing the plan as a task DAG on
+// `threads` (nullptr = ThreadPool::Global()): maximal plan subtrees whose
+// fan-in fits one loser tree collapse into single k-way leaf tasks that
+// merge their input runs in one LoserTreePass (their leaf order is the
+// plan's, so the bytes written are the cascade's), every surviving binary
+// merge starts as soon as its two inputs are ready, and the final merge is
+// split at a GallopLowerBound midpoint so both halves of the output are
+// written in parallel into the pre-sized destination. Output is
+// byte-identical to HuffmanMergeInto, and MergeStats (bar the
+// execution-dependent disjoint_concats) reports the plan's binary cascade
+// regardless of how leaves execute.
 //
 // Consumes the run contents. Every buffer the merge uses comes from
-// `pool` and goes back to it, on the calling thread: interior-node buffers
-// are acquired before any task starts, and the consumed runs and node
+// `pool` and goes back to it, on the calling thread: interior buffers are
+// acquired before any task starts, and the consumed runs and interior
 // buffers are released after the task group drains, so tasks never touch
 // the (single-threaded) pool. Requires T default-constructible (the output
 // is resized up front). Returns the number of pool tasks the merge used —
-// 0 means the sequential fallback ran.
+// 0 means HuffmanMergeInto ran.
 template <typename T, typename Less>
 size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
                              std::vector<T>* out,
                              MergeStats* stats = nullptr,
                              std::type_identity_t<MergeBufferPool<T>*> pool =
                                  nullptr,
-                             const ParallelMergeOptions& options = {}) {
+                             ThreadPool* threads = nullptr) {
   static_assert(std::is_default_constructible_v<T>,
                 "parallel merge resizes the output vector");
   std::vector<std::vector<T>>& rs = *runs;
   merge_internal::DropEmptyRuns(&rs);
   size_t total = 0;
   for (const std::vector<T>& r : rs) total += r.size();
-  ThreadPool& tp =
-      options.pool != nullptr ? *options.pool : ThreadPool::Global();
-  const size_t min_runs = options.min_runs < 2 ? 2 : options.min_runs;
-  if (tp.thread_count() < 2 || rs.size() < min_runs ||
-      total * sizeof(T) < options.min_total_bytes) {
+  ThreadPool& tp = threads != nullptr ? *threads : ThreadPool::Global();
+  if (tp.thread_count() < 2 || rs.size() < kParallelMergeMinRuns ||
+      total * sizeof(T) < kParallelMergeMinBytes) {
     HuffmanMergeInto(&rs, less, out, stats, pool);
     return 0;
   }
+  MergeBufferPool<T> local_pool;
+  if (pool == nullptr) pool = &local_pool;
 
-  // Plan: replay HuffmanMergeInto's heap over run sizes alone. slot[i]
-  // tracks which merge result currently occupies heap slot i (mirroring
-  // the sequential in-place rs[a] = merged).
-  const size_t k = rs.size();
-  struct Node {
-    int32_t left = -1;   // Child id: [0, k) = input run, >= k = node id-k.
-    int32_t right = -1;
-    int32_t parent = -1;
-    size_t size = 0;
-    std::atomic<int> missing{0};  // Interior children not yet merged.
-    std::vector<T> buf;
-  };
-  std::vector<Node> nodes(k - 1);
-  std::vector<size_t> sizes(k);
-  std::vector<int32_t> slot(k);
-  for (size_t i = 0; i < k; ++i) {
-    sizes[i] = rs[i].size();
-    slot[i] = static_cast<int32_t>(i);
+  const HuffmanPlan plan = BuildHuffmanPlan(merge_internal::RunSizes(rs));
+  const size_t k = plan.runs;
+  const size_t root = k - 2;
+  if (stats != nullptr) {
+    for (const HuffmanPlan::Merge& m : plan.merges) {
+      stats->elements_moved += m.size;
+    }
+    stats->binary_merges += plan.merges.size();
   }
-  auto size_greater = [&sizes](size_t a, size_t b) {
-    return sizes[a] > sizes[b];
-  };
-  std::priority_queue<size_t, std::vector<size_t>, decltype(size_greater)>
-      heap(size_greater);
-  for (size_t i = 0; i < k; ++i) heap.push(i);
-  size_t next = 0;
-  for (;;) {
-    const size_t a = heap.top();
-    heap.pop();
-    const size_t b = heap.top();
-    heap.pop();
-    if (stats != nullptr) {
-      stats->elements_moved += sizes[a] + sizes[b];
-      ++stats->binary_merges;
-    }
-    Node& nd = nodes[next];
-    nd.left = slot[a];
-    nd.right = slot[b];
-    nd.size = sizes[a] + sizes[b];
-    if (nd.left >= static_cast<int32_t>(k)) {
-      nodes[nd.left - k].parent = static_cast<int32_t>(next);
-    }
-    if (nd.right >= static_cast<int32_t>(k)) {
-      nodes[nd.right - k].parent = static_cast<int32_t>(next);
-    }
-    if (heap.empty()) break;
-    sizes[a] = nd.size;
-    slot[a] = static_cast<int32_t>(k + next);
-    ++next;
-    heap.push(a);
-  }
-  const size_t final_node = next;  // == k - 2
-
-  // Collapse maximal plan subtrees into k-way loser-tree leaf tasks: any
-  // subtree (except the final node, whose split-merge path stays) whose
-  // fan-in fits one tree merges its input runs in a single pass instead
-  // of a binary cascade. The subtree's in-order leaf sequence doubles as
-  // the loser tree's tie-break rank order, so the bytes written into the
-  // subtree root's buffer are identical either way; the plan-phase
-  // MergeStats above are already final and unaffected.
-  const size_t leaf_cap =
-      std::min(options.kway_leaf_fanin, kLoserTreeMaxFanIn);
-  std::vector<uint32_t> fanin(k - 1);
+  // Fan-in and parent of every merge (children precede their parent in
+  // plan order).
+  std::vector<uint32_t> fanin(k - 1, 0);
+  std::vector<size_t> parent(k - 1, root);
   for (size_t j = 0; j + 1 < k; ++j) {
-    const Node& nd = nodes[j];
-    fanin[j] =
-        (nd.left < static_cast<int32_t>(k)
-             ? 1u
-             : fanin[static_cast<size_t>(nd.left) - k]) +
-        (nd.right < static_cast<int32_t>(k)
-             ? 1u
-             : fanin[static_cast<size_t>(nd.right) - k]);
-  }
-  enum : uint8_t { kBinaryNode = 0, kKwayRoot = 1, kAbsorbed = 2 };
-  std::vector<uint8_t> role(k - 1, kBinaryNode);
-  std::vector<std::vector<int32_t>> kway_leaves(k - 1);
-  if (leaf_cap >= 3) {
-    for (size_t j = 0; j + 1 < k; ++j) {
-      if (j == final_node || fanin[j] < 3 || fanin[j] > leaf_cap) continue;
-      const int32_t p = nodes[j].parent;
-      if (static_cast<size_t>(p) != final_node &&
-          fanin[static_cast<size_t>(p)] <= leaf_cap) {
-        continue;  // An ancestor collapses this subtree instead.
-      }
-      role[j] = kKwayRoot;
-      // In-order leaves (left subtree first = lower tie-break rank);
-      // interior nodes underneath are absorbed and never execute.
-      std::vector<int32_t>& leaves = kway_leaves[j];
-      leaves.reserve(fanin[j]);
-      std::vector<int32_t> stack;
-      stack.push_back(nodes[j].right);
-      stack.push_back(nodes[j].left);
-      while (!stack.empty()) {
-        const int32_t id = stack.back();
-        stack.pop_back();
-        if (id < static_cast<int32_t>(k)) {
-          leaves.push_back(id);
-          continue;
-        }
-        const size_t c = static_cast<size_t>(id) - k;
-        role[c] = kAbsorbed;
-        stack.push_back(nodes[c].right);
-        stack.push_back(nodes[c].left);
+    for (const uint32_t c : {plan.merges[j].left, plan.merges[j].right}) {
+      if (c < k) {
+        ++fanin[j];
+      } else {
+        fanin[j] += fanin[c - k];
+        parent[c - k] = j;
       }
     }
   }
-  // Initial ready set and final missing counters, fixed before any task
-  // runs (the counters start changing the moment tasks do): k-way roots
-  // depend on nothing, binary nodes wait on their interior children —
-  // which are always k-way roots or surviving binary nodes, never
-  // absorbed.
+  // Roles, parents first: a merge below a k-way root is absorbed into it;
+  // otherwise a non-root merge whose fan-in fits one tree (3+ runs)
+  // becomes a k-way root; everything else stays a binary merge.
+  enum : uint8_t { kBinary = 0, kKwayRoot = 1, kAbsorbed = 2 };
+  std::vector<uint8_t> role(k - 1, kBinary);
+  for (size_t j = root; j-- > 0;) {
+    if (role[parent[j]] != kBinary) {
+      role[j] = kAbsorbed;
+    } else if (fanin[j] >= 3 && fanin[j] <= kLoserTreeMaxFanIn) {
+      role[j] = kKwayRoot;
+    }
+  }
+  // Ready set and dependency counters, fixed before any task runs: k-way
+  // roots depend on nothing, binary merges wait on their merge children
+  // (never absorbed ones). Interior buffers come from the pool here, on
+  // the calling thread; rs[k + j] holds merges[j]'s output.
+  rs.resize(2 * k - 1);
+  std::vector<std::atomic<int>> missing(k - 1);
   std::vector<size_t> ready;
   size_t task_nodes = 0;
   for (size_t j = 0; j + 1 < k; ++j) {
     if (role[j] == kAbsorbed) continue;
     ++task_nodes;
-    Node& nd = nodes[j];
-    if (role[j] == kKwayRoot) {
-      nd.missing.store(0, std::memory_order_relaxed);
-      ready.push_back(j);
-      continue;
-    }
-    const int missing = (nd.left >= static_cast<int32_t>(k) ? 1 : 0) +
-                        (nd.right >= static_cast<int32_t>(k) ? 1 : 0);
-    nd.missing.store(missing, std::memory_order_relaxed);
-    if (missing == 0) ready.push_back(j);
+    if (j != root) rs[k + j] = pool->Acquire(plan.merges[j].size);
+    const int deps = role[j] == kKwayRoot
+                         ? 0
+                         : (plan.merges[j].left >= k ? 1 : 0) +
+                               (plan.merges[j].right >= k ? 1 : 0);
+    missing[j].store(deps, std::memory_order_relaxed);
+    if (deps == 0) ready.push_back(j);
   }
-
-  auto child = [&rs, &nodes, k](int32_t id) -> std::vector<T>& {
-    return id < static_cast<int32_t>(k)
-               ? rs[id]
-               : nodes[id - static_cast<int32_t>(k)].buf;
-  };
-  auto child_size = [&rs, &nodes, k](int32_t id) {
-    return id < static_cast<int32_t>(k)
-               ? rs[id].size()
-               : nodes[id - static_cast<int32_t>(k)].size;
+  auto size_of = [&rs, &plan, k](uint32_t id) {
+    return id < k ? rs[id].size() : plan.merges[id - k].size;
   };
   // Split the final merge in two whenever the left side has a midpoint to
   // pivot on (both thresholds already passed for the run set as a whole).
-  const bool split_final = child_size(nodes[final_node].left) >= 2;
+  const bool split_final = size_of(plan.merges[root].left) >= 2;
 
   const size_t out0 = out->size();
   out->resize(out0 + total);  // Pre-sized so halves can write in place.
 
-  // Every interior buffer comes from the caller's pool up front, on this
-  // thread; tasks only write into them.
-  MergeBufferPool<T> local_pool;
-  if (pool == nullptr) pool = &local_pool;
-  for (size_t j = 0; j + 1 < k; ++j) {
-    if (role[j] != kAbsorbed && j != final_node) {
-      nodes[j].buf = pool->Acquire(nodes[j].size);
-    }
-  }
-
   // Tasks record disjoint-concat fast paths here; folded into `stats`
   // after the group drains (the other MergeStats fields come from the
-  // plan phase and are already exact).
+  // plan and are already exact).
   std::atomic<uint64_t> disjoint_concats{0};
+  auto merge_to = [&less, &disjoint_concats](const T* pa, const T* ea,
+                                            const T* pb, const T* eb,
+                                            T* dst) {
+    bool disjoint = false;
+    kernels::MergeToPtr(pa, ea, pb, eb, less, dst, &disjoint);
+    if (disjoint) disjoint_concats.fetch_add(1, std::memory_order_relaxed);
+  };
   TaskGroup group(&tp);
   std::function<void(size_t)> exec_node = [&](size_t j) {
     TRACE_SPAN("merge.task");
-    Node& nd = nodes[j];
-    if (role[j] == kKwayRoot) {
-      TRACE_SPAN("merge.kway_leaf");
-      const std::vector<int32_t>& leaves = kway_leaves[j];
-      std::vector<std::vector<T>*> slots;
-      slots.reserve(leaves.size());
-      for (const int32_t id : leaves) slots.push_back(&rs[id]);
-      MergeStats pass_stats;
-      LoserTreeScratch<T> scratch;
-      merge_internal::LoserTreePass(slots.data(), slots.size(), less,
-                                    &nd.buf, &pass_stats, &scratch);
-      disjoint_concats.fetch_add(pass_stats.disjoint_concats,
-                                 std::memory_order_relaxed);
-      Node& parent = nodes[nd.parent];
-      if (parent.missing.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        const size_t p = static_cast<size_t>(nd.parent);
-        group.Run([&exec_node, p] { exec_node(p); });
-      }
-      return;
-    }
-    std::vector<T>& a = child(nd.left);
-    std::vector<T>& b = child(nd.right);
-    if (j == final_node) {
+    const HuffmanPlan::Merge& m = plan.merges[j];
+    const std::vector<T>& a = rs[m.left];
+    const std::vector<T>& b = rs[m.right];
+    if (j == root) {
       T* dst = out->data() + out0;
       const T* pa = a.data();
       const T* ea = pa + a.size();
       const T* pb = b.data();
       const T* eb = pb + b.size();
-      if (split_final) {
-        // Everything strictly below the left midpoint forms the first
-        // half; ties sit at the boundary exactly as the stable sequential
-        // merge would place them (left's equals first).
-        const size_t ma = a.size() / 2;
-        const T* bsplit = merge_internal::GallopLowerBound(pb, eb, pa[ma],
-                                                           less);
-        T* mid = dst + ma + static_cast<size_t>(bsplit - pb);
-        group.Run([pa, ma, pb, bsplit, dst, &less, &disjoint_concats] {
-          TRACE_SPAN("merge.final_half");
-          bool disjoint = false;
-          BinaryMergeToPtr(pa, pa + ma, pb, bsplit, less, dst, &disjoint);
-          if (disjoint) {
-            disjoint_concats.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-        group.Run([pa, ma, ea, bsplit, eb, mid, &less, &disjoint_concats] {
-          TRACE_SPAN("merge.final_half");
-          bool disjoint = false;
-          BinaryMergeToPtr(pa + ma, ea, bsplit, eb, less, mid, &disjoint);
-          if (disjoint) {
-            disjoint_concats.fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-      } else {
-        bool disjoint = false;
-        BinaryMergeToPtr(pa, ea, pb, eb, less, dst, &disjoint);
-        if (disjoint) {
-          disjoint_concats.fetch_add(1, std::memory_order_relaxed);
-        }
+      if (!split_final) {
+        merge_to(pa, ea, pb, eb, dst);
+        return;
       }
+      // Everything strictly below the left midpoint forms the first half;
+      // ties sit at the boundary exactly as the stable sequential merge
+      // would place them (left's equals first).
+      const T* ma = pa + a.size() / 2;
+      const T* mb = kernels::GallopLowerBound(pb, eb, *ma, less);
+      T* mid = dst + (ma - pa) + (mb - pb);
+      group.Run([&merge_to, pa, ma, pb, mb, dst] {
+        TRACE_SPAN("merge.final_half");
+        merge_to(pa, ma, pb, mb, dst);
+      });
+      group.Run([&merge_to, ma, ea, mb, eb, mid] {
+        TRACE_SPAN("merge.final_half");
+        merge_to(ma, ea, mb, eb, mid);
+      });
       return;
     }
-    if (BinaryMergeRangesInto(a.data(), a.data() + a.size(), b.data(),
-                              b.data() + b.size(), less, &nd.buf)) {
+    std::vector<T>& dst = rs[k + j];
+    if (role[j] == kKwayRoot) {
+      TRACE_SPAN("merge.kway_leaf");
+      std::vector<VectorRunCursor<T>> cursors;
+      for (const uint32_t i : plan.LeafOrder(static_cast<uint32_t>(k + j))) {
+        cursors.emplace_back(rs[i].data(), rs[i].data() + rs[i].size());
+      }
+      std::vector<RunCursor<T>*> slots;
+      for (VectorRunCursor<T>& c : cursors) slots.push_back(&c);
+      uint64_t disjoint = 0;
+      LoserTreeScratch<T> scratch;
+      LoserTreePass(slots.data(), slots.size(), less, &dst, &disjoint,
+                    &scratch);
+      disjoint_concats.fetch_add(disjoint, std::memory_order_relaxed);
+    } else if (BinaryMergeInto(a, b, less, &dst)) {
       disjoint_concats.fetch_add(1, std::memory_order_relaxed);
     }
-    Node& parent = nodes[nd.parent];
-    if (parent.missing.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      const size_t p = static_cast<size_t>(nd.parent);
+    const size_t p = parent[j];
+    if (missing[p].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       group.Run([&exec_node, p] { exec_node(p); });
     }
   };
@@ -1034,7 +800,6 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
   // The group has drained: hand the consumed runs and every interior
   // buffer back to the pool.
   for (std::vector<T>& r : rs) pool->Release(std::move(r));
-  for (Node& nd : nodes) pool->Release(std::move(nd.buf));
   rs.clear();
   return task_nodes + (split_final ? 2 : 0);
 }

@@ -246,9 +246,7 @@ void PatienceSortVector(std::vector<T>* items,
     return a.time < b.time;
   };
   if (merge_policy == MergePolicy::kHuffman) {
-    ParallelMergeOptions po;
-    po.pool = &pool;
-    ParallelMergeRunsInto(&runs, key_less, &order, nullptr, nullptr, po);
+    ParallelMergeRunsInto(&runs, key_less, &order, nullptr, nullptr, &pool);
   } else {
     MergeRunsInto(merge_policy, &runs, key_less, &order);
   }

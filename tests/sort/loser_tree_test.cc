@@ -2,7 +2,8 @@
 // std::merge semantics (flatten + stable reference), byte-identity with the
 // pairwise Huffman cascade across adversarial run shapes, multi-pass
 // ping-pong behaviour past the fan-in cap, the parallel k-way leaf
-// collapse at several thread counts and leaf fan-ins, and the memory
+// collapse at several thread counts and fan-ins, the chunked cursor merge,
+// and the memory
 // accounting contract (pool outstanding/peak bytes, scratch bytes, sorter
 // MemoryBytes). KernelLevel coverage comes from tools/check.sh, which
 // re-runs this suite under forced IMPATIENCE_KERNEL_LEVEL settings.
@@ -239,35 +240,44 @@ TEST(LoserTreeTest, ScratchReportsBytesAndIsReusable) {
   EXPECT_EQ(out, out2);
 }
 
+// Heavy-tie runs (kRandomTies steps) totalling 1.5x the parallel merge's
+// byte threshold, so the task DAG runs on a multi-threaded pool.
+std::vector<std::vector<Tagged>> MakeLargeRuns(size_t k, uint64_t seed) {
+  Rng rng(seed);
+  const size_t avg = 3 * kParallelMergeMinBytes / sizeof(Tagged) / k;
+  std::vector<std::vector<Tagged>> runs(k);
+  uint32_t tag = 0;
+  for (std::vector<Tagged>& run : runs) {
+    const size_t len = avg / 2 + rng.NextBelow(avg);
+    int64_t t = 0;
+    for (size_t j = 0; j < len; ++j) {
+      t += static_cast<int64_t>(rng.NextBelow(3));
+      run.push_back(Tagged{t, tag++});
+    }
+  }
+  return runs;
+}
+
 // The parallel task-DAG merge with k-way leaf collapse must stay
-// byte-identical to the sequential cascade at every thread count and leaf
-// fan-in (including fan-ins small enough to leave interior binary merges
-// above the collapsed leaves).
+// byte-identical to the sequential cascade at every thread count, from
+// fan-ins where both halves of the final merge are k-way leaves to fan-ins
+// wide enough to leave binary merges above the collapsed leaves.
 TEST(LoserTreeTest, ParallelKwayLeavesByteIdenticalAcrossThreadCounts) {
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     ThreadPool pool(threads);
-    for (const size_t leaf_fanin : {size_t{3}, size_t{8}, size_t{64}}) {
-      for (uint64_t seed = 0; seed < 4; ++seed) {
-        Rng rng(9000 + seed);
-        const size_t k = 2 + rng.NextBelow(40);
-        auto runs = MakeRuns(Shape::kRandomTies, k, 500 + seed);
-        auto runs_seq = runs;
+    for (const size_t k : {size_t{4}, size_t{9}, size_t{40}, size_t{130},
+                           size_t{300}}) {
+      auto runs = MakeLargeRuns(k, 500 + k);
+      auto runs_seq = runs;
 
-        std::vector<Tagged> want;
-        HuffmanMergeInto(&runs_seq, TimeLess{}, &want);
+      std::vector<Tagged> want;
+      HuffmanMergeInto(&runs_seq, TimeLess{}, &want);
 
-        ParallelMergeOptions options;
-        options.min_total_bytes = 0;
-        options.min_runs = 2;
-        options.pool = &pool;
-        options.kway_leaf_fanin = leaf_fanin;
-        std::vector<Tagged> got;
-        ParallelMergeRunsInto(&runs, TimeLess{}, &got, nullptr, nullptr,
-                              options);
-        ASSERT_EQ(got, want) << "threads=" << threads
-                             << " leaf_fanin=" << leaf_fanin
-                             << " seed=" << seed << " k=" << k;
-      }
+      std::vector<Tagged> got;
+      const size_t tasks = ParallelMergeRunsInto(&runs, TimeLess{}, &got,
+                                                 nullptr, nullptr, &pool);
+      ASSERT_EQ(got, want) << "threads=" << threads << " k=" << k;
+      EXPECT_EQ(tasks > 0, threads > 1) << "threads=" << threads;
     }
   }
 }

@@ -67,7 +67,7 @@ TEST(GallopBoundsTest, LowerBoundMatchesStdOnRandomInputs) {
     }
     const int key = static_cast<int>(rng.NextBelow(
         static_cast<uint64_t>(x + 2)));
-    const int* got = merge_internal::GallopLowerBound(
+    const int* got = kernels::GallopLowerBound(
         v.data(), v.data() + n, key, std::less<int>());
     const auto want = std::lower_bound(v.begin(), v.end(), key);
     EXPECT_EQ(got - v.data(), want - v.begin()) << "round " << round;
@@ -86,7 +86,7 @@ TEST(GallopBoundsTest, UpperBoundMatchesStdOnRandomInputs) {
     }
     const int key = static_cast<int>(rng.NextBelow(
         static_cast<uint64_t>(x + 2)));
-    const int* got = merge_internal::GallopUpperBound(
+    const int* got = kernels::GallopUpperBound(
         v.data(), v.data() + n, key, std::less<int>());
     const auto want = std::upper_bound(v.begin(), v.end(), key);
     EXPECT_EQ(got - v.data(), want - v.begin()) << "round " << round;
@@ -95,14 +95,14 @@ TEST(GallopBoundsTest, UpperBoundMatchesStdOnRandomInputs) {
 
 TEST(GallopBoundsTest, KeyBeyondEnds) {
   const std::vector<int> v = {2, 4, 6};
-  EXPECT_EQ(merge_internal::GallopLowerBound(v.data(), v.data() + 3, 1,
-                                             std::less<int>()),
+  EXPECT_EQ(kernels::GallopLowerBound(v.data(), v.data() + 3, 1,
+                                      std::less<int>()),
             v.data());
-  EXPECT_EQ(merge_internal::GallopLowerBound(v.data(), v.data() + 3, 7,
-                                             std::less<int>()),
+  EXPECT_EQ(kernels::GallopLowerBound(v.data(), v.data() + 3, 7,
+                                      std::less<int>()),
             v.data() + 3);
-  EXPECT_EQ(merge_internal::GallopUpperBound(v.data(), v.data() + 3, 6,
-                                             std::less<int>()),
+  EXPECT_EQ(kernels::GallopUpperBound(v.data(), v.data() + 3, 6,
+                                      std::less<int>()),
             v.data() + 3);
 }
 

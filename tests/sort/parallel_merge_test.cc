@@ -36,13 +36,17 @@ std::vector<std::vector<int>> MakeRuns(const std::vector<size_t>& lengths,
   return runs;
 }
 
-// Options that force the parallel path for any non-trivial run set.
-ParallelMergeOptions Eager(ThreadPool* pool) {
-  ParallelMergeOptions options;
-  options.min_total_bytes = 0;
-  options.min_runs = 2;
-  options.pool = pool;
-  return options;
+// Lengths of k runs of `elem_bytes`-byte elements totalling at least 1.5x
+// the parallel merge's byte threshold, so the task DAG runs for k >=
+// kParallelMergeMinRuns on a multi-threaded pool.
+std::vector<size_t> AboveThresholdLengths(size_t k, size_t elem_bytes,
+                                          Rng* rng) {
+  const size_t avg = 3 * kParallelMergeMinBytes / elem_bytes / k;
+  std::vector<size_t> lengths;
+  for (size_t i = 0; i < k; ++i) {
+    lengths.push_back(avg / 2 + rng->NextBelow(avg));
+  }
+  return lengths;
 }
 
 TEST(ParallelMergeTest, IdenticalToSequentialAcrossThreadCounts) {
@@ -51,10 +55,9 @@ TEST(ParallelMergeTest, IdenticalToSequentialAcrossThreadCounts) {
     ThreadPool pool(threads);
     for (uint64_t seed = 0; seed < 8; ++seed) {
       Rng rng(2000 + seed);
-      std::vector<size_t> lengths;
       const size_t k = 2 + rng.NextBelow(40);
-      for (size_t i = 0; i < k; ++i) lengths.push_back(rng.NextBelow(500));
-      auto runs = MakeRuns(lengths, seed);
+      auto runs =
+          MakeRuns(AboveThresholdLengths(k, sizeof(int), &rng), seed);
       auto runs_seq = runs;
 
       std::vector<int> want;
@@ -64,13 +67,15 @@ TEST(ParallelMergeTest, IdenticalToSequentialAcrossThreadCounts) {
       std::vector<int> got;
       MergeStats got_stats;
       const size_t tasks = ParallelMergeRunsInto(
-          &runs, IntLess(), &got, &got_stats, nullptr, Eager(&pool));
+          &runs, IntLess(), &got, &got_stats, nullptr, &pool);
       ASSERT_EQ(got, want) << "threads " << threads << " seed " << seed;
       EXPECT_EQ(got_stats.elements_moved, want_stats.elements_moved);
       EXPECT_EQ(got_stats.binary_merges, want_stats.binary_merges);
       EXPECT_TRUE(runs.empty());
-      if (threads == 1) {
-        EXPECT_EQ(tasks, 0u);  // Serial pool: sequential fallback.
+      if (threads == 1 || k < kParallelMergeMinRuns) {
+        EXPECT_EQ(tasks, 0u);  // Sequential fallback.
+      } else {
+        EXPECT_GT(tasks, 0u);
       }
     }
   }
@@ -79,7 +84,7 @@ TEST(ParallelMergeTest, IdenticalToSequentialAcrossThreadCounts) {
 TEST(ParallelMergeTest, SkewedRunSizes) {
   // One huge run plus many tiny ones exercises the deepest Huffman tree.
   ThreadPool pool(4);
-  std::vector<size_t> lengths = {50000};
+  std::vector<size_t> lengths = {kParallelMergeMinBytes / sizeof(int)};
   for (int i = 0; i < 24; ++i) lengths.push_back(1 + (i % 7));
   auto runs = MakeRuns(lengths, /*seed=*/11);
   auto runs_seq = runs;
@@ -88,7 +93,7 @@ TEST(ParallelMergeTest, SkewedRunSizes) {
   HuffmanMergeInto(&runs_seq, IntLess(), &want);
   std::vector<int> got;
   const size_t tasks = ParallelMergeRunsInto(&runs, IntLess(), &got, nullptr,
-                                             nullptr, Eager(&pool));
+                                             nullptr, &pool);
   EXPECT_EQ(got, want);
   EXPECT_GT(tasks, 0u);
 }
@@ -104,7 +109,9 @@ TEST(ParallelMergeTest, StableOnTies) {
   for (int r = 0; r < 12; ++r) {
     std::vector<std::pair<int, int>> run;
     int v = 0;
-    const size_t len = 200 + rng.NextBelow(800);
+    // At least 1.9 MB of pairs across 12 runs: above the parallel
+    // thresholds.
+    const size_t len = (200 + rng.NextBelow(800)) * 100;
     for (size_t i = 0; i < len; ++i) {
       if (rng.NextBool(0.2)) v += static_cast<int>(rng.NextBelow(3));
       run.emplace_back(v, tag++);
@@ -119,11 +126,8 @@ TEST(ParallelMergeTest, StableOnTies) {
   std::vector<std::pair<int, int>> want;
   HuffmanMergeInto(&runs_seq, less, &want);
   std::vector<std::pair<int, int>> got;
-  ParallelMergeOptions options;
-  options.min_total_bytes = 0;
-  options.min_runs = 2;
-  options.pool = &pool;
-  ParallelMergeRunsInto(&runs, less, &got, nullptr, nullptr, options);
+  EXPECT_GT(ParallelMergeRunsInto(&runs, less, &got, nullptr, nullptr, &pool),
+            0u);
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(got, want);  // Tags included: order of ties must match.
 }
@@ -147,11 +151,9 @@ TEST(ParallelMergeTest, PoolAccountingLeaksNothing) {
     runs.push_back(std::move(head));
   }
   ASSERT_GT(pool.OutstandingBytes(), 0u);
-  ParallelMergeOptions options;
-  options.pool = &tp;
   std::vector<int> out;
-  const size_t tasks = ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr,
-                                             &pool, options);
+  const size_t tasks =
+      ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, &pool, &tp);
   ASSERT_GT(tasks, 0u);  // The task DAG ran, not the sequential fallback.
   EXPECT_EQ(pool.OutstandingBytes(), 0u);
   EXPECT_LE(pool.MemoryBytes(), pool.PeakBytes());
@@ -161,32 +163,35 @@ TEST(ParallelMergeTest, PoolAccountingLeaksNothing) {
 
 TEST(ParallelMergeTest, AppendsAfterExistingOutput) {
   ThreadPool pool(2);
-  std::vector<std::vector<int>> runs = {{3, 4, 7}, {1, 2, 9}, {5, 6, 8}};
+  Rng rng(13);
+  auto runs = MakeRuns(AboveThresholdLengths(6, sizeof(int), &rng), 13);
+  auto runs_seq = runs;
+  std::vector<int> want = {-2, -1};
+  HuffmanMergeInto(&runs_seq, IntLess(), &want);
   std::vector<int> out = {-2, -1};
-  ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr,
-                        Eager(&pool));
-  EXPECT_EQ(out, std::vector<int>({-2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_GT(ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr,
+                                  &pool),
+            0u);
+  EXPECT_EQ(out, want);
 }
 
 TEST(ParallelMergeTest, SkipsEmptyRunsAndHandlesSmallSets) {
   ThreadPool pool(4);
   std::vector<std::vector<int>> runs = {{}, {5}, {}, {1, 9}, {}};
   std::vector<int> out;
-  ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr,
-                        Eager(&pool));
+  ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr, &pool);
   EXPECT_EQ(out, std::vector<int>({1, 5, 9}));
 
   runs = {{1, 2, 3}};
   out.clear();
   const size_t tasks = ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr,
-                                             nullptr, Eager(&pool));
+                                             nullptr, &pool);
   EXPECT_EQ(out, std::vector<int>({1, 2, 3}));
   EXPECT_EQ(tasks, 0u);  // Single run: nothing to parallelize.
 
   runs = {};
   out.clear();
-  ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr,
-                        Eager(&pool));
+  ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr, &pool);
   EXPECT_TRUE(out.empty());
 }
 
@@ -198,37 +203,35 @@ TEST(ParallelMergeTest, ThresholdsFallBackToSequential) {
   HuffmanMergeInto(&runs_seq, IntLess(), &want);
 
   // Below the byte threshold.
-  ParallelMergeOptions options;
-  options.min_total_bytes = size_t{1} << 30;
-  options.pool = &pool;
   std::vector<int> out;
   EXPECT_EQ(ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr,
-                                  options),
+                                  &pool),
             0u);
   EXPECT_EQ(out, want);
 
-  // Below the run-count threshold.
-  runs = MakeRuns({100, 100, 100, 100}, /*seed=*/3);
-  options = Eager(&pool);
-  options.min_runs = 10;
+  // Below the run-count threshold: plenty of bytes in too few runs.
+  const size_t len = kParallelMergeMinBytes / sizeof(int);
+  runs = MakeRuns(std::vector<size_t>(kParallelMergeMinRuns - 1, len), 4);
+  runs_seq = runs;
+  want.clear();
+  HuffmanMergeInto(&runs_seq, IntLess(), &want);
   out.clear();
   EXPECT_EQ(ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr,
-                                  options),
+                                  &pool),
             0u);
   EXPECT_EQ(out, want);
 }
 
 TEST(ParallelMergeTest, PunctuationStressMatchesSequentialOracle) {
   // The full ImpatienceSorter pipeline under Figure-8-style punctuation,
-  // parallel merge enabled with thresholds at zero, must emit exactly the
-  // sequential sorter's output.
+  // with punctuations releasing enough head runs and bytes for the
+  // parallel merge, must emit exactly the sequential (1-thread pool)
+  // sorter's output.
   ThreadPool pool(4);
-  auto input = testing::BatchUploadSequence(60000, 2000, /*seed=*/41);
+  ThreadPool serial(1);
+  auto input = testing::BatchUploadSequence(1200000, 40000, /*seed=*/41);
 
   ImpatienceConfig parallel_config;
-  parallel_config.parallel_merge = true;
-  parallel_config.parallel_merge_min_runs = 2;
-  parallel_config.parallel_merge_min_bytes = 0;
   parallel_config.thread_pool = &pool;
   // A process-wide memory budget would route punctuation merges through
   // the spill cursor path and starve the parallel-merge counter this
@@ -237,7 +240,7 @@ TEST(ParallelMergeTest, PunctuationStressMatchesSequentialOracle) {
   parallel_config.spill.use_env_default = false;
 
   ImpatienceConfig sequential_config;
-  sequential_config.parallel_merge = false;
+  sequential_config.thread_pool = &serial;
   sequential_config.spill.use_env_default = false;
 
   std::vector<std::vector<Timestamp>> results;
@@ -252,13 +255,13 @@ TEST(ParallelMergeTest, PunctuationStressMatchesSequentialOracle) {
     for (size_t i = 0; i < input.size(); ++i) {
       sorter.Push(input[i]);
       hw = std::max(hw, input[i]);
-      if ((i + 1) % 700 == 0 && hw - 30000 > last) {
-        last = hw - 30000;
+      if ((i + 1) % 14000 == 0 && hw - 600000 > last) {
+        last = hw - 600000;
         sorter.OnPunctuation(last, &out);
       }
     }
     sorter.Flush(&out);
-    if (config.parallel_merge) {
+    if (config.thread_pool == &pool) {
       parallel_merges = sorter.counters().parallel_merges;
       merge_tasks = sorter.counters().merge_tasks;
     }

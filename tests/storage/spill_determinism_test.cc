@@ -191,8 +191,6 @@ TEST(SpillDeterminismTest, ByteIdenticalAcrossThreadCounts) {
       ThreadPool pool(threads);
       ImpatienceConfig config = ForcedSpillConfig();
       config.thread_pool = &pool;
-      config.parallel_merge_min_runs = 2;
-      config.parallel_merge_min_bytes = 0;
       SpillSorter sorter(config);
       const std::vector<Tagged> got =
           RunSession(&sorter, StreamShape::kRandom, 300 + seed);

@@ -472,7 +472,6 @@ void BM_Crc32(benchmark::State& state, KernelLevel level, bool legacy) {
 void RegisterKernelBenchmarks() {
   std::vector<KernelLevel> levels = {KernelLevel::kScalar};
   const KernelLevel best = DetectKernelLevel();
-  if (best >= KernelLevel::kSSE2) levels.push_back(KernelLevel::kSSE2);
   if (best >= KernelLevel::kAVX2) levels.push_back(KernelLevel::kAVX2);
   if (best >= KernelLevel::kAVX512) levels.push_back(KernelLevel::kAVX512);
 

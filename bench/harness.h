@@ -77,8 +77,8 @@ inline uint64_t BenchSeed() {
   return 42;
 }
 
-// Name of the kernel dispatch level the process runs at ("scalar", "sse2",
-// "avx2"). Every bench stamps this plus BenchSeed() into its JSON so that
+// Name of the kernel dispatch level the process runs at ("scalar", "avx2",
+// "avx512"). Every bench stamps this plus BenchSeed() into its JSON so that
 // BENCH_*.json trajectories stay comparable across machines — a throughput
 // shift that coincides with a level change is dispatch, not regression.
 inline const char* BenchKernelLevel() {

@@ -13,7 +13,6 @@ KernelLevel DetectKernelLevel() {
   // the subsets we'd otherwise probe.
   if (__builtin_cpu_supports("avx512f")) return KernelLevel::kAVX512;
   if (__builtin_cpu_supports("avx2")) return KernelLevel::kAVX2;
-  if (__builtin_cpu_supports("sse2")) return KernelLevel::kSSE2;
 #endif
   return KernelLevel::kScalar;
 }
@@ -55,8 +54,6 @@ const char* KernelLevelName(KernelLevel level) {
   switch (level) {
     case KernelLevel::kScalar:
       return "scalar";
-    case KernelLevel::kSSE2:
-      return "sse2";
     case KernelLevel::kAVX2:
       return "avx2";
     case KernelLevel::kAVX512:
@@ -68,10 +65,6 @@ const char* KernelLevelName(KernelLevel level) {
 bool ParseKernelLevel(const char* name, KernelLevel* out) {
   if (std::strcmp(name, "scalar") == 0) {
     *out = KernelLevel::kScalar;
-    return true;
-  }
-  if (std::strcmp(name, "sse2") == 0) {
-    *out = KernelLevel::kSSE2;
     return true;
   }
   if (std::strcmp(name, "avx2") == 0) {

@@ -1,7 +1,7 @@
 // Runtime CPU-feature dispatch for the hot-path kernels.
 //
-// The kernels in sort/kernels.h come in up to four implementations —
-// portable scalar, SSE2, AVX2, and AVX-512 — selected once per process.
+// The kernels in sort/kernels.h come in up to three implementations —
+// portable scalar, AVX2, and AVX-512 — selected once per process.
 // Every level computes byte-identical results; the dispatch only picks how
 // fast. The active level is min(what the CPU supports,
 // IMPATIENCE_KERNEL_LEVEL if set), so tests and sanitizer builds can force
@@ -13,10 +13,11 @@
 namespace impatience {
 
 // Kernel implementation tiers, ordered: a CPU that supports level L
-// supports every level below it.
+// supports every level below it. The values are what the kernel_level
+// gauge reports; 1 was an SSE2 tier, dropped because it measured slower
+// than scalar (results/micro_kernels.json).
 enum class KernelLevel : int {
   kScalar = 0,  // Portable C++; the reference implementation.
-  kSSE2 = 1,    // 128-bit vectors (baseline on x86-64).
   kAVX2 = 2,    // 256-bit vectors.
   kAVX512 = 3,  // 512-bit vectors + mask registers (needs avx512f).
 };
@@ -25,7 +26,7 @@ enum class KernelLevel : int {
 KernelLevel DetectKernelLevel();
 
 // The level the process runs at: DetectKernelLevel() clamped by the
-// IMPATIENCE_KERNEL_LEVEL environment variable ("scalar", "sse2", "avx2",
+// IMPATIENCE_KERNEL_LEVEL environment variable ("scalar", "avx2",
 // "avx512") if present. Computed once on first call, then cached; unknown
 // values are ignored with a warning to stderr.
 KernelLevel ActiveKernelLevel();
@@ -40,7 +41,7 @@ KernelLevel ActiveKernelLevel();
 KernelLevel ResolveKernelLevel(const char* env, KernelLevel detected,
                                bool warn = false);
 
-// "scalar" / "sse2" / "avx2" / "avx512".
+// "scalar" / "avx2" / "avx512".
 const char* KernelLevelName(KernelLevel level);
 
 // Parses a level name as accepted by IMPATIENCE_KERNEL_LEVEL. Returns

@@ -4,9 +4,10 @@
 // tails search in the patience/impatience partition phase and the two-way
 // merge at punctuation time. This header owns those loops (plus the
 // punctuation-time run-boundary scans and the offline permutation gather)
-// as standalone kernels, each in up to four implementations — portable
-// scalar, SSE2, AVX2, AVX-512 — selected by a KernelLevel (see
-// common/cpu_features.h).
+// as standalone kernels, each in up to three implementations — portable
+// scalar, AVX2, AVX-512 — selected by a KernelLevel (see
+// common/cpu_features.h). Every binary search among them is one routine,
+// PartitionPoint.
 //
 // Contract: every level computes byte-identical results, including the
 // order of equal timestamps. Searches return exact indices (the predicates
@@ -38,32 +39,32 @@ namespace kernels {
 // ---------------------------------------------------------------------------
 // Scalar building blocks (shared by every dispatch level).
 
-// First index in [lo, lo+len) with data[i] <= t, where the range is
-// strictly descending. Conditional-move loop: the compare result steers
-// two selects instead of a branch, so the essentially random outcome of a
-// binary-search probe never hits the branch predictor.
-inline size_t BranchlessDescLE(const Timestamp* data, size_t lo, size_t len,
-                               Timestamp t) {
-  while (len > 0) {
-    const size_t half = len >> 1;
-    const bool gt = data[lo + half] > t;
-    lo = gt ? lo + half + 1 : lo;
-    len = gt ? len - half - 1 : half;
-  }
-  return lo;
-}
+// A search range [lo, lo + len).
+struct SearchRange {
+  size_t lo;
+  size_t len;
+};
 
-// First index in [lo, lo+len) with data[i] > t, where the range is
-// ascending (ties allowed) — the run-boundary cut. Same cmov shape.
-inline size_t BranchlessAscGT(const Timestamp* data, size_t lo, size_t len,
-                              Timestamp t) {
-  while (len > 0) {
+// The one branchless partition-point loop. `before(i)` must hold on a
+// prefix of [lo, lo + len) and fail on the rest; the loop narrows the
+// range by binary search until at most `leave` candidates remain and
+// returns it, so with `leave` = 0 the result's `lo` is the partition
+// point. Conditional-move shape: the probe's outcome steers two selects
+// instead of a branch, so the essentially random result of a
+// binary-search probe never hits the branch predictor. As in pmergesort's
+// single insertion-point routine, the predicate alone picks the bound:
+// `data[i] > t` over a descending array finds the first element <= t,
+// `data[i] <= t` over an ascending one the first element > t.
+template <typename Before>
+inline SearchRange PartitionPoint(size_t lo, size_t len, Before before,
+                                  size_t leave = 0) {
+  while (len > leave) {
     const size_t half = len >> 1;
-    const bool le = data[lo + half] <= t;
-    lo = le ? lo + half + 1 : lo;
-    len = le ? len - half - 1 : half;
+    const bool b = before(lo + half);
+    lo = b ? lo + half + 1 : lo;
+    len = b ? len - half - 1 : half;
   }
-  return lo;
+  return {lo, len};
 }
 
 namespace detail {
@@ -73,6 +74,16 @@ namespace detail {
 // before the binary search. 16 covers the SIMD probe at every level.
 inline constexpr size_t kTailsProbe = 16;
 
+// First index in [kTailsProbe, n) with data[i] <= t, where data is
+// strictly descending and n > kTailsProbe: the binary search behind every
+// level's linear probe.
+inline size_t FindFirstLEDescPastProbe(const Timestamp* data, size_t n,
+                                       Timestamp t) {
+  return PartitionPoint(kTailsProbe, n - kTailsProbe,
+                        [data, t](size_t i) { return data[i] > t; })
+      .lo;
+}
+
 inline size_t FindFirstLEDescScalar(const Timestamp* data, size_t n,
                                     Timestamp t) {
   const size_t probe = n < kTailsProbe ? n : kTailsProbe;
@@ -80,12 +91,14 @@ inline size_t FindFirstLEDescScalar(const Timestamp* data, size_t n,
     if (data[i] <= t) return i;
   }
   if (probe == n) return n;
-  return BranchlessDescLE(data, kTailsProbe, n - kTailsProbe, t);
+  return FindFirstLEDescPastProbe(data, n, t);
 }
 
 inline size_t UpperBoundAscGTScalar(const Timestamp* data, size_t lo,
                                     size_t hi, Timestamp t) {
-  return BranchlessAscGT(data, lo, hi - lo, t);
+  return PartitionPoint(lo, hi - lo,
+                        [data, t](size_t i) { return data[i] <= t; })
+      .lo;
 }
 
 inline size_t NextIndexLEScalar(const Timestamp* data, size_t begin,
@@ -97,83 +110,6 @@ inline size_t NextIndexLEScalar(const Timestamp* data, size_t begin,
 }
 
 #if IMPATIENCE_HAVE_X86_KERNELS
-
-// Per-lane signed 64-bit a > b for SSE2, which has no pcmpgtq: compare
-// high dwords signed, and where they tie, compare low dwords unsigned
-// (bias by 2^31 to reuse the signed compare).
-inline __m128i CmpGtI64Sse2(__m128i a, __m128i b) {
-  const __m128i bias = _mm_set1_epi32(INT32_MIN);
-  const __m128i gt32 = _mm_cmpgt_epi32(a, b);
-  const __m128i eq32 = _mm_cmpeq_epi32(a, b);
-  const __m128i gtu32 =
-      _mm_cmpgt_epi32(_mm_xor_si128(a, bias), _mm_xor_si128(b, bias));
-  const __m128i gt_hi = _mm_shuffle_epi32(gt32, _MM_SHUFFLE(3, 3, 1, 1));
-  const __m128i eq_hi = _mm_shuffle_epi32(eq32, _MM_SHUFFLE(3, 3, 1, 1));
-  const __m128i gtu_lo = _mm_shuffle_epi32(gtu32, _MM_SHUFFLE(2, 2, 0, 0));
-  return _mm_or_si128(gt_hi, _mm_and_si128(eq_hi, gtu_lo));
-}
-
-// 2-bit mask, bit i set iff data[i] > t.
-inline unsigned MaskGt2(const Timestamp* data, __m128i vt) {
-  const __m128i v =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(data));
-  return static_cast<unsigned>(
-      _mm_movemask_pd(_mm_castsi128_pd(CmpGtI64Sse2(v, vt))));
-}
-
-inline size_t FindFirstLEDescSse2(const Timestamp* data, size_t n,
-                                  Timestamp t) {
-  const __m128i vt = _mm_set1_epi64x(t);
-  const size_t vec = (n < kTailsProbe ? n : kTailsProbe) & ~size_t{1};
-  for (size_t i = 0; i < vec; i += 2) {
-    const unsigned gt = MaskGt2(data + i, vt);
-    if (gt != 0x3u) return i + ((gt & 1u) != 0 ? 1 : 0);
-  }
-  if (n <= kTailsProbe) {
-    // Ragged last element of a short tails array.
-    for (size_t i = vec; i < n; ++i) {
-      if (data[i] <= t) return i;
-    }
-    return n;
-  }
-  return BranchlessDescLE(data, kTailsProbe, n - kTailsProbe, t);
-}
-
-inline size_t UpperBoundAscGTSse2(const Timestamp* data, size_t lo,
-                                  size_t hi, Timestamp t) {
-  size_t len = hi - lo;
-  while (len > 16) {
-    const size_t half = len >> 1;
-    const bool le = data[lo + half] <= t;
-    lo = le ? lo + half + 1 : lo;
-    len = le ? len - half - 1 : half;
-  }
-  // The range is sorted, so the elements <= t form a prefix: counting
-  // them yields the first index with data[i] > t.
-  const __m128i vt = _mm_set1_epi64x(t);
-  size_t count = 0;
-  size_t i = lo;
-  for (; i + 2 <= lo + len; i += 2) {
-    const unsigned gt = MaskGt2(data + i, vt);
-    count += static_cast<size_t>(__builtin_popcount(~gt & 0x3u));
-  }
-  for (; i < lo + len; ++i) count += data[i] <= t ? 1 : 0;
-  return lo + count;
-}
-
-inline size_t NextIndexLESse2(const Timestamp* data, size_t begin, size_t n,
-                              Timestamp t) {
-  const __m128i vt = _mm_set1_epi64x(t);
-  size_t i = begin;
-  for (; i + 2 <= n; i += 2) {
-    const unsigned le = ~MaskGt2(data + i, vt) & 0x3u;
-    if (le != 0) return i + static_cast<size_t>(__builtin_ctz(le));
-  }
-  for (; i < n; ++i) {
-    if (data[i] <= t) return i;
-  }
-  return n;
-}
 
 // 4-bit mask, bit i set iff data[i] > t.
 __attribute__((target("avx2"))) inline unsigned MaskGt4(
@@ -200,27 +136,24 @@ __attribute__((target("avx2"))) inline size_t FindFirstLEDescAvx2(
     }
     return n;
   }
-  return BranchlessDescLE(data, kTailsProbe, n - kTailsProbe, t);
+  return FindFirstLEDescPastProbe(data, n, t);
 }
 
 __attribute__((target("avx2"))) inline size_t UpperBoundAscGTAvx2(
     const Timestamp* data, size_t lo, size_t hi, Timestamp t) {
-  size_t len = hi - lo;
-  while (len > 32) {
-    const size_t half = len >> 1;
-    const bool le = data[lo + half] <= t;
-    lo = le ? lo + half + 1 : lo;
-    len = le ? len - half - 1 : half;
-  }
+  const SearchRange r = PartitionPoint(
+      lo, hi - lo, [data, t](size_t i) { return data[i] <= t; }, 32);
+  // The range is sorted, so the elements <= t form a prefix: counting
+  // them yields the first index with data[i] > t.
   const __m256i vt = _mm256_set1_epi64x(t);
   size_t count = 0;
-  size_t i = lo;
-  for (; i + 4 <= lo + len; i += 4) {
+  size_t i = r.lo;
+  for (; i + 4 <= r.lo + r.len; i += 4) {
     const unsigned gt = MaskGt4(data + i, vt);
     count += static_cast<size_t>(__builtin_popcount(~gt & 0xFu));
   }
-  for (; i < lo + len; ++i) count += data[i] <= t ? 1 : 0;
-  return lo + count;
+  for (; i < r.lo + r.len; ++i) count += data[i] <= t ? 1 : 0;
+  return r.lo + count;
 }
 
 __attribute__((target("avx2"))) inline size_t NextIndexLEAvx2(
@@ -261,27 +194,22 @@ __attribute__((target("avx512f"))) inline size_t FindFirstLEDescAvx512(
     }
     return n;
   }
-  return BranchlessDescLE(data, kTailsProbe, n - kTailsProbe, t);
+  return FindFirstLEDescPastProbe(data, n, t);
 }
 
 __attribute__((target("avx512f"))) inline size_t UpperBoundAscGTAvx512(
     const Timestamp* data, size_t lo, size_t hi, Timestamp t) {
-  size_t len = hi - lo;
-  while (len > 64) {
-    const size_t half = len >> 1;
-    const bool le = data[lo + half] <= t;
-    lo = le ? lo + half + 1 : lo;
-    len = le ? len - half - 1 : half;
-  }
+  const SearchRange r = PartitionPoint(
+      lo, hi - lo, [data, t](size_t i) { return data[i] <= t; }, 64);
   const __m512i vt = _mm512_set1_epi64(t);
   size_t count = 0;
-  size_t i = lo;
-  for (; i + 8 <= lo + len; i += 8) {
+  size_t i = r.lo;
+  for (; i + 8 <= r.lo + r.len; i += 8) {
     const unsigned gt = MaskGt8(data + i, vt);
     count += static_cast<size_t>(__builtin_popcount(~gt & 0xFFu));
   }
-  for (; i < lo + len; ++i) count += data[i] <= t ? 1 : 0;
-  return lo + count;
+  for (; i < r.lo + r.len; ++i) count += data[i] <= t ? 1 : 0;
+  return r.lo + count;
 }
 
 __attribute__((target("avx512f"))) inline size_t NextIndexLEAvx512(
@@ -316,9 +244,6 @@ inline size_t FindFirstLEDesc(const Timestamp* data, size_t n, Timestamp t,
   if (level == KernelLevel::kAVX2) {
     return detail::FindFirstLEDescAvx2(data, n, t);
   }
-  if (level == KernelLevel::kSSE2) {
-    return detail::FindFirstLEDescSse2(data, n, t);
-  }
 #else
   (void)level;
 #endif
@@ -326,8 +251,8 @@ inline size_t FindFirstLEDesc(const Timestamp* data, size_t n, Timestamp t,
 }
 
 // Run-boundary cut: first index in the ascending `data[lo, hi)` with
-// data[i] > t, or hi. SIMD levels narrow by cmov binary search, then
-// count the <= t prefix of the final block vector-wide.
+// data[i] > t, or hi. SIMD levels narrow with PartitionPoint, then count
+// the <= t prefix of the final block vector-wide.
 inline size_t UpperBoundAscGT(const Timestamp* data, size_t lo, size_t hi,
                               Timestamp t, KernelLevel level) {
 #if IMPATIENCE_HAVE_X86_KERNELS
@@ -336,9 +261,6 @@ inline size_t UpperBoundAscGT(const Timestamp* data, size_t lo, size_t hi,
   }
   if (level == KernelLevel::kAVX2) {
     return detail::UpperBoundAscGTAvx2(data, lo, hi, t);
-  }
-  if (level == KernelLevel::kSSE2) {
-    return detail::UpperBoundAscGTSse2(data, lo, hi, t);
   }
 #else
   (void)level;
@@ -357,9 +279,6 @@ inline size_t NextIndexLE(const Timestamp* data, size_t begin, size_t n,
   }
   if (level == KernelLevel::kAVX2) {
     return detail::NextIndexLEAvx2(data, begin, n, t);
-  }
-  if (level == KernelLevel::kSSE2) {
-    return detail::NextIndexLESse2(data, begin, n, t);
   }
 #else
   (void)level;
@@ -380,14 +299,9 @@ inline size_t UpperBoundByTime(const T* data, size_t lo, size_t hi,
     return UpperBoundAscGT(data, lo, hi, t, level);
   } else {
     (void)level;
-    size_t len = hi - lo;
-    while (len > 0) {
-      const size_t half = len >> 1;
-      const bool le = time_of(data[lo + half]) <= t;
-      lo = le ? lo + half + 1 : lo;
-      len = le ? len - half - 1 : half;
-    }
-    return lo;
+    return PartitionPoint(lo, hi - lo, [data, t, &time_of](size_t i) {
+             return time_of(data[i]) <= t;
+           }).lo;
   }
 }
 

@@ -31,7 +31,6 @@ namespace {
 std::vector<KernelLevel> SupportedLevels() {
   std::vector<KernelLevel> levels = {KernelLevel::kScalar};
   const KernelLevel best = DetectKernelLevel();
-  if (best >= KernelLevel::kSSE2) levels.push_back(KernelLevel::kSSE2);
   if (best >= KernelLevel::kAVX2) levels.push_back(KernelLevel::kAVX2);
   if (best >= KernelLevel::kAVX512) levels.push_back(KernelLevel::kAVX512);
   return levels;
@@ -86,9 +85,8 @@ TEST(FindFirstLEDescTest, MatchesReferenceAtEveryLevel) {
 }
 
 TEST(FindFirstLEDescTest, NegativeTimestampsAtEveryLevel) {
-  // The SSE2 path emulates signed 64-bit compares from 32-bit pieces;
-  // values straddling 0 and the 32-bit boundaries are where that breaks
-  // if it breaks.
+  // Values straddling 0 and the 32-bit boundaries catch any level that
+  // compares 64-bit timestamps unsigned or in 32-bit pieces.
   std::vector<Timestamp> data = {
       Timestamp{1} << 40, (Timestamp{1} << 32) + 5, Timestamp{1} << 32,
       (Timestamp{1} << 32) - 1, Timestamp{1} << 31, 65536, 3, 0, -2,
@@ -321,14 +319,14 @@ TEST(GallopBoundsTest, MatchStdBounds) {
 
 TEST(CpuFeaturesTest, ParseKernelLevelRoundTrips) {
   for (const KernelLevel level :
-       {KernelLevel::kScalar, KernelLevel::kSSE2, KernelLevel::kAVX2,
-        KernelLevel::kAVX512}) {
+       {KernelLevel::kScalar, KernelLevel::kAVX2, KernelLevel::kAVX512}) {
     KernelLevel parsed;
     ASSERT_TRUE(ParseKernelLevel(KernelLevelName(level), &parsed));
     EXPECT_EQ(parsed, level);
   }
   KernelLevel parsed = KernelLevel::kAVX2;
   EXPECT_FALSE(ParseKernelLevel("avx999", &parsed));
+  EXPECT_FALSE(ParseKernelLevel("sse2", &parsed));  // Tier dropped.
   EXPECT_FALSE(ParseKernelLevel("", &parsed));
   EXPECT_EQ(parsed, KernelLevel::kAVX2);  // Untouched on failure.
 }
@@ -345,11 +343,9 @@ TEST(CpuFeaturesTest, ResolveClampsRequestsAboveDetected) {
   // detects only kAVX2 (or lower) must degrade to the detected level, not
   // dispatch an ISA the CPU lacks.
   for (const KernelLevel detected :
-       {KernelLevel::kScalar, KernelLevel::kSSE2, KernelLevel::kAVX2,
-        KernelLevel::kAVX512}) {
+       {KernelLevel::kScalar, KernelLevel::kAVX2, KernelLevel::kAVX512}) {
     for (const KernelLevel requested :
-         {KernelLevel::kScalar, KernelLevel::kSSE2, KernelLevel::kAVX2,
-          KernelLevel::kAVX512}) {
+         {KernelLevel::kScalar, KernelLevel::kAVX2, KernelLevel::kAVX512}) {
       const KernelLevel resolved =
           ResolveKernelLevel(KernelLevelName(requested), detected);
       if (requested <= detected) {
@@ -368,7 +364,8 @@ TEST(CpuFeaturesTest, ResolveClampsRequestsAboveDetected) {
 TEST(CpuFeaturesTest, ResolveIgnoresUnsetAndUnknownOverrides) {
   EXPECT_EQ(ResolveKernelLevel(nullptr, KernelLevel::kAVX2),
             KernelLevel::kAVX2);
-  EXPECT_EQ(ResolveKernelLevel("", KernelLevel::kSSE2), KernelLevel::kSSE2);
+  EXPECT_EQ(ResolveKernelLevel("", KernelLevel::kScalar),
+            KernelLevel::kScalar);
   EXPECT_EQ(ResolveKernelLevel("avx999", KernelLevel::kAVX512),
             KernelLevel::kAVX512);
 }

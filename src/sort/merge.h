@@ -160,8 +160,11 @@ struct MergeStats {
 // Ids [0, k) name the input runs; id k + j names merges[j]'s output.
 struct HuffmanPlan {
   struct Merge {
-    uint32_t left;
+    uint32_t left;  // Input ids.
     uint32_t right;
+    // The merge's leftmost input run: an in-place cascade keeps the
+    // output in that run's slot, whose buffer is free once left is merged.
+    uint32_t slot;
     size_t size;  // Elements in the merged output.
   };
   size_t runs = 0;
@@ -195,33 +198,42 @@ struct HuffmanPlan {
   }
 };
 
-// Plans the cascade over run `sizes` (at least one): repeatedly merges the
-// two smallest surviving runs, the first one popped on the left. This is
-// the only place the size heap runs.
-inline HuffmanPlan BuildHuffmanPlan(std::vector<size_t> sizes) {
+// Plans the cascade over k >= 1 runs, run i holding size_of(i) elements:
+// repeatedly merges the two smallest surviving runs, the first one popped
+// on the left. This is the only place the size heap runs. It allocates
+// just the heap and the plan, because it sits on every punctuation merge.
+template <typename SizeOf>
+HuffmanPlan BuildHuffmanPlan(size_t k, SizeOf size_of) {
   HuffmanPlan plan;
-  const size_t k = sizes.size();
   plan.runs = k;
   if (k < 2) return plan;
   plan.merges.reserve(k - 1);
-  std::vector<uint32_t> id(k);  // Id of what heap entry i holds now.
-  for (size_t i = 0; i < k; ++i) id[i] = static_cast<uint32_t>(i);
-  auto size_greater = [&sizes](size_t a, size_t b) {
-    return sizes[a] > sizes[b];
+  struct Entry {
+    size_t size;
+    uint32_t id;
+    uint32_t slot;
   };
-  std::priority_queue<size_t, std::vector<size_t>, decltype(size_greater)>
-      heap(size_greater);
-  for (size_t i = 0; i < k; ++i) heap.push(i);
+  auto size_greater = [](const Entry& a, const Entry& b) {
+    return a.size > b.size;
+  };
+  std::vector<Entry> storage;
+  storage.reserve(k);
+  std::priority_queue<Entry, std::vector<Entry>, decltype(size_greater)>
+      heap(size_greater, std::move(storage));
+  for (size_t i = 0; i < k; ++i) {
+    const uint32_t run = static_cast<uint32_t>(i);
+    heap.push(Entry{size_of(i), run, run});
+  }
   for (;;) {
-    const size_t a = heap.top();
+    const Entry a = heap.top();
     heap.pop();
-    const size_t b = heap.top();
+    const Entry b = heap.top();
     heap.pop();
-    plan.merges.push_back({id[a], id[b], sizes[a] + sizes[b]});
+    plan.merges.push_back({a.id, b.id, a.slot, a.size + b.size});
     if (heap.empty()) return plan;
-    sizes[a] += sizes[b];
-    id[a] = static_cast<uint32_t>(k + plan.merges.size() - 1);
-    heap.push(a);
+    heap.push(Entry{a.size + b.size,
+                    static_cast<uint32_t>(k + plan.merges.size() - 1),
+                    a.slot});
   }
 }
 
@@ -237,11 +249,9 @@ void DropEmptyRuns(std::vector<std::vector<T>>* runs) {
 }
 
 template <typename T>
-std::vector<size_t> RunSizes(const std::vector<std::vector<T>>& runs) {
-  std::vector<size_t> sizes;
-  sizes.reserve(runs.size());
-  for (const std::vector<T>& r : runs) sizes.push_back(r.size());
-  return sizes;
+HuffmanPlan PlanRuns(const std::vector<std::vector<T>>& runs) {
+  return BuildHuffmanPlan(runs.size(),
+                          [&runs](size_t i) { return runs[i].size(); });
 }
 
 }  // namespace merge_internal
@@ -264,25 +274,27 @@ void HuffmanMergeInto(std::vector<std::vector<T>>* runs, Less less,
   }
   MergeBufferPool<T> local_pool;
   if (pool == nullptr) pool = &local_pool;
-  const HuffmanPlan plan = BuildHuffmanPlan(merge_internal::RunSizes(rs));
-  const size_t k = plan.runs;
-  rs.resize(2 * k - 1);  // rs[k + j] holds merges[j]'s output.
-  for (size_t j = 0; j < plan.merges.size(); ++j) {
-    const HuffmanPlan::Merge& m = plan.merges[j];
+  const HuffmanPlan plan = merge_internal::PlanRuns(rs);
+  // In place: each merge's output replaces its leftmost input run.
+  auto slot = [&plan](uint32_t id) {
+    return id < plan.runs ? id : plan.merges[id - plan.runs].slot;
+  };
+  for (const HuffmanPlan::Merge& m : plan.merges) {
+    std::vector<T>& a = rs[slot(m.left)];
+    std::vector<T>& b = rs[slot(m.right)];
     // The root writes straight into the caller's output.
-    std::vector<T>* dst = out;
-    if (j + 1 < plan.merges.size()) {
-      rs[k + j] = pool->Acquire(m.size);
-      dst = &rs[k + j];
-    }
-    const bool disjoint = BinaryMergeInto(rs[m.left], rs[m.right], less, dst);
+    const bool root = &m == &plan.merges.back();
+    std::vector<T> merged;
+    if (!root) merged = pool->Acquire(m.size);
+    const bool disjoint = BinaryMergeInto(a, b, less, root ? out : &merged);
     if (stats != nullptr) {
       stats->elements_moved += m.size;
       ++stats->binary_merges;
       if (disjoint) ++stats->disjoint_concats;
     }
-    pool->Release(std::move(rs[m.left]));
-    pool->Release(std::move(rs[m.right]));
+    pool->Release(std::move(a));
+    pool->Release(std::move(b));
+    rs[m.slot] = std::move(merged);
   }
   rs.clear();
 }
@@ -518,7 +530,7 @@ void LoserTreeMergeInto(std::vector<std::vector<T>>* runs, Less less,
   LoserTreeScratch<T> local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
 
-  const HuffmanPlan plan = BuildHuffmanPlan(merge_internal::RunSizes(rs));
+  const HuffmanPlan plan = merge_internal::PlanRuns(rs);
   std::vector<std::vector<T>> work;
   work.reserve(rs.size());
   for (const uint32_t i : plan.LeafOrder(plan.root())) {
@@ -594,16 +606,15 @@ void HuffmanCursorMergeInto(
                [](RunCursor<T>* c) { return c->total() == 0; }),
            cs.end());
   if (cs.empty()) return;
-  std::vector<size_t> sizes;
-  sizes.reserve(cs.size());
-  for (const RunCursor<T>* c : cs) sizes.push_back(c->total());
+  const HuffmanPlan plan = BuildHuffmanPlan(
+      cs.size(), [&cs](size_t i) { return cs[i]->total(); });
   if (stats != nullptr) {
-    for (const size_t s : sizes) stats->elements_moved += s;
+    stats->elements_moved += plan.merges.empty() ? cs[0]->total()
+                                                 : plan.merges.back().size;
     ++stats->binary_merges;
   }
   LoserTreeScratch<T> local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
-  const HuffmanPlan plan = BuildHuffmanPlan(std::move(sizes));
   std::vector<RunCursor<T>*> slots;
   slots.reserve(cs.size());
   for (const uint32_t i : plan.LeafOrder(plan.root())) slots.push_back(cs[i]);
@@ -660,7 +671,7 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
   MergeBufferPool<T> local_pool;
   if (pool == nullptr) pool = &local_pool;
 
-  const HuffmanPlan plan = BuildHuffmanPlan(merge_internal::RunSizes(rs));
+  const HuffmanPlan plan = merge_internal::PlanRuns(rs);
   const size_t k = plan.runs;
   const size_t root = k - 2;
   if (stats != nullptr) {

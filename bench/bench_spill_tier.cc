@@ -1,18 +1,21 @@
 // Spill tier: external-memory acceptance arm. One synthetic online
-// session is run three times — pure in-RAM, then under a memory budget
-// set to 1/8 of the RAM arm's peak residency with synchronous writes,
-// then again at the same budget with a write-behind flusher pool — and
-// all outputs are compared byte for byte. The spilled arms must (a) stay
-// byte-identical, (b) move more than 8x the budget through the disk
-// tier, and (c) keep their peak resident footprint near the budget while
-// the RAM arm peaks at the full buffered-window size. The JSON stamp
-// records the budget, the peaks, the spill counters, and the async arm's
-// flusher/read-ahead stats plus punct-to-emit p99 so the sync-vs-async
-// trajectory is visible release over release.
+// session runs pure in-RAM, then repeatedly under a memory budget set to
+// 1/8 of the RAM arm's peak residency: kPairs pairs of a synchronous-write
+// arm and a write-behind flusher-pool arm, alternating which of the two
+// runs first so neither always inherits a warm page cache or a cooled
+// CPU. Every output is compared byte for byte with the RAM arm's. The
+// spilled arms must (a) stay byte-identical, (b) move more than 8x the
+// budget through the disk tier, and (c) keep their peak resident
+// footprint near the budget while the RAM arm peaks at the full
+// buffered-window size. The JSON stamp records the budget, the peaks, the
+// spill counters, each arm's median throughput and punct-to-emit p99 over
+// the pairs, how many pairs the async arm won, and its flusher/read-ahead
+// stats, so the sync-vs-async trajectory is visible release over release.
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench/harness.h"
@@ -25,6 +28,8 @@ namespace {
 
 constexpr size_t kPunctFreq = 100000;   // Events between punctuations.
 constexpr Timestamp kReorderLatency = 600;
+constexpr size_t kPairs = 6;            // Sync/async arm pairs.
+constexpr size_t kFlusherThreads = 2;
 
 struct SessionResult {
   std::vector<Event> out;
@@ -71,6 +76,42 @@ SessionResult RunSession(const std::vector<Event>& events,
   return result;
 }
 
+// One spilled arm: its session's stats, whether its output matched the
+// RAM arm's (the output itself is dropped), and, for the async arm, the
+// flusher pool's counters.
+struct SpilledArm {
+  SessionResult session;
+  bool identical = false;
+  storage::SpillFlusher::Stats flusher;
+};
+
+SpilledArm RunSpilledArm(const std::vector<Event>& events,
+                         ImpatienceConfig config, bool async,
+                         const std::vector<Event>& want) {
+  // Async: sealed blocks go to a write-behind pool and the merge cursors
+  // prefetch through it. The flusher outlives the session (runs hold
+  // channels into it).
+  std::optional<storage::SpillFlusher> flusher;
+  if (async) {
+    storage::SpillFlusher::Options options;
+    options.threads = kFlusherThreads;
+    flusher.emplace(options);
+    config.spill.flusher = &*flusher;
+  }
+  SpilledArm arm;
+  arm.session = RunSession(events, config);
+  arm.identical = arm.session.out == want;
+  std::vector<Event>().swap(arm.session.out);
+  if (flusher) arm.flusher = flusher->stats();
+  return arm;
+}
+
+template <typename V>
+V Median(std::vector<V> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 void Run() {
   const size_t n = EventCount();
   const std::vector<Event> events = BenchSynthetic(n, 30, 64).events;
@@ -85,21 +126,39 @@ void Run() {
   ImpatienceConfig spill_config = ram_config;
   spill_config.spill.memory_budget = budget;
   spill_config.spill.check_period = 64;
-  const SessionResult spilled = RunSession(events, spill_config);
 
-  // Async arm: same budget, but sealed blocks are handed to a two-thread
-  // write-behind pool and the merge cursors prefetch through it. The
-  // flusher outlives the session (runs hold channels into it).
-  storage::SpillFlusher::Options flusher_options;
-  flusher_options.threads = 2;
-  storage::SpillFlusher flusher(flusher_options);
-  ImpatienceConfig async_config = spill_config;
-  async_config.spill.flusher = &flusher;
-  const SessionResult async_arm = RunSession(events, async_config);
-  const storage::SpillFlusher::Stats flusher_stats = flusher.stats();
+  // Alternating pairs: even pairs run sync first, odd pairs async first.
+  // The first run of each arm supplies the spill counters reported below.
+  std::vector<SpilledArm> syncs;
+  std::vector<SpilledArm> asyncs;
+  for (size_t pair = 0; pair < kPairs; ++pair) {
+    for (const bool async : {pair % 2 == 1, pair % 2 == 0}) {
+      (async ? asyncs : syncs)
+          .push_back(RunSpilledArm(events, spill_config, async, ram.out));
+    }
+  }
+  bool identical = true;
+  bool async_identical = true;
+  size_t async_wins = 0;
+  std::vector<double> sync_meps;
+  std::vector<double> async_meps;
+  std::vector<uint64_t> sync_p99;
+  std::vector<uint64_t> async_p99;
+  for (size_t pair = 0; pair < kPairs; ++pair) {
+    const SessionResult& s = syncs[pair].session;
+    const SessionResult& a = asyncs[pair].session;
+    identical &= syncs[pair].identical;
+    async_identical &= asyncs[pair].identical;
+    if (a.throughput_meps > s.throughput_meps) ++async_wins;
+    sync_meps.push_back(s.throughput_meps);
+    async_meps.push_back(a.throughput_meps);
+    sync_p99.push_back(s.counters.punct_to_emit.P99());
+    async_p99.push_back(a.counters.punct_to_emit.P99());
+  }
+  const SessionResult& spilled = syncs[0].session;
+  const SessionResult& async_arm = asyncs[0].session;
+  const storage::SpillFlusher::Stats& flusher_stats = asyncs[0].flusher;
 
-  const bool identical = spilled.out == ram.out;
-  const bool async_identical = async_arm.out == ram.out;
   // The acceptance ratio: the session's run bytes must exceed 8x the
   // budget for the arm to demonstrate external-memory operation.
   const size_t session_bytes = n * sizeof(Event);
@@ -109,34 +168,33 @@ void Run() {
       static_cast<double>(spilled.counters.spill_bytes_written) /
       static_cast<double>(budget);
 
-  TablePrinter table({"arm", "throughput_meps", "peak_bytes",
-                      "runs_spilled", "spill_written", "p99_punct_us",
+  TablePrinter table({"arm", "median_meps", "peak_bytes", "runs_spilled",
+                      "spill_written", "median_p99_punct_us",
                       "identical"});
   table.PrintRow({"ram", TablePrinter::Num(ram.throughput_meps),
                   TablePrinter::Int(ram.peak_bytes), "0", "0",
                   TablePrinter::Int(ram.counters.punct_to_emit.P99() / 1000),
                   "-"});
-  table.PrintRow({"sync", TablePrinter::Num(spilled.throughput_meps),
+  table.PrintRow({"sync", TablePrinter::Num(Median(sync_meps)),
                   TablePrinter::Int(spilled.peak_bytes),
                   TablePrinter::Int(spilled.counters.runs_spilled),
                   TablePrinter::Int(spilled.counters.spill_bytes_written),
-                  TablePrinter::Int(
-                      spilled.counters.punct_to_emit.P99() / 1000),
+                  TablePrinter::Int(Median(sync_p99) / 1000),
                   identical ? "yes" : "NO"});
-  table.PrintRow({"async", TablePrinter::Num(async_arm.throughput_meps),
+  table.PrintRow({"async", TablePrinter::Num(Median(async_meps)),
                   TablePrinter::Int(async_arm.peak_bytes),
                   TablePrinter::Int(async_arm.counters.runs_spilled),
                   TablePrinter::Int(
                       async_arm.counters.spill_bytes_written),
-                  TablePrinter::Int(
-                      async_arm.counters.punct_to_emit.P99() / 1000),
+                  TablePrinter::Int(Median(async_p99) / 1000),
                   async_identical ? "yes" : "NO"});
   std::printf(
       "budget = %zu B (session = %.1fx budget), spilled %.1fx the budget "
       "through disk\n"
+      "async won %zu of %zu alternating pairs\n"
       "async: %llu background flushes, %llu read-ahead hits / %llu misses, "
       "%llu backpressure waits\n",
-      budget, session_over_budget, written_over_budget,
+      budget, session_over_budget, written_over_budget, async_wins, kPairs,
       static_cast<unsigned long long>(flusher_stats.async_flushes),
       static_cast<unsigned long long>(async_arm.counters.readahead_hits),
       static_cast<unsigned long long>(async_arm.counters.readahead_misses),
@@ -155,6 +213,7 @@ void Run() {
       "\"spill_tier\": {\"events\": %zu, \"punct_freq\": %zu,\n"
       "  \"memory_budget\": %zu, \"session_bytes\": %zu,\n"
       "  \"session_over_budget\": %.2f, \"identical\": %s,\n"
+      "  \"pairs\": %zu, \"async_wins\": %zu,\n"
       "  \"ram\": {\"throughput_meps\": %.4f, \"peak_bytes\": %zu,\n"
       "    \"punct_to_emit_p99_ns\": %llu},\n"
       "  \"spilled\": {\"throughput_meps\": %.4f, \"peak_bytes\": %zu,\n"
@@ -170,20 +229,19 @@ void Run() {
       "    \"punct_to_emit_p99_ns\": %llu}}}\nEND_JSON\n",
       BenchKernelLevel(), static_cast<unsigned long long>(BenchSeed()), n,
       kPunctFreq, budget, session_bytes, session_over_budget,
-      identical ? "true" : "false",
+      identical ? "true" : "false", kPairs, async_wins,
       ram.throughput_meps, ram.peak_bytes,
       static_cast<unsigned long long>(ram.counters.punct_to_emit.P99()),
-      spilled.throughput_meps, spilled.peak_bytes,
+      Median(sync_meps), spilled.peak_bytes,
       static_cast<unsigned long long>(spilled.counters.runs_spilled),
       static_cast<unsigned long long>(
           spilled.counters.spill_bytes_written),
       static_cast<unsigned long long>(spilled.counters.spill_read_bytes),
       static_cast<unsigned long long>(
           spilled.counters.spill_merge_fanin.count()),
-      static_cast<unsigned long long>(
-          spilled.counters.punct_to_emit.P99()),
-      written_over_budget, async_arm.throughput_meps, async_arm.peak_bytes,
-      async_identical ? "true" : "false", flusher_options.threads,
+      static_cast<unsigned long long>(Median(sync_p99)),
+      written_over_budget, Median(async_meps), async_arm.peak_bytes,
+      async_identical ? "true" : "false", kFlusherThreads,
       static_cast<unsigned long long>(async_arm.counters.runs_spilled),
       static_cast<unsigned long long>(
           async_arm.counters.spill_bytes_written),
@@ -192,8 +250,7 @@ void Run() {
       static_cast<unsigned long long>(
           async_arm.counters.readahead_misses),
       static_cast<unsigned long long>(flusher_stats.backpressure_waits),
-      static_cast<unsigned long long>(
-          async_arm.counters.punct_to_emit.P99()));
+      static_cast<unsigned long long>(Median(async_p99)));
   std::fflush(stdout);
 }
 

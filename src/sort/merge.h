@@ -725,12 +725,12 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
     missing[j].store(deps, std::memory_order_relaxed);
     if (deps == 0) ready.push_back(j);
   }
-  auto size_of = [&rs, &plan, k](uint32_t id) {
-    return id < k ? rs[id].size() : plan.merges[id - k].size;
-  };
   // Split the final merge in two whenever the left side has a midpoint to
   // pivot on (both thresholds already passed for the run set as a whole).
-  const bool split_final = size_of(plan.merges[root].left) >= 2;
+  const uint32_t root_left = plan.merges[root].left;
+  const bool split_final =
+      (root_left < k ? rs[root_left].size()
+                     : plan.merges[root_left - k].size) >= 2;
 
   const size_t out0 = out->size();
   out->resize(out0 + total);  // Pre-sized so halves can write in place.

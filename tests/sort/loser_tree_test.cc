@@ -3,9 +3,8 @@
 // pairwise Huffman cascade across adversarial run shapes, multi-pass
 // ping-pong behaviour past the fan-in cap, the parallel k-way leaf
 // collapse at several thread counts and fan-ins, the chunked cursor merge,
-// and the memory
-// accounting contract (pool outstanding/peak bytes, scratch bytes, sorter
-// MemoryBytes). KernelLevel coverage comes from tools/check.sh, which
+// and the memory accounting contract (pool outstanding/peak bytes, scratch
+// bytes, sorter MemoryBytes). KernelLevel coverage comes from tools/check.sh, which
 // re-runs this suite under forced IMPATIENCE_KERNEL_LEVEL settings.
 
 #include <algorithm>

@@ -22,8 +22,11 @@
 //
 // One pool: every executor takes its intermediate buffers from the
 // caller's MergeBufferPool and gives them, and the consumed input runs,
-// back to it on the calling thread. Steady-state merges therefore allocate
-// nothing, and the pool's accounting covers every byte a merge holds.
+// back to it on the calling thread, so the pool's accounting covers every
+// run-sized byte a merge holds. The sequential executors' steady-state
+// merges allocate no run buffers; the parallel executor also allocates
+// small per-call bookkeeping (plan, fan-in/parent/role/dependency arrays)
+// and per-leaf cursor and loser-tree scratch, all O(runs), not O(events).
 
 #ifndef IMPATIENCE_SORT_MERGE_H_
 #define IMPATIENCE_SORT_MERGE_H_
@@ -626,8 +629,9 @@ void HuffmanCursorMergeInto(
 
 // The parallel executor runs only when the merge can pay for its tasks: at
 // least this many runs totalling at least this many bytes, on a pool of
-// two or more threads. Smaller merges run HuffmanMergeInto instead.
-inline constexpr size_t kParallelMergeMinRuns = 4;
+// two or more threads. Smaller merges run HuffmanMergeInto instead. Three
+// runs already split the final merge in two next to the first merge.
+inline constexpr size_t kParallelMergeMinRuns = 3;
 inline constexpr size_t kParallelMergeMinBytes = size_t{1} << 20;
 
 // Merges `runs` like HuffmanMergeInto, executing the plan as a task DAG on

@@ -179,23 +179,70 @@ TEST(SpillDeterminismTest, ByteIdenticalUnderLoserTreePolicy) {
   }
 }
 
-// Thread-pool invariance: the spilled output must not depend on the pool
-// the parallel merge paths run on (1, 2, and 8 threads), mirroring the
-// parallel-merge byte-identity test in loser_tree_test.cc.
+// Drives one sorter through a session whose merges take both shapes the
+// thread pool can touch: three RAM punctuations that each release about
+// 80k events (1.2 MiB) from several runs, which is enough for
+// ParallelMergeRunsInto's task DAG; then a punctuation-free stretch that
+// pushes the buffer past a 2 MiB budget, so runs spill and the
+// remaining merges stream through the cursor path.
+std::vector<Tagged> RunParallelThenSpillSession(SpillSorter* sorter,
+                                                uint64_t seed) {
+  constexpr size_t kPunctEvery = 80000;
+  constexpr size_t kSteps = 7 * kPunctEvery;
+  Rng rng(seed);
+  int64_t now = 0;
+  uint32_t tag = 0;
+  std::vector<Tagged> out;
+  for (size_t step = 1; step <= kSteps; ++step) {
+    sorter->Push(Tagged{NextTime(StreamShape::kRandom, rng, now), tag++});
+    ++now;
+    const bool ram_phase = step <= 3 * kPunctEvery;
+    if (step % kPunctEvery == 0 && (ram_phase || step == 6 * kPunctEvery)) {
+      sorter->OnPunctuation(now - 30, &out);
+    }
+  }
+  sorter->Flush(&out);
+  return out;
+}
+
+ImpatienceConfig TwoMiBBudgetConfig() {
+  ImpatienceConfig config = InMemoryConfig();
+  config.spill.memory_budget = 2 << 20;
+  config.spill.check_period = 64;
+  return config;
+}
+
+// Thread-pool invariance: the output must not depend on the pool the
+// merges run on (1, 2 and 8 threads), against a serial in-RAM oracle.
+// Under forced spilling nearly every punctuation cuts a spilled run, whose
+// merge takes the single-threaded cursor path, and its merges stay far
+// below the parallel thresholds; so this session mixes parallel RAM
+// merges with spilled cursor merges, and checks that the multi-threaded
+// pools really ran the task DAG.
 TEST(SpillDeterminismTest, ByteIdenticalAcrossThreadCounts) {
-  for (uint64_t seed = 0; seed < 3; ++seed) {
-    SpillSorter ram_sorter(InMemoryConfig());
+  ThreadPool serial(1);
+  ImpatienceConfig oracle = InMemoryConfig();
+  oracle.thread_pool = &serial;
+  for (uint64_t seed = 0; seed < 2; ++seed) {
+    SpillSorter ram_sorter(oracle);
     const std::vector<Tagged> want =
-        RunSession(&ram_sorter, StreamShape::kRandom, 300 + seed);
+        RunParallelThenSpillSession(&ram_sorter, 300 + seed);
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
       ThreadPool pool(threads);
-      ImpatienceConfig config = ForcedSpillConfig();
+      ImpatienceConfig config = TwoMiBBudgetConfig();
       config.thread_pool = &pool;
       SpillSorter sorter(config);
       const std::vector<Tagged> got =
-          RunSession(&sorter, StreamShape::kRandom, 300 + seed);
+          RunParallelThenSpillSession(&sorter, 300 + seed);
       ASSERT_EQ(got, want) << "threads=" << threads << " seed=" << seed;
-      EXPECT_GT(sorter.counters().runs_spilled, 0u);
+      const ImpatienceCounters& c = sorter.counters();
+      EXPECT_GT(c.runs_spilled, 0u) << "threads=" << threads;
+      EXPECT_GT(c.spill_merge_fanin.count(), 0u) << "threads=" << threads;
+      if (threads > 1) {
+        EXPECT_GT(c.parallel_merges, 0u) << "threads=" << threads;
+      } else {
+        EXPECT_EQ(c.parallel_merges, 0u);
+      }
     }
   }
 }

@@ -1,17 +1,19 @@
 // Ablation: the design choices inside Impatience sort, beyond the
 // Figure 7 toggles.
 //
-//  (1) Merge policy for head runs — Huffman (smallest-two-first) vs
-//      balanced pairwise vs k-way heap merge: element moves and
+//  (1) Merge order for head runs — Huffman (smallest-two-first) vs
+//      balanced pairwise (the paper's "w/o HM"): element moves and
 //      throughput. The paper's §III-E1 claims up to 30% from the Huffman
-//      order; reference [9] motivates binary merges over a heap.
+//      order.
 //  (2) Speculative run selection — hit rate per workload (§III-E2 is most
 //      valuable on AndroidLog's long natural runs).
 //  (3) Run-compaction — memory with and without the consumed-prefix
 //      compaction that keeps buffered bytes proportional to live events.
 //  (4) Merge fan-in sweep — the pairwise Huffman cascade vs the k-way
-//      loser tree on k equal runs, k in {2, 4, 8, 16, 64}, in two
-//      shapes: "bursty" (runs carved from one timeline in ~64-element
+//      loser tree (HuffmanCursorMergeInto over RAM run cursors, the pass
+//      the parallel merge's leaves and the spilled merge run) on k equal
+//      runs, k in {2, 4, 8, 16, 64}, in two shapes: "bursty" (runs
+//      carved from one timeline in ~64-element
 //      bursts — the temporal-locality shape punctuation merges actually
 //      see, where the tree's single output pass beats the cascade's
 //      level-by-level memory traffic) and "interleaved" (every element
@@ -19,7 +21,8 @@
 //      cascade's branchless two-way kernel wins per pass).
 //
 // Emits one JSON document between BEGIN_JSON/END_JSON markers with the
-// kernel level, seed, and merge policy stamped per sample.
+// kernel level, seed, and merge order ("merge_policy") stamped per
+// sample.
 
 #include <algorithm>
 #include <cstdio>
@@ -71,12 +74,14 @@ std::vector<JsonSample>& Samples() {
   return samples;
 }
 
-const char* MergePolicyLabel(MergePolicy policy) {
-  switch (policy) {
-    case MergePolicy::kHuffman: return "huffman";
-    case MergePolicy::kBalanced: return "balanced";
-    case MergePolicy::kHeap: return "heap";
-    case MergePolicy::kLoserTree: return "loser_tree";
+// The fan-in sweep's merge executors.
+enum class FanInMerge { kHuffman, kBalanced, kLoserTree };
+
+const char* FanInMergeLabel(FanInMerge merge) {
+  switch (merge) {
+    case FanInMerge::kHuffman: return "huffman";
+    case FanInMerge::kBalanced: return "balanced";
+    case FanInMerge::kLoserTree: return "loser_tree";
   }
   return "?";
 }
@@ -123,10 +128,10 @@ std::vector<std::vector<Timestamp>> MakeBurstyRuns(size_t k, size_t total,
   return runs;
 }
 
-// Best-of-reps merge throughput for one policy at one fan-in, pool and
+// Best-of-reps merge throughput for one executor at one fan-in, pool and
 // scratch kept warm across reps the way a sorter keeps them across
 // punctuations.
-SortOutcome RunFanInMerge(MergePolicy policy, size_t k, size_t total,
+SortOutcome RunFanInMerge(FanInMerge merge, size_t k, size_t total,
                           bool bursty) {
   const auto source = bursty ? MakeBurstyRuns(k, total, BenchSeed())
                              : MakeEqualRuns(k, total, BenchSeed());
@@ -143,7 +148,25 @@ SortOutcome RunFanInMerge(MergePolicy policy, size_t k, size_t total,
     out.reserve(n);
     stats = MergeStats{};
     const double secs = TimeSeconds([&]() {
-      MergeRunsInto(policy, &runs, less, &out, &stats, &pool, &scratch);
+      switch (merge) {
+        case FanInMerge::kHuffman:
+          HuffmanMergeInto(&runs, less, &out, &stats, &pool);
+          break;
+        case FanInMerge::kBalanced:
+          BalancedMergeInto(&runs, less, &out, &stats, &pool);
+          break;
+        case FanInMerge::kLoserTree: {
+          std::vector<VectorRunCursor<Timestamp>> owned;
+          owned.reserve(runs.size());
+          std::vector<RunCursor<Timestamp>*> cursors;
+          for (const auto& r : runs) {
+            owned.emplace_back(r.data(), r.data() + r.size());
+            cursors.push_back(&owned.back());
+          }
+          HuffmanCursorMergeInto(&cursors, less, &out, &stats, &scratch);
+          break;
+        }
+      }
     });
     best = std::min(best, secs);
   }
@@ -189,24 +212,20 @@ void Run() {
   const std::vector<DatasetRef> datasets = Datasets(n);
   constexpr size_t kPeriod = 10000;
 
-  Section("Ablation 1: head-run merge policy (punctuation every 10k)");
+  Section("Ablation 1: head-run merge order (punctuation every 10k)");
   {
     TablePrinter table({"dataset", "policy", "throughput_Me/s",
                         "elements_moved"});
     for (const DatasetRef& d : datasets) {
-      for (const auto& [policy, label] :
-           {std::pair{MergePolicy::kHuffman, "Huffman"},
-            std::pair{MergePolicy::kBalanced, "Balanced"},
-            std::pair{MergePolicy::kHeap, "HeapMerge"},
-            std::pair{MergePolicy::kLoserTree, "LoserTree"}}) {
+      for (const bool huffman_merge : {true, false}) {
         ImpatienceConfig config;
-        config.merge_policy = policy;
+        config.huffman_merge = huffman_merge;
         const SortOutcome r = RunSorter(d, config, kPeriod);
-        table.PrintRow({d.name, label,
+        table.PrintRow({d.name, huffman_merge ? "Huffman" : "Balanced",
                         TablePrinter::Num(r.throughput_meps),
                         TablePrinter::Int(r.elements_moved)});
-        Samples().push_back({d.name, MergePolicyLabel(policy), 0,
-                             r.throughput_meps, r.elements_moved});
+        Samples().push_back({d.name, huffman_merge ? "huffman" : "balanced",
+                             0, r.throughput_meps, r.elements_moved});
       }
     }
   }
@@ -255,16 +274,16 @@ void Run() {
       const std::string shape = bursty ? "bursty" : "interleaved";
       for (const size_t k : {size_t{2}, size_t{4}, size_t{8}, size_t{16},
                              size_t{64}}) {
-        for (const MergePolicy policy :
-             {MergePolicy::kHuffman, MergePolicy::kBalanced,
-              MergePolicy::kLoserTree}) {
-          const SortOutcome r = RunFanInMerge(policy, k, total, bursty);
+        for (const FanInMerge merge :
+             {FanInMerge::kHuffman, FanInMerge::kBalanced,
+              FanInMerge::kLoserTree}) {
+          const SortOutcome r = RunFanInMerge(merge, k, total, bursty);
           table.PrintRow({shape, TablePrinter::Int(k),
-                          MergePolicyLabel(policy),
+                          FanInMergeLabel(merge),
                           TablePrinter::Num(r.throughput_meps),
                           TablePrinter::Int(r.elements_moved)});
           Samples().push_back({"fanin_sweep_" + shape,
-                               MergePolicyLabel(policy), k,
+                               FanInMergeLabel(merge), k,
                                r.throughput_meps, r.elements_moved});
         }
       }

@@ -11,7 +11,9 @@
 // competitor in the paper).
 //
 // The "punctuation frequency" x-axis is the number of events between two
-// punctuations (10 means a punctuation every 10 events).
+// punctuations (10 means a punctuation every 10 events). Each throughput
+// row is followed by the minor page faults of its runs ("minflt", also in
+// the JSON), which tells a cell's fast and slow modes apart.
 
 #include <algorithm>
 #include <cstdio>
@@ -31,6 +33,8 @@ namespace {
 
 struct OnlineRun {
   double throughput_meps = 0;
+  // Minor page faults during the timed run (see MinorFaultsDuring).
+  uint64_t minor_faults = 0;
   uint64_t late_drops = 0;
   // Punctuation-to-emit latency quantiles, when the sorter instruments
   // them (Impatience sort and the adapter baselines); 0 otherwise.
@@ -49,7 +53,6 @@ struct JsonSample {
   std::string dataset;
   size_t punct_freq = 0;
   std::string algorithm;
-  std::string merge_policy;  // "-" for the non-Impatience arms.
   OnlineRun run;
 };
 
@@ -58,46 +61,15 @@ std::vector<JsonSample>& Samples() {
   return samples;
 }
 
-// One column of the sweep. Impatience runs twice — the pairwise Huffman
-// cascade and the k-way loser tree — since the punctuation merge is its
-// hot path; the adapter baselines have no policy to vary.
-struct SweepArm {
-  OnlineAlgorithm algorithm;
-  const char* label;
-  const char* merge_policy;
-  ImpatienceConfig config;
-};
-
-std::vector<SweepArm> SweepArms() {
-  std::vector<SweepArm> arms;
-  for (const OnlineAlgorithm algorithm : kAllOnlineAlgorithms) {
-    SweepArm arm;
-    arm.algorithm = algorithm;
-    arm.label = OnlineAlgorithmName(algorithm);
-    arm.merge_policy =
-        algorithm == OnlineAlgorithm::kImpatience ? "huffman" : "-";
-    arms.push_back(arm);
-    if (algorithm == OnlineAlgorithm::kImpatience) {
-      SweepArm lt = arm;
-      lt.label = "Impatience-LT";
-      lt.merge_policy = "loser_tree";
-      lt.config.merge_policy = MergePolicy::kLoserTree;
-      arms.push_back(lt);
-    }
-  }
-  return arms;
-}
-
 OnlineRun MeasureOnline(OnlineAlgorithm algorithm,
                         const std::vector<Event>& events, size_t frequency,
-                        Timestamp reorder_latency,
-                        const ImpatienceConfig& config = {}) {
-  auto sorter = MakeOnlineSorter<Event>(algorithm, config);
+                        Timestamp reorder_latency) {
+  auto sorter = MakeOnlineSorter<Event>(algorithm);
   std::vector<Event> out;
   out.reserve(std::min<size_t>(events.size(), 1 << 20));
   size_t emitted = 0;
 
-  const double secs = TimeSeconds([&]() {
+  auto feed = [&]() {
     Timestamp high_watermark = kMinTimestamp;
     Timestamp last_punct = kMinTimestamp;
     for (size_t i = 0; i < events.size(); ++i) {
@@ -118,10 +90,14 @@ OnlineRun MeasureOnline(OnlineAlgorithm algorithm,
     sorter->Flush(&out);
     emitted += out.size();
     out.clear();
-  });
+  };
+  double secs = 0;
+  const uint64_t faults =
+      MinorFaultsDuring([&]() { secs = TimeSeconds(feed); });
   IMPATIENCE_CHECK(emitted + sorter->late_drops() == events.size());
   OnlineRun run;
   run.throughput_meps = Throughput(events.size(), secs);
+  run.minor_faults = faults;
   run.late_drops = sorter->late_drops();
   if (const HistogramSnapshot* h = sorter->punctuation_latency();
       h != nullptr && h->count() > 0) {
@@ -142,28 +118,33 @@ OnlineRun MeasureOnline(OnlineAlgorithm algorithm,
 void Sweep(const std::string& title, const std::string& dataset,
            const std::vector<Event>& events, Timestamp reorder_latency) {
   Section(title);
-  const std::vector<SweepArm> arms = SweepArms();
   std::vector<std::string> headers = {"punct_freq"};
-  for (const SweepArm& arm : arms) headers.push_back(arm.label);
+  for (const OnlineAlgorithm algorithm : kAllOnlineAlgorithms) {
+    headers.push_back(OnlineAlgorithmName(algorithm));
+  }
   headers.push_back("drop_rate");
   TablePrinter table(headers);
 
+  // Each throughput row is followed by the runs' minor page faults.
   for (const size_t freq : {10u, 100u, 1000u, 10000u, 100000u, 1000000u}) {
     std::vector<std::string> row = {TablePrinter::Int(freq)};
+    std::vector<std::string> faults = {"  minflt"};
     uint64_t drops = 0;
-    for (const SweepArm& arm : arms) {
-      const OnlineRun result = MeasureOnline(arm.algorithm, events, freq,
-                                             reorder_latency, arm.config);
+    for (const OnlineAlgorithm algorithm : kAllOnlineAlgorithms) {
+      const OnlineRun result =
+          MeasureOnline(algorithm, events, freq, reorder_latency);
       row.push_back(TablePrinter::Num(result.throughput_meps));
+      faults.push_back(TablePrinter::Int(result.minor_faults));
       drops = result.late_drops;  // Identical across algorithms.
       Samples().push_back(
-          {dataset, freq, arm.label, arm.merge_policy, result});
+          {dataset, freq, OnlineAlgorithmName(algorithm), result});
     }
     row.push_back(TablePrinter::Num(
         100.0 * static_cast<double>(drops) /
             static_cast<double>(events.size()),
         2) + "%");
     table.PrintRow(row);
+    table.PrintRow(faults);
   }
 }
 
@@ -192,10 +173,11 @@ void Run() {
     const JsonSample& s = samples[i];
     std::printf(
         "  {\"dataset\": \"%s\", \"punct_freq\": %zu, \"algorithm\": "
-        "\"%s\", \"merge_policy\": \"%s\", \"throughput_meps\": %.4f, "
+        "\"%s\", \"throughput_meps\": %.4f, \"minor_faults\": %llu, "
         "\"late_drops\": %llu",
         s.dataset.c_str(), s.punct_freq, s.algorithm.c_str(),
-        s.merge_policy.c_str(), s.run.throughput_meps,
+        s.run.throughput_meps,
+        static_cast<unsigned long long>(s.run.minor_faults),
         static_cast<unsigned long long>(s.run.late_drops));
     if (s.run.has_latency) {
       std::printf(

@@ -49,31 +49,35 @@ std::vector<std::vector<int64_t>> MakeRuns(size_t k, size_t run_len,
   return runs;
 }
 
-void BM_MergePolicy(benchmark::State& state, MergePolicy policy) {
+// Fan-in sweep k in {2,4,8,16,64} (+256 for the tail) over the two merge
+// orders a sorter can run: the Huffman cascade and the balanced "w/o HM"
+// rounds, each called directly.
+template <typename Merge>
+void BM_MergePolicy(benchmark::State& state, Merge merge) {
   const size_t k = static_cast<size_t>(state.range(0));
   const size_t run_len = 100000 / k;
   const auto source = MakeRuns(k, run_len, /*seed=*/1);
   for (auto _ : state) {
     auto runs = source;
     std::vector<int64_t> out;
-    MergeRunsInto(policy, &runs, std::less<int64_t>(), &out);
+    merge(&runs, &out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(k * run_len));
 }
-// Fan-in sweep k in {2,4,8,16,64} (+256 for the tail): the crossover
-// between the pairwise cascades and the single-pass loser tree.
+const auto kHuffmanMerge = [](std::vector<std::vector<int64_t>>* runs,
+                              std::vector<int64_t>* out) {
+  HuffmanMergeInto(runs, std::less<int64_t>(), out);
+};
+const auto kBalancedMerge = [](std::vector<std::vector<int64_t>>* runs,
+                               std::vector<int64_t>* out) {
+  BalancedMergeInto(runs, std::less<int64_t>(), out);
+};
 #define MERGE_FANIN_ARGS \
   ->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(64)->Arg(256)
-BENCHMARK_CAPTURE(BM_MergePolicy, huffman, MergePolicy::kHuffman)
-    MERGE_FANIN_ARGS;
-BENCHMARK_CAPTURE(BM_MergePolicy, balanced, MergePolicy::kBalanced)
-    MERGE_FANIN_ARGS;
-BENCHMARK_CAPTURE(BM_MergePolicy, heap, MergePolicy::kHeap)
-    MERGE_FANIN_ARGS;
-BENCHMARK_CAPTURE(BM_MergePolicy, loser_tree, MergePolicy::kLoserTree)
-    MERGE_FANIN_ARGS;
+BENCHMARK_CAPTURE(BM_MergePolicy, huffman, kHuffmanMerge) MERGE_FANIN_ARGS;
+BENCHMARK_CAPTURE(BM_MergePolicy, balanced, kBalancedMerge) MERGE_FANIN_ARGS;
 #undef MERGE_FANIN_ARGS
 
 void BM_PartitionPhase(benchmark::State& state, bool srs) {

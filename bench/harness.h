@@ -11,8 +11,10 @@
 #define IMPATIENCE_BENCH_HARNESS_H_
 
 #include <malloc.h>
+#include <sys/resource.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -53,6 +55,20 @@ double TimeSeconds(Fn&& fn) {
   fn();
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
+}
+
+// Minor page faults the process took while `fn()` ran (the getrusage
+// ru_minflt delta). Wrapped around a timed call, it tells apart the runs
+// that reuse already-mapped heap pages from the runs that fault fresh ones
+// in, which is what splits some cells into two throughput modes.
+template <typename Fn>
+uint64_t MinorFaultsDuring(Fn&& fn) {
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  fn();
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  return static_cast<uint64_t>(after.ru_minflt - before.ru_minflt);
 }
 
 // Million events per second.

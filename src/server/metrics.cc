@@ -200,9 +200,6 @@ constexpr MetricDef kMetrics[] = {
     Metric("impatience_shard_sorter_parallel_merges", kCounter,
            V(shard->sorter.parallel_merges),
            "Punctuation merges executed on the thread pool."),
-    Metric("impatience_shard_sorter_loser_tree_merges", kCounter,
-           V(shard->sorter.loser_tree_merges),
-           "Punctuation merges executed by the k-way loser tree."),
     Metric("impatience_shard_sorter_elements_moved", kCounter,
            V(shard->sorter.merge.elements_moved),
            "Elements moved by punctuation merges."),
@@ -262,8 +259,6 @@ constexpr MetricDef kMetrics[] = {
     Histogram("impatience_shard_drain_stall", kNanoseconds,
               H(shard->drain_stall),
               "Drain-loop stall applying one frame to the pipeline."),
-    Histogram("impatience_shard_kway_fanin", kNone, H(shard->sorter.kway_fanin),
-              "Head-run fan-in of each loser-tree punctuation merge."),
     Histogram("impatience_shard_spill_merge_fanin", kNone,
               H(shard->sorter.spill_merge_fanin),
               "Fan-in of punctuation merges touching spilled runs."),

@@ -48,10 +48,9 @@ namespace impatience {
 
 // Tuning and ablation switches for ImpatienceSorter.
 struct ImpatienceConfig {
-  // Merge head runs smallest-two-first (§III-E1). kBalanced reproduces the
-  // "Impt w/o HM" ablation; kHeap is a further baseline; kLoserTree runs
-  // the byte-identical k-way tournament merge in a single output pass.
-  MergePolicy merge_policy = MergePolicy::kHuffman;
+  // Merge head runs smallest-two-first (§III-E1); false merges them in
+  // size-oblivious pairwise rounds, the "Impt w/o HM" ablation.
+  bool huffman_merge = true;
 
   // Fast path that retries the run used by the previous insertion before
   // falling back to binary search (§III-E2).
@@ -62,7 +61,7 @@ struct ImpatienceConfig {
   double compact_fraction = 0.5;
   size_t compact_min_bytes = 4096;
 
-  // Pool for parallel punctuation merges (kHuffman policy only): a
+  // Pool for parallel punctuation merges (Huffman merge only): a
   // punctuation that releases enough head runs and bytes merges them as a
   // task DAG on this pool (see ParallelMergeRunsInto). Output is
   // byte-identical to the sequential merge; with a 1-thread pool the
@@ -87,9 +86,6 @@ struct ImpatienceCounters {
   uint64_t compactions = 0;     // Run storage compactions.
   uint64_t parallel_merges = 0;  // Punctuation merges run on the pool.
   uint64_t merge_tasks = 0;      // Pool tasks across all parallel merges.
-  // Punctuation merges executed by the k-way loser tree (the kLoserTree
-  // policy's multi-run path).
-  uint64_t loser_tree_merges = 0;
   // Spill tier: runs moved to disk, bytes written to run files (blocks and
   // their headers), and bytes read back (cut-boundary loads and merge
   // cursor streams).
@@ -122,11 +118,6 @@ struct ImpatienceCounters {
   // buffered since the previous emit to emit completion — how long data
   // waited inside the sorter.
   HistogramSnapshot ingest_to_emit;
-  // One sample per loser-tree punctuation merge: the number of head runs
-  // the tree merged (its fan-in). The distribution shows whether the
-  // workload's disorder actually produces the wide merges the tree is
-  // built for.
-  HistogramSnapshot kway_fanin;
   // One sample per punctuation merge involving at least one spilled run:
   // the merge's fan-in (1 = a lone spilled run streamed straight out).
   HistogramSnapshot spill_merge_fanin;
@@ -144,7 +135,6 @@ struct ImpatienceCounters {
     compactions += other.compactions;
     parallel_merges += other.parallel_merges;
     merge_tasks += other.merge_tasks;
-    loser_tree_merges += other.loser_tree_merges;
     runs_spilled += other.runs_spilled;
     spill_bytes_written += other.spill_bytes_written;
     spill_read_bytes += other.spill_read_bytes;
@@ -160,7 +150,6 @@ struct ImpatienceCounters {
     merge.disjoint_concats += other.merge.disjoint_concats;
     punct_to_emit += other.punct_to_emit;
     ingest_to_emit += other.ingest_to_emit;
-    kway_fanin += other.kway_fanin;
     spill_merge_fanin += other.spill_merge_fanin;
     return *this;
   }
@@ -339,7 +328,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
       auto less = [this](const T& a, const T& b) {
         return time_of_(a) < time_of_(b);
       };
-      if (config_.merge_policy == MergePolicy::kHuffman) {
+      if (config_.huffman_merge) {
         const size_t tasks =
             ParallelMergeRunsInto(&heads, less, out, &counters_.merge,
                                   &pool_, config_.thread_pool);
@@ -348,12 +337,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
           counters_.merge_tasks += tasks;
         }
       } else {
-        if (config_.merge_policy == MergePolicy::kLoserTree) {
-          ++counters_.loser_tree_merges;
-          counters_.kway_fanin.Record(heads.size());
-        }
-        MergeRunsInto(config_.merge_policy, &heads, less, out,
-                      &counters_.merge, &pool_, &scratch_);
+        BalancedMergeInto(&heads, less, out, &counters_.merge, &pool_);
       }
     }
 
@@ -419,8 +403,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   size_t buffered_count() const override { return buffered_; }
 
   size_t MemoryBytes() const override {
-    // pool_.MemoryBytes() covers ping-pong merge buffers both pooled and
-    // checked out; scratch_ covers the loser-tree nodes and cursors.
+    // pool_.MemoryBytes() covers merge buffers both pooled and checked
+    // out; scratch_ covers the cursor merge's loser-tree nodes.
     size_t bytes = tails_.capacity() * sizeof(Timestamp) +
                    head_times_.capacity() * sizeof(Timestamp) +
                    runs_.capacity() * sizeof(Run) +
@@ -848,8 +832,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   uint64_t late_drops_ = 0;
   ImpatienceCounters counters_;
   MergeBufferPool<T> pool_;
-  // Loser-tree state reused across punctuations (kLoserTree policy and
-  // spilled-run cursor merges).
+  // Loser-tree state reused across spilled-run cursor merges.
   LoserTreeScratch<T> scratch_;
 };
 

@@ -4,27 +4,29 @@
 // into one sorted sequence. Following the paper (§III-B, §III-E1) runs
 // merge two at a time, smallest two first ("Huffman merge"), which
 // minimizes the total number of element moves exactly as in Huffman
-// coding. That order is decided in one place, BuildHuffmanPlan, and three
-// executors consume the plan:
+// coding. That order is decided in one place, BuildHuffmanPlan, and the
+// sorters' merges run it through one of three executors:
 //
 //   * HuffmanMergeInto runs it node by node as a binary cascade.
 //   * ParallelMergeRunsInto runs it as a task DAG on the thread pool:
 //     small subtrees collapse into k-way loser-tree leaves and the final
-//     merge is split in two.
-//   * LoserTreeMergeInto (RAM runs) and HuffmanCursorMergeInto (chunked
-//     run cursors, e.g. spilled runs) run LoserTreePass keyed by each
-//     run's position in the plan's in-order leaf walk.
+//     merge is split in two. Below its size gate it runs the cascade, so
+//     it is the one call a sorter's RAM merge makes.
+//   * HuffmanCursorMergeInto runs one LoserTreePass over chunked run
+//     cursors (spilled runs), keyed by each run's position in the plan's
+//     in-order leaf walk.
 //
 // Every executor breaks cross-run ties by that in-order position, which is
 // exactly the order the cascade's stable binary merges produce, so their
 // outputs are byte-identical by construction. A balanced (size-oblivious)
-// order and a k-way heap merge remain as ablation baselines.
+// order remains as the paper's "w/o HM" ablation baseline.
 //
-// One pool: every executor takes its intermediate buffers from the
-// caller's MergeBufferPool and gives them, and the consumed input runs,
-// back to it on the calling thread, so the pool's accounting covers every
-// run-sized byte a merge holds. The sequential executors' steady-state
-// merges allocate no run buffers; the parallel executor also allocates
+// One pool: every executor that consumes its input runs takes its
+// intermediate buffers from the caller's MergeBufferPool and gives them,
+// and the consumed runs, back to it on the calling thread, so the pool's
+// accounting covers every run-sized byte a merge holds. The sequential
+// executors' steady-state merges allocate no run buffers (the cursor merge
+// writes straight into the output); the parallel executor also allocates
 // small per-call bookkeeping (plan, fan-in/parent/role/dependency arrays)
 // and per-leaf cursor and loser-tree scratch, all O(runs), not O(events).
 
@@ -41,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "sort/kernels.h"
@@ -53,7 +54,7 @@ namespace impatience {
 //
 // Accounting: the pool tracks both the bytes it is holding (free list) and
 // the bytes currently checked out via Acquire (outstanding), so
-// MemoryBytes() covers the ping-pong buffers a merge is actively writing,
+// MemoryBytes() covers the intermediate buffers a merge is writing,
 // not just the ones at rest. Release clamps against buffers the pool never
 // handed out (merges return consumed input runs here so they recycle), and
 // PeakBytes() keeps the high-water mark of free + outstanding for
@@ -132,27 +133,26 @@ bool BinaryMergeInto(const std::vector<T>& a, const std::vector<T>& b,
 struct MergeStats {
   // Total elements moved across all merge steps (the quantity the Huffman
   // order minimizes). For the binary cascades this is the sum of both
-  // input sizes per merge; for the k-way loser tree it is the actual move
-  // count — each element once per ping-pong pass. ParallelMergeRunsInto
-  // reports the plan's binary-cascade figure even when it executes plan
-  // subtrees as k-way leaf tasks, so the Huffman cost model stays
-  // comparable across execution strategies.
+  // input sizes per merge; for the single-pass cursor merge it is each
+  // element once. ParallelMergeRunsInto reports the plan's binary-cascade
+  // figure even when it executes plan subtrees as k-way leaf tasks, so the
+  // Huffman cost model stays comparable across execution strategies.
   uint64_t elements_moved = 0;
-  // Number of merge steps: binary merges for the cascades, tree passes
-  // for the k-way loser tree (one per fan-in group per pass).
+  // Number of merge steps: binary merges for the cascades, one per call
+  // for the cursor merge.
   uint64_t binary_merges = 0;
   // Merge steps resolved by a disjoint-run fast path. For binary merges:
   // the two ranges did not overlap and concatenated as two bulk copies.
-  // For k-way loser-tree passes: a run the tree emitted start-to-end in a
-  // single bulk copy, i.e. it was disjoint from everything still
-  // unmerged when it won (disjoint prefix runs each count once). Unlike
-  // the fields above, this counter is execution-dependent: the parallel
-  // merge splits the final merge in two and each half classifies
-  // independently, a k-way pass can see disjointness a binary cascade
-  // of the same runs would not (and vice versa), and the tree's adaptive
-  // gallop may emit a disjoint run element-by-element when earlier short
-  // chunks raised its gallop threshold — so the k-way figure is a lower
-  // bound, and counts are only comparable within one merge strategy.
+  // For the parallel merge's k-way leaves: a run the loser tree emitted
+  // start-to-end in a single bulk copy, i.e. it was disjoint from
+  // everything still unmerged when it won (disjoint prefix runs each count
+  // once). Unlike the fields above, this counter is execution-dependent:
+  // the parallel merge splits the final merge in two and each half
+  // classifies independently, a k-way leaf can see disjointness a binary
+  // cascade of the same runs would not (and vice versa), and the tree's
+  // adaptive gallop may emit a disjoint run element-by-element when
+  // earlier short chunks raised its gallop threshold — so counts are only
+  // comparable within one merge strategy.
   uint64_t disjoint_concats = 0;
 };
 
@@ -348,17 +348,15 @@ class VectorRunCursor final : public RunCursor<T> {
   bool done_ = false;
 };
 
-// Fan-in cap per tree pass for RAM merges: beyond this the tree and the k
-// run heads stop fitting in L1/L2 and comparisons start missing cache, so
-// wider merges run as multiple passes over ping-pong buffers drawn from
-// the MergeBufferPool (consecutive-rank grouping keeps each pass
-// byte-identical).
+// Largest plan subtree the parallel merge collapses into one k-way leaf:
+// beyond this the tree and the k run heads stop fitting in L1/L2 and
+// comparisons start missing cache, so wider subtrees stay binary merges.
 inline constexpr size_t kLoserTreeMaxFanIn = 64;
 
 // Reusable loser-tree state: the loser array, the winner bracket used to
-// (re)build it, and the per-cursor chunk positions. Kept by the sorters
-// across punctuations so steady-state merges allocate nothing;
-// MemoryBytes() feeds the owners' memory accounting.
+// (re)build it, and the per-cursor chunk positions. The sorter keeps one
+// across its spilled-run cursor merges so steady-state merges allocate
+// nothing; MemoryBytes() feeds the owner's memory accounting.
 template <typename T>
 struct LoserTreeScratch {
   std::vector<int32_t> tree;     // Losers; tree[0] holds the winner.
@@ -500,99 +498,13 @@ void LoserTreePass(RunCursor<T>* const* cursors, size_t k, Less less,
   }
 }
 
-// Merges `runs` (each sorted) into a single sorted sequence appended to
-// `out` with loser-tree passes of fan-in <= kLoserTreeMaxFanIn.
-// Byte-identical to HuffmanMergeInto on the same input: runs are arranged
-// in the plan's leaf order, and wider-than-one-tree merges group
-// consecutive leaves per pass, which preserves every cross-run tie
-// decision. Consumes the run contents. `pool` recycles the ping-pong
-// buffers between passes; `scratch` recycles the tree state.
-//
-// MergeStats semantics differ from the binary cascades: elements_moved
-// counts actual moves (each element once per pass — the quantity the tree
-// is built to shrink), binary_merges counts tree passes, and
-// disjoint_concats counts runs emitted whole in one bulk copy.
-template <typename T, typename Less>
-void LoserTreeMergeInto(std::vector<std::vector<T>>* runs, Less less,
-                        std::vector<T>* out, MergeStats* stats = nullptr,
-                        std::type_identity_t<MergeBufferPool<T>*> pool =
-                            nullptr,
-                        std::type_identity_t<LoserTreeScratch<T>*> scratch =
-                            nullptr) {
-  TRACE_SPAN("merge.loser_tree");
-  std::vector<std::vector<T>>& rs = *runs;
-  merge_internal::DropEmptyRuns(&rs);
-  if (rs.empty()) return;
-  if (rs.size() == 1) {
-    out->insert(out->end(), rs[0].begin(), rs[0].end());
-    rs.clear();
-    return;
-  }
-  MergeBufferPool<T> local_pool;
-  if (pool == nullptr) pool = &local_pool;
-  LoserTreeScratch<T> local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-
-  const HuffmanPlan plan = merge_internal::PlanRuns(rs);
-  std::vector<std::vector<T>> work;
-  work.reserve(rs.size());
-  for (const uint32_t i : plan.LeafOrder(plan.root())) {
-    work.push_back(std::move(rs[i]));
-  }
-  rs.clear();
-
-  std::vector<VectorRunCursor<T>> cursors;
-  std::vector<RunCursor<T>*> slots;
-  // One tree pass over work[lo, hi) into `dst`; the consumed runs go back
-  // to the pool, where the next pass's Acquire finds them.
-  auto pass = [&](size_t lo, size_t hi, std::vector<T>* dst) {
-    cursors.clear();
-    slots.clear();
-    size_t moved = 0;
-    for (size_t i = lo; i < hi; ++i) {
-      cursors.emplace_back(work[i].data(), work[i].data() + work[i].size());
-      moved += work[i].size();
-    }
-    for (VectorRunCursor<T>& c : cursors) slots.push_back(&c);
-    LoserTreePass(slots.data(), slots.size(), less, dst,
-                  stats != nullptr ? &stats->disjoint_concats : nullptr,
-                  scratch);
-    if (stats != nullptr) {
-      stats->elements_moved += moved;
-      ++stats->binary_merges;
-    }
-    for (size_t i = lo; i < hi; ++i) pool->Release(std::move(work[i]));
-  };
-  // Ping-pong: while more runs survive than one tree takes, merge groups
-  // of consecutive leaves into pool buffers.
-  while (work.size() > kLoserTreeMaxFanIn) {
-    std::vector<std::vector<T>> next;
-    next.reserve((work.size() + kLoserTreeMaxFanIn - 1) /
-                 kLoserTreeMaxFanIn);
-    for (size_t lo = 0; lo < work.size(); lo += kLoserTreeMaxFanIn) {
-      const size_t hi = std::min(work.size(), lo + kLoserTreeMaxFanIn);
-      if (hi - lo == 1) {  // Ragged tail: carry the run, no copy.
-        next.push_back(std::move(work[lo]));
-        continue;
-      }
-      size_t group_total = 0;
-      for (size_t i = lo; i < hi; ++i) group_total += work[i].size();
-      std::vector<T> merged = pool->Acquire(group_total);
-      pass(lo, hi, &merged);
-      next.push_back(std::move(merged));
-    }
-    work = std::move(next);
-  }
-  pass(0, work.size(), out);
-}
-
 // Merges `cursors` (each a sorted run) into `out` (appended), byte-
-// identical to HuffmanMergeInto / LoserTreeMergeInto of the same runs in
-// the same order: the plan is built over the cursors' exact totals and one
-// LoserTreePass merges them in its leaf order. No fan-in cap or ping-pong
-// regrouping: a disk-backed merge is bandwidth-bound, and regrouping would
-// re-stage spilled data. Peak transient memory is one chunk per cursor
-// plus the tree (`scratch`, optional, recycles it).
+// identical to HuffmanMergeInto of the same runs in the same order: the
+// plan is built over the cursors' exact totals and one LoserTreePass
+// merges them in its leaf order, whatever the fan-in. A disk-backed merge
+// is bandwidth-bound, and a second pass would re-stage spilled data. Peak
+// transient memory is one chunk per cursor plus the tree (`scratch`,
+// optional, recycles it).
 //
 // MergeStats: elements_moved counts each element once (single pass),
 // binary_merges counts 1 per call, disjoint_concats is not tracked (chunk
@@ -864,77 +776,6 @@ void BalancedMergeInto(std::vector<std::vector<T>>* runs, Less less,
     pool->Release(std::move(rs[0]));
   }
   rs.clear();
-}
-
-// k-way merge with a binary heap — the "traditional" approach the paper's
-// reference [9] shows to be slower than binary merges on modern hardware.
-// Kept as an ablation baseline. Consumes the run contents.
-template <typename T, typename Less>
-void HeapMergeInto(std::vector<std::vector<T>>* runs, Less less,
-                   std::vector<T>* out, MergeStats* stats = nullptr,
-                   MergeBufferPool<T>* pool = nullptr) {
-  (void)pool;  // Single pass: no intermediate buffers.
-  std::vector<std::vector<T>>& rs = *runs;
-  size_t total = 0;
-  for (const std::vector<T>& r : rs) total += r.size();
-  out->reserve(out->size() + total);
-
-  // Heap entries: (run index, position within run).
-  struct Cursor {
-    size_t run;
-    size_t pos;
-  };
-  auto cursor_greater = [&rs, &less](const Cursor& a, const Cursor& b) {
-    return less(rs[b.run][b.pos], rs[a.run][a.pos]);
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(cursor_greater)>
-      heap(cursor_greater);
-  for (size_t i = 0; i < rs.size(); ++i) {
-    if (!rs[i].empty()) heap.push(Cursor{i, 0});
-  }
-  while (!heap.empty()) {
-    Cursor c = heap.top();
-    heap.pop();
-    out->push_back(rs[c.run][c.pos]);
-    if (stats != nullptr) ++stats->elements_moved;
-    if (c.pos + 1 < rs[c.run].size()) heap.push(Cursor{c.run, c.pos + 1});
-  }
-  if (stats != nullptr) stats->binary_merges += rs.empty() ? 0 : 1;
-  rs.clear();
-}
-
-// The merge-order strategies available to the sorters.
-enum class MergePolicy {
-  kHuffman,    // smallest-two-first binary cascade (§III-E1)
-  kBalanced,   // pairwise rounds, size-oblivious
-  kHeap,       // k-way heap merge
-  kLoserTree,  // k-way loser tree, byte-identical to kHuffman
-};
-
-// Dispatches to one of the merge strategies above. `scratch` is used by
-// kLoserTree only (tree state reuse across calls).
-template <typename T, typename Less>
-void MergeRunsInto(MergePolicy policy, std::vector<std::vector<T>>* runs,
-                   Less less, std::vector<T>* out,
-                   MergeStats* stats = nullptr,
-                   std::type_identity_t<MergeBufferPool<T>*> pool = nullptr,
-                   std::type_identity_t<LoserTreeScratch<T>*> scratch =
-                       nullptr) {
-  switch (policy) {
-    case MergePolicy::kHuffman:
-      HuffmanMergeInto(runs, less, out, stats, pool);
-      return;
-    case MergePolicy::kBalanced:
-      BalancedMergeInto(runs, less, out, stats, pool);
-      return;
-    case MergePolicy::kHeap:
-      HeapMergeInto(runs, less, out, stats, pool);
-      return;
-    case MergePolicy::kLoserTree:
-      LoserTreeMergeInto(runs, less, out, stats, pool, scratch);
-      return;
-  }
-  IMPATIENCE_CHECK(false);
 }
 
 }  // namespace impatience

@@ -5,10 +5,12 @@
 // descending tails array), or opening a new run. Merge phase: merge the
 // runs two at a time with binary merges.
 //
-// This class buffers without ever cleaning up runs — that is Impatience
-// sort's addition — so its run count is monotonically non-decreasing
-// (Figure 5's "Patience sort" curve). For the online experiments the paper
-// wraps it (and the other offline algorithms) in IncrementalAdapter.
+// PatienceSorter replays the partition phase online without ever cleaning
+// up runs — that is Impatience sort's addition — so its run count is
+// monotonically non-decreasing (Figure 5's "Patience sort" curve).
+// PatienceSortVector is the full offline sort; for the online experiments
+// the paper wraps it (and the other offline algorithms) in
+// IncrementalAdapter.
 
 #ifndef IMPATIENCE_SORT_PATIENCE_SORTER_H_
 #define IMPATIENCE_SORT_PATIENCE_SORTER_H_
@@ -19,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/cpu_features.h"
 #include "common/event.h"
 #include "common/thread_pool.h"
@@ -29,83 +32,29 @@
 
 namespace impatience {
 
-// Offline Patience sorter. Push everything, then SortInto() once.
+// Patience sort's partition phase, one element at a time. Only the run
+// tails are kept: the run count is all Figure 5 reads.
 template <typename T, typename TimeOf = SyncTimeOf>
 class PatienceSorter {
  public:
-  // `merge_policy` selects the run-merge order; kBalanced matches classic
-  // Patience sort, kHuffman adds the paper's §III-E1 optimization.
-  // `speculative_run_selection` enables the §III-E2 fast path.
-  explicit PatienceSorter(MergePolicy merge_policy = MergePolicy::kBalanced,
-                          bool speculative_run_selection = false)
-      : merge_policy_(merge_policy),
-        speculative_run_selection_(speculative_run_selection) {}
-
-  PatienceSorter(const PatienceSorter&) = delete;
-  PatienceSorter& operator=(const PatienceSorter&) = delete;
-
   // Partition-phase insertion of one element.
   void Push(const T& item) {
     const Timestamp t = time_of_(item);
-    if (speculative_run_selection_ && last_run_ < runs_.size()) {
-      const size_t r = last_run_;
-      if (tails_[r] <= t && (r == 0 || t < tails_[r - 1])) {
-        runs_[r].push_back(item);
-        tails_[r] = t;
-        return;
-      }
-    }
     const size_t lo = FindRunIndex(tails_, t, level_);
-    if (lo == runs_.size()) {
-      runs_.emplace_back();
+    if (lo == tails_.size()) {
       tails_.push_back(t);
+    } else {
+      tails_[lo] = t;
     }
-    runs_[lo].push_back(item);
-    tails_[lo] = t;
-    last_run_ = lo;
-  }
-
-  // Merge phase: appends all buffered elements to `out` in ascending
-  // timestamp order and clears the sorter.
-  void SortInto(std::vector<T>* out, MergeStats* stats = nullptr) {
-    auto less = [this](const T& a, const T& b) {
-      return time_of_(a) < time_of_(b);
-    };
-    MergeRunsInto(merge_policy_, &runs_, less, out, stats);
-    runs_.clear();
-    tails_.clear();
-    last_run_ = 0;
   }
 
   // Number of sorted runs created so far (monotone non-decreasing).
-  size_t run_count() const { return runs_.size(); }
-
-  size_t buffered_count() const {
-    size_t n = 0;
-    for (const std::vector<T>& r : runs_) n += r.size();
-    return n;
-  }
-
-  size_t MemoryBytes() const {
-    // Full footprint: the tails array, the run element storage, AND the
-    // run vector headers themselves — with many short runs the headers
-    // are not noise, and MemoryTracker/server metrics report this number
-    // as the sorter's real size.
-    size_t bytes = tails_.capacity() * sizeof(Timestamp) +
-                   runs_.capacity() * sizeof(std::vector<T>);
-    for (const std::vector<T>& r : runs_) bytes += r.capacity() * sizeof(T);
-    return bytes;
-  }
+  size_t run_count() const { return tails_.size(); }
 
  private:
-  MergePolicy merge_policy_;
-  bool speculative_run_selection_;
   TimeOf time_of_;
   const KernelLevel level_ = ActiveKernelLevel();
-
-  std::vector<std::vector<T>> runs_;
   std::vector<Timestamp> tails_;
-  size_t last_run_ = 0;
 };
 
 namespace patience_internal {
@@ -124,13 +73,14 @@ using KeyRef = kernels::SortKey;
 
 // Sorts `items` in place by timestamp with Patience sort.
 //
-// Unlike the streaming PatienceSorter above, the offline sort knows the
-// whole input: it partitions (timestamp, index) keys into runs with a
-// branch-free tails search, merges the key runs with the selected policy,
-// and gathers the records once.
+// The sort knows the whole input: it partitions (timestamp, index) keys
+// into runs with a branch-free tails search, merges the key runs, and
+// gathers the records once. `huffman_merge` merges smallest-two-first
+// (§III-E1, on the pool above the parallel merge's gate); false merges in
+// size-oblivious pairwise rounds, classic Patience sort and the "w/o HM"
+// ablation. `speculative_run_selection` enables the §III-E2 fast path.
 template <typename T, typename TimeOf = SyncTimeOf>
-void PatienceSortVector(std::vector<T>* items,
-                        MergePolicy merge_policy = MergePolicy::kBalanced,
+void PatienceSortVector(std::vector<T>* items, bool huffman_merge = true,
                         bool speculative_run_selection = false,
                         ThreadPool* thread_pool = nullptr) {
   using patience_internal::KeyRef;
@@ -237,18 +187,18 @@ void PatienceSortVector(std::vector<T>* items,
   times.clear();
   times.shrink_to_fit();
 
-  // Merge phase over keys. The Huffman order additionally admits the
-  // parallel task-DAG merge (identical output; sequential on a 1-thread
+  // Merge phase over keys. The Huffman order runs as the parallel
+  // task-DAG merge (identical output; the sequential cascade on a 1-thread
   // pool or below the size thresholds).
   std::vector<KeyRef> order;
   order.reserve(n);
   auto key_less = [](const KeyRef& a, const KeyRef& b) {
     return a.time < b.time;
   };
-  if (merge_policy == MergePolicy::kHuffman) {
+  if (huffman_merge) {
     ParallelMergeRunsInto(&runs, key_less, &order, nullptr, nullptr, &pool);
   } else {
-    MergeRunsInto(merge_policy, &runs, key_less, &order);
+    BalancedMergeInto(&runs, key_less, &order);
   }
 
   // Gather the records in sorted order (near-sequential on nearly sorted

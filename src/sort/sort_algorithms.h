@@ -73,15 +73,15 @@ void OfflineSort(OfflineAlgorithm algorithm, std::vector<T>* items) {
   };
   switch (algorithm) {
     case OfflineAlgorithm::kImpatience:
-      PatienceSortVector<T, TimeOf>(items, MergePolicy::kHuffman,
+      PatienceSortVector<T, TimeOf>(items, /*huffman_merge=*/true,
                                     /*speculative_run_selection=*/true);
       return;
     case OfflineAlgorithm::kImpatienceNoHM:
-      PatienceSortVector<T, TimeOf>(items, MergePolicy::kBalanced,
+      PatienceSortVector<T, TimeOf>(items, /*huffman_merge=*/false,
                                     /*speculative_run_selection=*/true);
       return;
     case OfflineAlgorithm::kImpatienceNoHMNoSRS:
-      PatienceSortVector<T, TimeOf>(items, MergePolicy::kBalanced,
+      PatienceSortVector<T, TimeOf>(items, /*huffman_merge=*/false,
                                     /*speculative_run_selection=*/false);
       return;
     case OfflineAlgorithm::kQuicksort:
@@ -153,7 +153,7 @@ struct PatienceSortFn {
   template <typename It, typename Less>
   void operator()(It first, It last, Less /*less*/) const {
     std::vector<T> buf(first, last);
-    PatienceSortVector<T, TimeOf>(&buf, MergePolicy::kHuffman,
+    PatienceSortVector<T, TimeOf>(&buf, /*huffman_merge=*/true,
                                   /*speculative_run_selection=*/true);
     std::move(buf.begin(), buf.end(), first);
   }

@@ -43,10 +43,12 @@ void SpillFlusher::EnqueueOn(const std::shared_ptr<Channel>& ch,
   while (cap != 0 &&
          inflight_bytes_.load(std::memory_order_relaxed) + bytes > cap &&
          inflight_bytes_.load(std::memory_order_relaxed) > 0) {
+    // Counted when the wait starts, so stats() shows an enqueue that is
+    // blocked right now, not only one that has already resumed.
+    if (!waited) backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
     waited = true;
     space_cv_.wait(lock);
   }
-  if (waited) backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
   inflight_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   TRACE_COUNTER("spill.flush_queue_bytes",
                 inflight_bytes_.load(std::memory_order_relaxed));

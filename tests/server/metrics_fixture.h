@@ -128,11 +128,8 @@ inline ServerMetrics MakeMetrics() {
   s.sorter.new_runs = 37;
   s.sorter.removed_runs = 31;
   s.sorter.parallel_merges = 43;
-  s.sorter.loser_tree_merges = 17;
   s.sorter.merge.elements_moved = 9999;
   s.sorter.merge.disjoint_concats = 47;
-  s.sorter.kway_fanin.Record(8);
-  s.sorter.kway_fanin.Record(32);
 
   s.memory_current_bytes = 1234;
   s.memory_peak_bytes = 999999;

@@ -28,8 +28,9 @@ TEST(MetricsRenderTest, JsonCarriesHistogramsAndWatermarks) {
   EXPECT_NE(json.find("\"queue_wait_ns\":{"), std::string::npos);
   EXPECT_NE(json.find("\"drain_stall_ns\":{"), std::string::npos);
   EXPECT_NE(json.find("\"ingest_to_emit_ns\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"sorter_loser_tree_merges\":17"), std::string::npos);
-  EXPECT_NE(json.find("\"kway_fanin\":{\"count\":2,"), std::string::npos);
+  EXPECT_NE(json.find("\"sorter_parallel_merges\":43"), std::string::npos);
+  EXPECT_NE(json.find("\"spill_merge_fanin\":{\"count\":3,"),
+            std::string::npos);
   EXPECT_NE(json.find("\"max_watermark_lag\":2000"), std::string::npos);
   EXPECT_NE(json.find("\"lag\":2000"), std::string::npos);
   EXPECT_NE(json.find("\"p50\":"), std::string::npos);
@@ -49,10 +50,11 @@ TEST(MetricsRenderTest, TextCarriesQuantileLines) {
   EXPECT_NE(text.find("impatience_shard_max_watermark_lag{shard=\"0\"} 2000"),
             std::string::npos);
   EXPECT_NE(
-      text.find("impatience_shard_sorter_loser_tree_merges{shard=\"0\"} 17"),
+      text.find("impatience_shard_sorter_parallel_merges{shard=\"0\"} 43"),
       std::string::npos);
-  EXPECT_NE(text.find("impatience_shard_kway_fanin_count{shard=\"0\"} 2"),
-            std::string::npos);
+  EXPECT_NE(
+      text.find("impatience_shard_spill_merge_fanin_count{shard=\"0\"} 3"),
+      std::string::npos);
 }
 
 TEST(MetricsRenderTest, PrometheusSummariesAndEscaping) {
@@ -77,15 +79,16 @@ TEST(MetricsRenderTest, PrometheusSummariesAndEscaping) {
       prom.find("# TYPE impatience_shard_drain_stall_nanoseconds summary"),
       std::string::npos);
   EXPECT_NE(
-      prom.find("# TYPE impatience_shard_sorter_loser_tree_merges counter"),
+      prom.find("# TYPE impatience_shard_sorter_parallel_merges counter"),
       std::string::npos);
-  EXPECT_NE(prom.find("impatience_shard_sorter_loser_tree_merges"
-                      "{shard=\"0\"} 17"),
+  EXPECT_NE(prom.find("impatience_shard_sorter_parallel_merges"
+                      "{shard=\"0\"} 43"),
             std::string::npos);
-  EXPECT_NE(prom.find("# TYPE impatience_shard_kway_fanin summary"),
+  EXPECT_NE(prom.find("# TYPE impatience_shard_spill_merge_fanin summary"),
             std::string::npos);
-  EXPECT_NE(prom.find("impatience_shard_kway_fanin_count{shard=\"0\"} 2"),
-            std::string::npos);
+  EXPECT_NE(
+      prom.find("impatience_shard_spill_merge_fanin_count{shard=\"0\"} 3"),
+      std::string::npos);
 
   // Label escaping: backslash, quote, and newline per the text format; the
   // raw control byte 0x01 passes through (Prometheus allows it in UTF-8
@@ -282,33 +285,15 @@ TEST(MetricsRenderTest, PrometheusBucketSiblingsAreExact) {
   EXPECT_NE(prom.find("# TYPE impatience_shard_drain_stall_nanoseconds"
                       "_hist histogram"),
             std::string::npos);
-  EXPECT_NE(prom.find("# TYPE impatience_shard_kway_fanin_hist histogram"),
-            std::string::npos);
   EXPECT_NE(
       prom.find("# TYPE impatience_shard_spill_merge_fanin_hist histogram"),
       std::string::npos);
 
-  // kway_fanin recorded {8, 32}: exact cumulative counts at the 2^k - 1
-  // bounds — 0 at le=3, 1 at le=15 (the 8), 2 at le=63 (both).
-  EXPECT_NE(prom.find("impatience_shard_kway_fanin_hist_bucket{shard=\"0\","
-                      "le=\"3\"} 0"),
+  // spill_merge_fanin recorded {2, 5, 9}: exact cumulative counts at the
+  // 2^k - 1 bounds — 0 at le=0, 1 at le=3, all 3 at le=15.
+  EXPECT_NE(prom.find("impatience_shard_spill_merge_fanin_hist_bucket"
+                      "{shard=\"0\",le=\"0\"} 0"),
             std::string::npos);
-  EXPECT_NE(prom.find("impatience_shard_kway_fanin_hist_bucket{shard=\"0\","
-                      "le=\"15\"} 1"),
-            std::string::npos);
-  EXPECT_NE(prom.find("impatience_shard_kway_fanin_hist_bucket{shard=\"0\","
-                      "le=\"63\"} 2"),
-            std::string::npos);
-  EXPECT_NE(prom.find("impatience_shard_kway_fanin_hist_bucket{shard=\"0\","
-                      "le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(prom.find("impatience_shard_kway_fanin_hist_sum{shard=\"0\"} 40"),
-            std::string::npos);
-  EXPECT_NE(
-      prom.find("impatience_shard_kway_fanin_hist_count{shard=\"0\"} 2"),
-      std::string::npos);
-
-  // spill_merge_fanin recorded {2, 5, 9}: 1 at le=3, all 3 at le=15.
   EXPECT_NE(prom.find("impatience_shard_spill_merge_fanin_hist_bucket"
                       "{shard=\"0\",le=\"3\"} 1"),
             std::string::npos);
@@ -318,6 +303,12 @@ TEST(MetricsRenderTest, PrometheusBucketSiblingsAreExact) {
   EXPECT_NE(prom.find("impatience_shard_spill_merge_fanin_hist_bucket"
                       "{shard=\"0\",le=\"+Inf\"} 3"),
             std::string::npos);
+  EXPECT_NE(
+      prom.find("impatience_shard_spill_merge_fanin_hist_sum{shard=\"0\"} 16"),
+      std::string::npos);
+  EXPECT_NE(
+      prom.find("impatience_shard_spill_merge_fanin_hist_count{shard=\"0\"} 3"),
+      std::string::npos);
 }
 
 // The streaming-telemetry families (subscriber gauge, chunk/drop/shed

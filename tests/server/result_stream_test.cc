@@ -345,12 +345,12 @@ using ConfigRun = std::pair<StreamMap, size_t>;  // (delivered, chunks)
 
 // One deterministic manual-drain run: disordered bursts with forced
 // punctuations, drain-and-flush, then delivered-vs-reference equality.
-ConfigRun RunConfig(MergePolicy policy, size_t memory_budget,
+ConfigRun RunConfig(bool huffman_merge, size_t memory_budget,
                     size_t max_chunk_bytes) {
   ResultReference ref;
   ServiceOptions options = ManualResultOptions();
   options.on_result = ref.Tap();
-  options.shards.framework.sorter_config.merge_policy = policy;
+  options.shards.framework.sorter_config.huffman_merge = huffman_merge;
   options.shards.memory_budget = memory_budget;
   options.results.max_chunk_bytes = max_chunk_bytes;
   IngestService service(options);
@@ -374,20 +374,22 @@ ConfigRun RunConfig(MergePolicy policy, size_t memory_budget,
   return {delivered.streams, delivered.chunks};
 }
 
-// The delivered stream is invariant across merge policies and a
-// forced-spill budget: Huffman, loser-tree, and a 64 KiB budget that
-// pushes runs through the spill tier all deliver byte-identical record
-// sequences (each also identical to its own run's reference).
+// The delivered stream is invariant across merge orders and a
+// forced-spill budget: Huffman, the balanced "w/o HM" ablation, and a
+// 64 KiB budget that pushes runs through the spill tier all deliver
+// byte-identical record sequences (each also identical to its own run's
+// reference). The session's timestamps are distinct, so the balanced
+// order's different tie-breaking cannot show.
 TEST(ResultStreamTest, MergePoliciesAndSpillBudgetDeliverIdenticalStreams) {
   const ConfigRun huffman =
-      RunConfig(MergePolicy::kHuffman, /*memory_budget=*/0, 256u * 1024);
-  const ConfigRun loser_tree =
-      RunConfig(MergePolicy::kLoserTree, /*memory_budget=*/0, 256u * 1024);
+      RunConfig(/*huffman_merge=*/true, /*memory_budget=*/0, 256u * 1024);
+  const ConfigRun balanced =
+      RunConfig(/*huffman_merge=*/false, /*memory_budget=*/0, 256u * 1024);
   const ConfigRun spilled =
-      RunConfig(MergePolicy::kHuffman, /*memory_budget=*/64 * 1024,
+      RunConfig(/*huffman_merge=*/true, /*memory_budget=*/64 * 1024,
                 256u * 1024);
   ASSERT_FALSE(huffman.first.empty());
-  EXPECT_EQ(huffman.first, loser_tree.first);
+  EXPECT_EQ(huffman.first, balanced.first);
   EXPECT_EQ(huffman.first, spilled.first);
 }
 
@@ -478,7 +480,7 @@ TEST(ResultStreamTest, SlicedWritesReassembleGapFreeResultStream) {
   EXPECT_EQ(service.Snapshot().decode_errors, 0u);
 }
 
-// Seeded sweep across fault schedules, merge policies, and spill
+// Seeded sweep across fault schedules, merge orders, and spill
 // budgets: every record the pipeline emitted is delivered exactly once,
 // in order, through randomized write slicing and readiness shuffles.
 TEST(ResultStreamTest, SeededFaultSweepDeliversExactlyOnce) {
@@ -488,8 +490,7 @@ TEST(ResultStreamTest, SeededFaultSweepDeliversExactlyOnce) {
     ResultReference ref;
     ServiceOptions options = ManualResultOptions();
     options.on_result = ref.Tap();
-    options.shards.framework.sorter_config.merge_policy =
-        (seed % 2 == 0) ? MergePolicy::kHuffman : MergePolicy::kLoserTree;
+    options.shards.framework.sorter_config.huffman_merge = seed % 2 == 0;
     if (seed % 3 == 0) options.shards.memory_budget = 64 * 1024;
     IngestService service(options);
     EventLoop loop(&service, std::make_unique<ft::FaultyPoller>(seed),

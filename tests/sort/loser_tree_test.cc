@@ -1,11 +1,13 @@
-// Loser-tree k-way merge properties: reference equivalence against
-// std::merge semantics (flatten + stable reference), byte-identity with the
-// pairwise Huffman cascade across adversarial run shapes, multi-pass
-// ping-pong behaviour past the fan-in cap, the parallel k-way leaf
-// collapse at several thread counts and fan-ins, the chunked cursor merge,
-// and the memory accounting contract (pool outstanding/peak bytes, scratch
-// bytes, sorter MemoryBytes). KernelLevel coverage comes from tools/check.sh, which
-// re-runs this suite under forced IMPATIENCE_KERNEL_LEVEL settings.
+// Loser-tree k-way merge properties, through the entry points that run
+// LoserTreePass: the cursor merge (HuffmanCursorMergeInto) over RAM and
+// chunked runs, and the parallel merge's k-way leaves. Reference
+// equivalence against a flatten-and-sort of the input, byte-identity with
+// the pairwise Huffman cascade across adversarial run shapes and fan-ins
+// past one tree's leaf cap, the parallel k-way leaf collapse at several
+// thread counts and fan-ins, and the memory accounting contract (pool
+// outstanding/peak bytes, scratch bytes, sorter MemoryBytes). KernelLevel
+// coverage comes from tools/check.sh, which re-runs this suite under
+// forced IMPATIENCE_KERNEL_LEVEL settings.
 
 #include <algorithm>
 #include <cstdint>
@@ -112,6 +114,22 @@ const Shape kAllShapes[] = {Shape::kRandomTies, Shape::kAllTies,
                             Shape::kDisjoint,   Shape::kInterleaved,
                             Shape::kSkewed,     Shape::kWithEmpties};
 
+// Merges `runs` with one LoserTreePass through HuffmanCursorMergeInto over
+// single-chunk cursors, then clears them like the consuming entry points.
+void CursorMerge(std::vector<std::vector<Tagged>>* runs,
+                 std::vector<Tagged>* out, MergeStats* stats = nullptr,
+                 LoserTreeScratch<Tagged>* scratch = nullptr) {
+  std::vector<VectorRunCursor<Tagged>> owned;
+  owned.reserve(runs->size());
+  std::vector<RunCursor<Tagged>*> cursors;
+  for (const std::vector<Tagged>& r : *runs) {
+    owned.emplace_back(r.data(), r.data() + r.size());
+    cursors.push_back(&owned.back());
+  }
+  HuffmanCursorMergeInto(&cursors, TimeLess{}, out, stats, scratch);
+  runs->clear();
+}
+
 // The loser tree must order values exactly like a stable reference sort of
 // the flattened input — std::stable_sort over (time) with runs laid out in
 // Huffman-rank order is NOT that reference (ranks permute runs), so this
@@ -124,7 +142,7 @@ TEST(LoserTreeTest, SortedPermutationAtEveryFanIn) {
       std::vector<Tagged> all;
       for (const auto& r : runs) all.insert(all.end(), r.begin(), r.end());
       std::vector<Tagged> out;
-      LoserTreeMergeInto(&runs, TimeLess{}, &out);
+      CursorMerge(&runs, &out);
       ASSERT_EQ(out.size(), all.size())
           << ShapeName(shape) << " k=" << k;
       EXPECT_TRUE(std::is_sorted(out.begin(), out.end(),
@@ -144,10 +162,10 @@ TEST(LoserTreeTest, SortedPermutationAtEveryFanIn) {
   }
 }
 
-// The headline contract: LoserTreeMergeInto is byte-identical to the
-// pairwise HuffmanMergeInto cascade — same elements, same order on every
-// cross-run tie — including past the fan-in cap where the merge runs as
-// multiple ping-pong passes.
+// The headline contract: one loser-tree pass in the plan's leaf order is
+// byte-identical to the pairwise HuffmanMergeInto cascade — same elements,
+// same order on every cross-run tie — including fan-ins past the 64-run
+// cap of the parallel merge's k-way leaves.
 TEST(LoserTreeTest, ByteIdenticalToHuffmanCascade) {
   const size_t kFanIns[] = {1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 32,
                             33, 48, 64, 65, 100, 150, 200};
@@ -159,67 +177,26 @@ TEST(LoserTreeTest, ByteIdenticalToHuffmanCascade) {
       std::vector<Tagged> want;
       HuffmanMergeInto(&runs_huffman, TimeLess{}, &want);
       std::vector<Tagged> got;
-      LoserTreeMergeInto(&runs_tree, TimeLess{}, &got);
+      CursorMerge(&runs_tree, &got);
 
       ASSERT_EQ(got, want) << ShapeName(shape) << " k=" << k;
-      EXPECT_TRUE(runs_tree.empty());  // Consumed, like the cascade.
     }
   }
 }
 
-// Dispatch through MergeRunsInto must reach the same code path.
-TEST(LoserTreeTest, MergePolicyDispatchMatchesDirectCall) {
-  auto runs_policy = MakeRuns(Shape::kRandomTies, 12, /*seed=*/7);
-  auto runs_direct = runs_policy;
-  std::vector<Tagged> want;
-  LoserTreeMergeInto(&runs_direct, TimeLess{}, &want);
-  std::vector<Tagged> got;
-  MergeRunsInto(MergePolicy::kLoserTree, &runs_policy, TimeLess{}, &got);
-  EXPECT_EQ(got, want);
-}
-
-// Multi-pass stats: k runs above the cap need ceil-log_64 passes; every
-// element moves once per pass, and binary_merges counts tree passes.
-TEST(LoserTreeTest, MultiPassStatsAndPingPong) {
+// A fan-in far past one tree's leaf cap still merges in a single pass:
+// every element moves once, and the call counts as one merge step.
+TEST(LoserTreeTest, WideFanInRunsOnePass) {
   auto runs = MakeRuns(Shape::kRandomTies, 150, /*seed=*/3);
   size_t total = 0;
-  for (const auto& r : runs)
-    if (!r.empty()) total += r.size();
+  for (const auto& r : runs) total += r.size();
   std::vector<Tagged> out;
   MergeStats stats;
-  MergeBufferPool<Tagged> pool;
-  LoserTreeMergeInto(&runs, TimeLess{}, &out, &stats, &pool);
-  // 150 runs -> pass 1 leaves ceil(150/64)=3 runs -> pass 2 is final.
-  EXPECT_EQ(stats.binary_merges, 4u);  // 3 group merges + the final pass.
-  // Pass 1 moves the two full groups (<= total), the final pass moves
-  // everything: strictly fewer than the pairwise cascade's O(total log k).
-  EXPECT_GE(stats.elements_moved, total);
-  EXPECT_LE(stats.elements_moved, 2 * total);
+  CursorMerge(&runs, &out, &stats);
+  EXPECT_EQ(stats.binary_merges, 1u);
+  EXPECT_EQ(stats.elements_moved, total);
   EXPECT_EQ(out.size(), total);
-}
-
-// Satellite: the pool's accounting must bound the merge's actual buffer
-// peak, and every acquired buffer must come back — a leak here silently
-// inflates the server's per-shard memory numbers forever.
-TEST(LoserTreeTest, PoolAccountingBoundsPeakAndLeaksNothing) {
-  auto runs = MakeRuns(Shape::kRandomTies, 150, /*seed=*/11);
-  size_t group_bytes = 0;  // Bytes of the first pass's intermediates.
-  for (const auto& r : runs) group_bytes += r.size() * sizeof(Tagged);
-  std::vector<Tagged> out;
-  MergeBufferPool<Tagged> pool;
-  LoserTreeMergeInto(&runs, TimeLess{}, &out, nullptr, &pool);
-
-  // Everything acquired was released.
-  EXPECT_EQ(pool.OutstandingBytes(), 0u);
-  // During pass 1 the whole input (minus ragged-tail carries) lives in
-  // pool buffers at once; the high-water mark must have seen that. The
-  // 150-run shape has a 22-run tail group that IS merged via the pool, so
-  // the true peak is the full merged byte count.
-  EXPECT_GE(pool.PeakBytes(), group_bytes);
-  // And MemoryBytes (free + outstanding) never under-reports what the
-  // pool still caches.
-  EXPECT_GE(pool.MemoryBytes(), pool.OutstandingBytes());
-  EXPECT_LE(pool.MemoryBytes(), pool.PeakBytes());
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end(), TimeLess{}));
 }
 
 // Scratch reuse: a second merge through the same scratch must not grow it
@@ -230,11 +207,11 @@ TEST(LoserTreeTest, ScratchReportsBytesAndIsReusable) {
   auto runs = MakeRuns(Shape::kRandomTies, 32, /*seed=*/5);
   auto runs2 = runs;
   std::vector<Tagged> out;
-  LoserTreeMergeInto(&runs, TimeLess{}, &out, nullptr, nullptr, &scratch);
+  CursorMerge(&runs, &out, nullptr, &scratch);
   const size_t after_first = scratch.MemoryBytes();
   EXPECT_GT(after_first, 0u);
   std::vector<Tagged> out2;
-  LoserTreeMergeInto(&runs2, TimeLess{}, &out2, nullptr, nullptr, &scratch);
+  CursorMerge(&runs2, &out2, nullptr, &scratch);
   EXPECT_EQ(scratch.MemoryBytes(), after_first);
   EXPECT_EQ(out, out2);
 }
@@ -255,6 +232,37 @@ std::vector<std::vector<Tagged>> MakeLargeRuns(size_t k, uint64_t seed) {
     }
   }
   return runs;
+}
+
+// The pool's accounting must bound the merge's actual buffer peak, and
+// every buffer must come back — a leak here silently inflates the
+// server's per-shard memory numbers forever. At 150 runs the parallel
+// merge runs k-way leaves under binary merges whose interior buffers come
+// from the pool.
+TEST(LoserTreeTest, PoolAccountingBoundsPeakAndLeaksNothing) {
+  ThreadPool threads(4);
+  MergeBufferPool<Tagged> pool;
+  std::vector<std::vector<Tagged>> runs;
+  size_t input_bytes = 0;
+  for (const auto& r : MakeLargeRuns(150, /*seed=*/11)) {
+    std::vector<Tagged> head = pool.Acquire(r.size());
+    head.insert(head.end(), r.begin(), r.end());
+    input_bytes += head.capacity() * sizeof(Tagged);
+    runs.push_back(std::move(head));
+  }
+  std::vector<Tagged> out;
+  ASSERT_GT(ParallelMergeRunsInto(&runs, TimeLess{}, &out, nullptr, &pool,
+                                  &threads),
+            0u);  // The task DAG ran, not the sequential fallback.
+
+  // Everything acquired was released.
+  EXPECT_EQ(pool.OutstandingBytes(), 0u);
+  // The lent input runs alone reach this high-water mark.
+  EXPECT_GE(pool.PeakBytes(), input_bytes);
+  // And MemoryBytes (free + outstanding) never under-reports what the
+  // pool still caches.
+  EXPECT_GE(pool.MemoryBytes(), pool.OutstandingBytes());
+  EXPECT_LE(pool.MemoryBytes(), pool.PeakBytes());
 }
 
 // The parallel task-DAG merge with k-way leaf collapse must stay
@@ -343,73 +351,38 @@ TEST(HuffmanCursorMergeTest, ByteIdenticalToHuffmanCascade) {
 
 using LoserSorter = ImpatienceSorter<Timestamp, IdentityTimeOf>;
 
-ImpatienceConfig LoserTreeConfig() {
+// Budget 1, checked at every push: every run moves to disk, so every
+// multi-run punctuation merge streams through the cursor merge and its
+// loser-tree scratch.
+ImpatienceConfig ForcedSpillConfig() {
   ImpatienceConfig config;
-  config.merge_policy = MergePolicy::kLoserTree;
+  config.spill.use_env_default = false;
+  config.spill.memory_budget = 1;
+  config.spill.check_period = 1;
+  config.spill.min_spill_bytes = 0;
+  config.spill.block_bytes = 1024;
   return config;
 }
 
-// End-to-end: a kLoserTree sorter must emit exactly what a kHuffman sorter
-// emits under punctuation stress, and its counters must record the k-way
-// merges it ran.
-TEST(LoserTreeSorterTest, MatchesHuffmanSorterUnderPunctuationStress) {
-  for (uint64_t seed = 0; seed < 6; ++seed) {
-    LoserSorter tree_sorter(LoserTreeConfig());
-    LoserSorter huffman_sorter;  // Default config: kHuffman.
-    Rng rng(100 + seed);
-    Timestamp now = 0;
-    std::vector<Timestamp> tree_out;
-    std::vector<Timestamp> huffman_out;
-    for (int step = 0; step < 2000; ++step) {
-      const Timestamp t =
-          now + static_cast<Timestamp>(rng.NextBelow(64)) - 20;
-      tree_sorter.Push(t);
-      huffman_sorter.Push(t);
-      ++now;
-      if (rng.NextBelow(50) == 0) {
-        const Timestamp punct = now - 30;
-        tree_sorter.OnPunctuation(punct, &tree_out);
-        huffman_sorter.OnPunctuation(punct, &huffman_out);
-      }
-    }
-    tree_sorter.Flush(&tree_out);
-    huffman_sorter.Flush(&huffman_out);
-    ASSERT_EQ(tree_out, huffman_out) << "seed " << seed;
-
-    const ImpatienceCounters& counters = tree_sorter.counters();
-    EXPECT_EQ(huffman_sorter.counters().loser_tree_merges, 0u);
-    if (counters.loser_tree_merges > 0) {
-      // One fan-in sample per k-way merge.
-      EXPECT_EQ(counters.kway_fanin.count(), counters.loser_tree_merges);
-    }
-  }
-}
-
-// Satellite: the sorter's MemoryBytes must cover the ping-pong pool and
-// the loser-tree scratch — tracked bytes bound the merge path's actual
-// retained allocations (runs + pool cache + tree state).
+// The sorter's MemoryBytes must cover the merge pool and the loser-tree
+// scratch the cursor merges keep warm across punctuations.
 TEST(LoserTreeSorterTest, MemoryBytesCoversPoolAndScratch) {
-  LoserSorter sorter(LoserTreeConfig());
+  LoserSorter sorter(ForcedSpillConfig());
   Rng rng(77);
   Timestamp now = 0;
   std::vector<Timestamp> out;
-  uint64_t merges = 0;
   for (int step = 0; step < 5000; ++step) {
     sorter.Push(now + static_cast<Timestamp>(rng.NextBelow(200)));
     ++now;
-    if (step % 400 == 399) {
-      sorter.OnPunctuation(now - 150, &out);
-      merges = sorter.counters().loser_tree_merges;
-    }
+    if (step % 400 == 399) sorter.OnPunctuation(now - 150, &out);
   }
-  ASSERT_GT(merges, 0u);  // The stress actually hit the k-way path.
-  // Retained bytes the sorter must account for: at minimum the buffered
-  // elements it still holds.
-  EXPECT_GE(sorter.MemoryBytes(),
-            sorter.buffered_count() * sizeof(Timestamp));
+  // The stress actually hit the cursor path with several runs.
+  ASSERT_GT(sorter.counters().spill_merge_fanin.count(), 0u);
+  ASSERT_GT(sorter.counters().spill_merge_fanin.max(), 1u);
+  EXPECT_GT(sorter.MemoryBytes(), 0u);
   sorter.Flush(&out);
-  // After a flush the runs are gone but pool + scratch stay warm; the
-  // accounting must still see them rather than reporting zero.
+  // After a flush the runs are gone but the scratch stays warm; the
+  // accounting must still see it rather than reporting zero.
   EXPECT_GT(sorter.MemoryBytes(), 0u);
 }
 

@@ -1,15 +1,18 @@
-// Merge kernels: correctness of each policy plus the Huffman order's
-// optimality property (it never moves more elements than the balanced or
-// heap orders on skewed run-size distributions).
+// Merge kernels: every merge entry point against the merge contract, plus
+// the Huffman order's optimality property (it moves fewer elements than
+// the balanced order on skewed run-size distributions).
 
 #include "sort/merge.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 
 namespace impatience {
 namespace {
@@ -75,7 +78,57 @@ TEST(MergeTest, BinaryMergeEmptySides) {
   EXPECT_EQ(out, b);
 }
 
-class MergePolicyTest : public ::testing::TestWithParam<MergePolicy> {};
+// Every merge entry point the sorters and the spill tier use. LoserTree
+// is HuffmanCursorMergeInto over VectorRunCursors: the single
+// LoserTreePass the spilled merge and the parallel merge's k-way leaves
+// run. The two Parallel arms call ParallelMergeRunsInto on a 1-thread
+// pool (always the sequential cascade) and a 4-thread pool (the task DAG
+// once a run set passes the size gate).
+enum class EntryPoint {
+  kHuffman,
+  kBalanced,
+  kParallelOneThread,
+  kLoserTree,
+  kParallelFourThreads,
+};
+
+// Merges `runs` into `out` (appended) through `entry`, consuming the runs
+// as every RAM entry point does.
+template <typename T, typename Less>
+void MergeVia(EntryPoint entry, std::vector<std::vector<T>>* runs, Less less,
+              std::vector<T>* out) {
+  static ThreadPool one_thread(1);
+  static ThreadPool four_threads(4);
+  switch (entry) {
+    case EntryPoint::kHuffman:
+      HuffmanMergeInto(runs, less, out);
+      return;
+    case EntryPoint::kBalanced:
+      BalancedMergeInto(runs, less, out);
+      return;
+    case EntryPoint::kLoserTree: {
+      std::vector<VectorRunCursor<T>> owned;
+      owned.reserve(runs->size());
+      std::vector<RunCursor<T>*> cursors;
+      for (const std::vector<T>& r : *runs) {
+        owned.emplace_back(r.data(), r.data() + r.size());
+        cursors.push_back(&owned.back());
+      }
+      HuffmanCursorMergeInto(&cursors, less, out);
+      runs->clear();
+      return;
+    }
+    case EntryPoint::kParallelOneThread:
+      ParallelMergeRunsInto(runs, less, out, nullptr, nullptr, &one_thread);
+      return;
+    case EntryPoint::kParallelFourThreads:
+      ParallelMergeRunsInto(runs, less, out, nullptr, nullptr,
+                            &four_threads);
+      return;
+  }
+}
+
+class MergePolicyTest : public ::testing::TestWithParam<EntryPoint> {};
 
 TEST_P(MergePolicyTest, MergesManyRunsCorrectly) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
@@ -87,7 +140,7 @@ TEST_P(MergePolicyTest, MergesManyRunsCorrectly) {
     const std::vector<int> want = FlattenSorted(runs);
 
     std::vector<int> out;
-    MergeRunsInto(GetParam(), &runs, IntLess(), &out);
+    MergeVia(GetParam(), &runs, IntLess(), &out);
     EXPECT_EQ(out, want) << "seed " << seed;
     EXPECT_TRUE(runs.empty());  // Consumed.
   }
@@ -96,43 +149,133 @@ TEST_P(MergePolicyTest, MergesManyRunsCorrectly) {
 TEST_P(MergePolicyTest, HandlesEmptyAndSingleRun) {
   std::vector<std::vector<int>> runs;
   std::vector<int> out;
-  MergeRunsInto(GetParam(), &runs, IntLess(), &out);
+  MergeVia(GetParam(), &runs, IntLess(), &out);
   EXPECT_TRUE(out.empty());
 
   runs = {{1, 2, 3}};
-  MergeRunsInto(GetParam(), &runs, IntLess(), &out);
+  MergeVia(GetParam(), &runs, IntLess(), &out);
   EXPECT_EQ(out, std::vector<int>({1, 2, 3}));
 }
 
 TEST_P(MergePolicyTest, SkipsEmptyRuns) {
   std::vector<std::vector<int>> runs = {{}, {5}, {}, {1, 9}, {}};
   std::vector<int> out;
-  MergeRunsInto(GetParam(), &runs, IntLess(), &out);
+  MergeVia(GetParam(), &runs, IntLess(), &out);
   EXPECT_EQ(out, std::vector<int>({1, 5, 9}));
 }
 
 TEST_P(MergePolicyTest, AppendsAfterExistingOutput) {
   std::vector<std::vector<int>> runs = {{3, 4}, {1, 2}};
   std::vector<int> out = {-1, 0};
-  MergeRunsInto(GetParam(), &runs, IntLess(), &out);
+  MergeVia(GetParam(), &runs, IntLess(), &out);
   EXPECT_EQ(out, std::vector<int>({-1, 0, 1, 2, 3, 4}));
 }
 
+// Timestamp plus the element's position in the flattened input (run 0
+// first). The comparator sees `time` only, so the tag shows where each
+// element came from and in what order ties left the merge.
+struct Tagged {
+  int64_t time;
+  uint32_t tag;
+};
+
+struct TimeLess {
+  bool operator()(const Tagged& a, const Tagged& b) const {
+    return a.time < b.time;
+  }
+};
+
+// One run set of `k` runs totalling about 1.5 MiB, above the parallel
+// merge's size gate. `time_step` bounds the per-element time increment:
+// 0 makes every element a tie, small steps give heavy cross-run ties.
+// `skewed` makes run 0 hold half the elements.
+std::vector<std::vector<Tagged>> MakeTaggedRuns(size_t k, int64_t time_step,
+                                                bool skewed, uint64_t seed) {
+  Rng rng(seed);
+  const size_t total = 3 * kParallelMergeMinBytes / 2 / sizeof(Tagged);
+  std::vector<std::vector<Tagged>> runs(k);
+  uint32_t tag = 0;
+  for (size_t r = 0; r < k; ++r) {
+    const size_t len =
+        skewed ? (r == 0 ? total / 2 : total / 2 / (k - 1))
+               : total / k / 2 + rng.NextBelow(total / k);
+    int64_t t = static_cast<int64_t>(rng.NextBelow(16));
+    for (size_t j = 0; j < len; ++j) {
+      if (time_step > 0) {
+        t += static_cast<int64_t>(
+            rng.NextBelow(static_cast<uint64_t>(time_step) + 1));
+      }
+      runs[r].push_back(Tagged{t, tag++});
+    }
+  }
+  return runs;
+}
+
+// The merge contract, checked against the input rather than against
+// another executor: the output is sorted by time, holds exactly the input
+// elements, and keeps every run's elements in their original relative
+// order.
+void ExpectMergeSpec(const std::vector<std::vector<Tagged>>& input,
+                     const std::vector<Tagged>& out) {
+  std::vector<uint32_t> run_of;  // Indexed by tag.
+  for (size_t r = 0; r < input.size(); ++r) {
+    run_of.insert(run_of.end(), input[r].size(), static_cast<uint32_t>(r));
+  }
+  ASSERT_EQ(out.size(), run_of.size());
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end(), TimeLess{}));
+  std::vector<bool> seen(run_of.size(), false);
+  std::vector<int64_t> last_tag(input.size(), -1);
+  for (const Tagged& e : out) {
+    ASSERT_LT(e.tag, seen.size());
+    ASSERT_FALSE(seen[e.tag]) << "tag " << e.tag << " emitted twice";
+    seen[e.tag] = true;
+    const uint32_t r = run_of[e.tag];
+    // Tags rise along each input run, so they must rise along the run's
+    // elements in the output too.
+    ASSERT_GT(static_cast<int64_t>(e.tag), last_tag[r]) << "run " << r;
+    last_tag[r] = e.tag;
+  }
+}
+
+TEST_P(MergePolicyTest, MatchesSpecAboveParallelGate) {
+  struct Case {
+    size_t k;
+    int64_t time_step;
+    bool skewed;
+  };
+  // Fan-ins below, at and above one loser tree's cap, with and without
+  // ties, plus one huge run among small ones.
+  const Case kCases[] = {{3, 2, false},  {9, 2, false},   {40, 0, false},
+                         {64, 4, false}, {130, 2, false}, {17, 2, true}};
+  for (const Case& c : kCases) {
+    const auto input = MakeTaggedRuns(c.k, c.time_step, c.skewed, 70 + c.k);
+    auto runs = input;
+    std::vector<Tagged> out;
+    MergeVia(GetParam(), &runs, TimeLess{}, &out);
+    SCOPED_TRACE("k=" + std::to_string(c.k));
+    ExpectMergeSpec(input, out);
+    EXPECT_TRUE(runs.empty());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, MergePolicyTest,
-                         ::testing::Values(MergePolicy::kHuffman,
-                                           MergePolicy::kBalanced,
-                                           MergePolicy::kHeap,
-                                           MergePolicy::kLoserTree),
+                         ::testing::Values(EntryPoint::kHuffman,
+                                           EntryPoint::kBalanced,
+                                           EntryPoint::kParallelOneThread,
+                                           EntryPoint::kLoserTree,
+                                           EntryPoint::kParallelFourThreads),
                          [](const auto& info) {
                            switch (info.param) {
-                             case MergePolicy::kHuffman:
+                             case EntryPoint::kHuffman:
                                return "Huffman";
-                             case MergePolicy::kBalanced:
+                             case EntryPoint::kBalanced:
                                return "Balanced";
-                             case MergePolicy::kHeap:
-                               return "Heap";
-                             case MergePolicy::kLoserTree:
+                             case EntryPoint::kLoserTree:
                                return "LoserTree";
+                             case EntryPoint::kParallelOneThread:
+                               return "ParallelOneThread";
+                             case EntryPoint::kParallelFourThreads:
+                               return "ParallelFourThreads";
                            }
                            return "?";
                          });

@@ -135,14 +135,15 @@ TEST(OfflineSortEventsTest, PatienceSortVectorParallelScatterDeterministic) {
 
   ThreadPool serial(1);
   std::vector<Event> sequential = input;
-  PatienceSortVector(&sequential, MergePolicy::kBalanced,
+  PatienceSortVector(&sequential, /*huffman_merge=*/false,
                      /*speculative_run_selection=*/false, &serial);
 
   for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
     ThreadPool pool(threads);
     for (const bool speculative : {false, true}) {
       std::vector<Event> got = input;
-      PatienceSortVector(&got, MergePolicy::kBalanced, speculative, &pool);
+      PatienceSortVector(&got, /*huffman_merge=*/false, speculative,
+                         &pool);
       ASSERT_EQ(got.size(), want.size());
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(got[i].sync_time, want[i].sync_time)

@@ -62,6 +62,10 @@
 # (or an ordered subsequence plus exact drop accounting where the stall
 # sheds chunks) under each sanitizer.
 #
+# A ninth pass repeats the flusher-backpressure determinism test 50x, so
+# a version whose backpressure assertion depends on thread timing fails
+# here instead of once in a hundred runs.
+#
 # Benches/examples/tools are skipped: they share the same code, and
 # building them under the sanitizers roughly doubles the wall clock for no
 # extra coverage.
@@ -115,10 +119,16 @@ run_pass() {
         ctest --output-on-failure -j "$(nproc)" -L server \
         -R "ResultStream|TelemetryStream|SubscriptionHub")
   done
+  (cd "$build_dir" && \
+    env IMPATIENCE_THREADS=8 $env_opts \
+      ctest --output-on-failure \
+      -R "SpillDeterminismTest.ByteIdenticalUnderFlusherBackpressure" \
+      --repeat until-fail:50)
   echo "$name tier-1 (native + scalar + avx2 kernels + tracing on" \
     "+ 8-seed server fault sweep + forced-spill 64k budget, sync + async" \
     "flusher pool + 3x live-telemetry server repeat + 3-seed live result," \
-    "telemetry and subscription-hub subscriber sweep): OK"
+    "telemetry and subscription-hub subscriber sweep + 50x flusher" \
+    "backpressure repeat): OK"
 }
 
 tsan_pass() {

@@ -1,21 +1,20 @@
 // Spill tier: external-memory acceptance arm. One synthetic online
 // session runs pure in-RAM, then repeatedly under a memory budget set to
-// 1/8 of the RAM arm's peak residency: kPairs pairs of a synchronous-write
-// arm and a write-behind flusher-pool arm, alternating which of the two
-// runs first so neither always inherits a warm page cache or a cooled
-// CPU. Every output is compared byte for byte with the RAM arm's. The
-// spilled arms must (a) stay byte-identical, (b) move more than 8x the
-// budget through the disk tier, and (c) keep their peak resident
-// footprint near the budget while the RAM arm peaks at the full
-// buffered-window size. The JSON stamp records the budget, the peaks, the
-// spill counters, each arm's median throughput and punct-to-emit p99 over
-// the pairs, how many pairs the async arm won, and its flusher/read-ahead
-// stats, so the sync-vs-async trajectory is visible release over release.
+// 1/8 of the RAM arm's peak residency: kPairs pairs of an inline-flusher
+// arm (blocks written on the sorter thread) and a write-behind
+// flusher-pool arm, alternating which of the two runs first so neither
+// always inherits a warm page cache or a cooled CPU. Every output is
+// compared byte for byte with the RAM arm's. The spilled arms must (a)
+// stay byte-identical, (b) move more than 8x the budget through the disk
+// tier, and (c) keep their peak resident footprint near the budget while
+// the RAM arm peaks at the full buffered-window size. The JSON stamp
+// records the budget, the peaks, the spill counters, each arm's median
+// throughput and punct-to-emit p99 over the pairs, how many pairs the
+// async arm won, and its flusher/read-ahead stats, so the inline-vs-async
+// trajectory is visible release over release.
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "bench/harness.h"
@@ -28,7 +27,7 @@ namespace {
 
 constexpr size_t kPunctFreq = 100000;   // Events between punctuations.
 constexpr Timestamp kReorderLatency = 600;
-constexpr size_t kPairs = 6;            // Sync/async arm pairs.
+constexpr size_t kPairs = 6;            // Inline/async arm pairs.
 constexpr size_t kFlusherThreads = 2;
 
 struct SessionResult {
@@ -77,8 +76,7 @@ SessionResult RunSession(const std::vector<Event>& events,
 }
 
 // One spilled arm: its session's stats, whether its output matched the
-// RAM arm's (the output itself is dropped), and, for the async arm, the
-// flusher pool's counters.
+// RAM arm's (the output itself is dropped), and its flusher's counters.
 struct SpilledArm {
   SessionResult session;
   bool identical = false;
@@ -89,20 +87,18 @@ SpilledArm RunSpilledArm(const std::vector<Event>& events,
                          ImpatienceConfig config, bool async,
                          const std::vector<Event>& want) {
   // Async: sealed blocks go to a write-behind pool and the merge cursors
-  // prefetch through it. The flusher outlives the session (runs hold
-  // channels into it).
-  std::optional<storage::SpillFlusher> flusher;
-  if (async) {
-    storage::SpillFlusher::Options options;
-    options.threads = kFlusherThreads;
-    flusher.emplace(options);
-    config.spill.flusher = &*flusher;
-  }
+  // prefetch through it. Inline: the sorter thread writes each block as
+  // it seals. The flusher outlives the session (runs hold channels into
+  // it).
+  storage::SpillFlusher::Options options;
+  options.threads = async ? kFlusherThreads : 0;
+  storage::SpillFlusher flusher(options);
+  config.spill.flusher = &flusher;
   SpilledArm arm;
   arm.session = RunSession(events, config);
   arm.identical = arm.session.out == want;
   std::vector<Event>().swap(arm.session.out);
-  if (flusher) arm.flusher = flusher->stats();
+  arm.flusher = flusher.stats();
   return arm;
 }
 
@@ -116,7 +112,8 @@ void Run() {
   const size_t n = EventCount();
   const std::vector<Event> events = BenchSynthetic(n, 30, 64).events;
 
-  Section("Spill tier: in-RAM reference vs budget = peak/8, sync vs async");
+  Section(
+      "Spill tier: in-RAM reference vs budget = peak/8, inline vs async");
 
   ImpatienceConfig ram_config;
   ram_config.spill.use_env_default = false;  // The in-RAM reference arm.
@@ -127,35 +124,36 @@ void Run() {
   spill_config.spill.memory_budget = budget;
   spill_config.spill.check_period = 64;
 
-  // Alternating pairs: even pairs run sync first, odd pairs async first.
-  // The first run of each arm supplies the spill counters reported below.
-  std::vector<SpilledArm> syncs;
+  // Alternating pairs: even pairs run inline first, odd pairs async
+  // first. The first run of each arm supplies the spill counters reported
+  // below.
+  std::vector<SpilledArm> inlines;
   std::vector<SpilledArm> asyncs;
   for (size_t pair = 0; pair < kPairs; ++pair) {
     for (const bool async : {pair % 2 == 1, pair % 2 == 0}) {
-      (async ? asyncs : syncs)
+      (async ? asyncs : inlines)
           .push_back(RunSpilledArm(events, spill_config, async, ram.out));
     }
   }
   bool identical = true;
   bool async_identical = true;
   size_t async_wins = 0;
-  std::vector<double> sync_meps;
+  std::vector<double> inline_meps;
   std::vector<double> async_meps;
-  std::vector<uint64_t> sync_p99;
+  std::vector<uint64_t> inline_p99;
   std::vector<uint64_t> async_p99;
   for (size_t pair = 0; pair < kPairs; ++pair) {
-    const SessionResult& s = syncs[pair].session;
+    const SessionResult& s = inlines[pair].session;
     const SessionResult& a = asyncs[pair].session;
-    identical &= syncs[pair].identical;
+    identical &= inlines[pair].identical;
     async_identical &= asyncs[pair].identical;
     if (a.throughput_meps > s.throughput_meps) ++async_wins;
-    sync_meps.push_back(s.throughput_meps);
+    inline_meps.push_back(s.throughput_meps);
     async_meps.push_back(a.throughput_meps);
-    sync_p99.push_back(s.counters.punct_to_emit.P99());
+    inline_p99.push_back(s.counters.punct_to_emit.P99());
     async_p99.push_back(a.counters.punct_to_emit.P99());
   }
-  const SessionResult& spilled = syncs[0].session;
+  const SessionResult& inline_arm = inlines[0].session;
   const SessionResult& async_arm = asyncs[0].session;
   const storage::SpillFlusher::Stats& flusher_stats = asyncs[0].flusher;
 
@@ -165,7 +163,7 @@ void Run() {
   const double session_over_budget =
       static_cast<double>(session_bytes) / static_cast<double>(budget);
   const double written_over_budget =
-      static_cast<double>(spilled.counters.spill_bytes_written) /
+      static_cast<double>(inline_arm.counters.spill_bytes_written) /
       static_cast<double>(budget);
 
   TablePrinter table({"arm", "median_meps", "peak_bytes", "runs_spilled",
@@ -175,11 +173,11 @@ void Run() {
                   TablePrinter::Int(ram.peak_bytes), "0", "0",
                   TablePrinter::Int(ram.counters.punct_to_emit.P99() / 1000),
                   "-"});
-  table.PrintRow({"sync", TablePrinter::Num(Median(sync_meps)),
-                  TablePrinter::Int(spilled.peak_bytes),
-                  TablePrinter::Int(spilled.counters.runs_spilled),
-                  TablePrinter::Int(spilled.counters.spill_bytes_written),
-                  TablePrinter::Int(Median(sync_p99) / 1000),
+  table.PrintRow({"inline", TablePrinter::Num(Median(inline_meps)),
+                  TablePrinter::Int(inline_arm.peak_bytes),
+                  TablePrinter::Int(inline_arm.counters.runs_spilled),
+                  TablePrinter::Int(inline_arm.counters.spill_bytes_written),
+                  TablePrinter::Int(Median(inline_p99) / 1000),
                   identical ? "yes" : "NO"});
   table.PrintRow({"async", TablePrinter::Num(Median(async_meps)),
                   TablePrinter::Int(async_arm.peak_bytes),
@@ -200,7 +198,7 @@ void Run() {
       static_cast<unsigned long long>(async_arm.counters.readahead_misses),
       static_cast<unsigned long long>(flusher_stats.backpressure_waits));
   IMPATIENCE_CHECK_MSG(identical,
-                       "spilled output diverged from the in-RAM arm");
+                       "inline-flushed output diverged from the in-RAM arm");
   IMPATIENCE_CHECK_MSG(async_identical,
                        "async-flushed output diverged from the in-RAM arm");
   IMPATIENCE_CHECK_MSG(session_over_budget > 8.0,
@@ -216,7 +214,7 @@ void Run() {
       "  \"pairs\": %zu, \"async_wins\": %zu,\n"
       "  \"ram\": {\"throughput_meps\": %.4f, \"peak_bytes\": %zu,\n"
       "    \"punct_to_emit_p99_ns\": %llu},\n"
-      "  \"spilled\": {\"throughput_meps\": %.4f, \"peak_bytes\": %zu,\n"
+      "  \"inline\": {\"throughput_meps\": %.4f, \"peak_bytes\": %zu,\n"
       "    \"runs_spilled\": %llu, \"spill_bytes_written\": %llu,\n"
       "    \"spill_read_bytes\": %llu, \"spill_merge_fanin_count\": %llu,\n"
       "    \"punct_to_emit_p99_ns\": %llu,\n"
@@ -232,14 +230,14 @@ void Run() {
       identical ? "true" : "false", kPairs, async_wins,
       ram.throughput_meps, ram.peak_bytes,
       static_cast<unsigned long long>(ram.counters.punct_to_emit.P99()),
-      Median(sync_meps), spilled.peak_bytes,
-      static_cast<unsigned long long>(spilled.counters.runs_spilled),
+      Median(inline_meps), inline_arm.peak_bytes,
+      static_cast<unsigned long long>(inline_arm.counters.runs_spilled),
       static_cast<unsigned long long>(
-          spilled.counters.spill_bytes_written),
-      static_cast<unsigned long long>(spilled.counters.spill_read_bytes),
+          inline_arm.counters.spill_bytes_written),
+      static_cast<unsigned long long>(inline_arm.counters.spill_read_bytes),
       static_cast<unsigned long long>(
-          spilled.counters.spill_merge_fanin.count()),
-      static_cast<unsigned long long>(Median(sync_p99)),
+          inline_arm.counters.spill_merge_fanin.count()),
+      static_cast<unsigned long long>(Median(inline_p99)),
       written_over_budget, Median(async_meps), async_arm.peak_bytes,
       async_identical ? "true" : "false", kFlusherThreads,
       static_cast<unsigned long long>(async_arm.counters.runs_spilled),

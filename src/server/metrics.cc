@@ -230,7 +230,7 @@ constexpr MetricDef kMetrics[] = {
            "Bytes read back from spilled run files."),
     Metric("impatience_shard_sorter_async_flushes", kCounter,
            V(shard->sorter.async_flushes),
-           "Sealed blocks handed to the write-behind flusher pool."),
+           "Sealed blocks handed to the spill flusher (inline or pool)."),
     Metric("impatience_shard_sorter_readahead_hits", kCounter,
            V(shard->sorter.readahead_hits),
            "Merge-cursor block prefetches that were ready in time."),

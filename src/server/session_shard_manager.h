@@ -90,8 +90,9 @@ struct ShardManagerOptions {
   size_t memory_budget = 0;
   // Write-behind spill pipeline: >0 starts a SpillFlusher pool with this
   // many threads; sealed spill blocks are written (and merge read-ahead
-  // served) off the shard threads. 0 keeps spill writes synchronous
-  // (unless $IMPATIENCE_SPILL_FLUSHER_THREADS supplies a process pool).
+  // served) off the shard threads. 0 leaves the sorters on the default
+  // flusher: the $IMPATIENCE_SPILL_FLUSHER_THREADS pool if set, else the
+  // inline flusher, which writes each block on its shard thread.
   size_t spill_flusher_threads = 0;
   // Cap on bytes queued in the flusher pool before enqueues block (the
   // backpressure that keeps a slow disk from buffering unbounded RAM).
@@ -183,9 +184,10 @@ class SessionShardManager {
   ResultFn on_result_;
   SessionFlushFn on_session_flush_;
   ShardProgressFn on_shard_progress_;
-  // Write-behind pool and spill governor. Declared before shards_ so they
-  // outlive the shards: sorters hold flusher channels and governor client
-  // registrations until their pipelines are destroyed.
+  // Write-behind pool (nullptr at 0 threads) and spill governor. Declared
+  // before shards_ so they outlive the shards: sorters hold flusher
+  // channels and governor client registrations until their pipelines are
+  // destroyed.
   std::unique_ptr<storage::SpillFlusher> flusher_;
   std::unique_ptr<storage::SpillGovernor> governor_;
   std::vector<std::unique_ptr<Shard>> shards_;

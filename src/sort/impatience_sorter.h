@@ -92,10 +92,10 @@ struct ImpatienceCounters {
   uint64_t runs_spilled = 0;
   uint64_t spill_bytes_written = 0;
   uint64_t spill_read_bytes = 0;
-  // Write-behind pipeline: blocks handed to the flusher pool instead of
-  // being written on the sorter thread; merge-cursor prefetches that were
-  // ready in time vs blocks loaded synchronously; idle-deadline tail
-  // flushes and run-file compactions driven by the spill governor.
+  // Flusher pipeline: blocks handed to the flusher (inline or pool);
+  // merge-cursor prefetches that were ready in time vs blocks the merge
+  // read from disk itself; idle-deadline tail flushes and run-file
+  // compactions driven by the spill governor.
   uint64_t async_flushes = 0;
   uint64_t readahead_hits = 0;
   uint64_t readahead_misses = 0;
@@ -177,10 +177,9 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
         governor_client_ =
             config_.spill.governor->Register(config_.spill.governor_wakeup);
       }
-      flusher_ = config_.spill.flusher;
-      if (flusher_ == nullptr && config_.spill.use_env_default) {
-        flusher_ = storage::FlusherFromEnv();
-      }
+      flusher_ = config_.spill.flusher != nullptr
+                     ? config_.spill.flusher
+                     : storage::DefaultFlusher(config_.spill.use_env_default);
       spill_block_records_ =
           std::max<size_t>(1, config_.spill.block_bytes / sizeof(T));
     }
@@ -382,9 +381,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
         MaybeCompactDisk();
       }
       PublishToGovernor();
-      if (flusher_ != nullptr) {
-        counters_.flush_queue_bytes = flusher_->inflight_bytes();
-      }
+      counters_.flush_queue_bytes = flusher_->inflight_bytes();
     }
 
     const uint64_t now_ns = Clock::Nanos();
@@ -473,9 +470,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
         did |= MaybeCompactDisk();
       }
       PublishToGovernor();
-      if (flusher_ != nullptr) {
-        counters_.flush_queue_bytes = flusher_->inflight_bytes();
-      }
+      counters_.flush_queue_bytes = flusher_->inflight_bytes();
       return did;
     }
   }
@@ -514,13 +509,14 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
         } else {
           run.last_append = ++append_seq_;
         }
-        if (run.spilled != nullptr) {
-          counters_.spill_bytes_written +=
-              run.spilled->Append(item, time_of_);
-          tails_[r] = t;
-          last_run_ = r;
-          return;
-        }
+      }
+      // Not under the budget check: a store failure zeroes the budget,
+      // and runs spilled before it still take their appends on disk.
+      if (run.spilled != nullptr) {
+        counters_.spill_bytes_written += run.spilled->Append(item, time_of_);
+        tails_[r] = t;
+        last_run_ = r;
+        return;
       }
     }
     run.items.push_back(item);
@@ -806,8 +802,9 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   size_t spill_tick_ = 0;
   uint64_t append_seq_ = 0;
   std::unique_ptr<storage::RunStore> owned_store_;
-  // Write-behind pool (config, else $IMPATIENCE_SPILL_FLUSHER_THREADS) and
-  // this sorter's governor mailbox; both nullptr on the synchronous path.
+  // The flusher that writes spilled blocks (config, else
+  // storage::DefaultFlusher; never null for trivially-copyable T) and this
+  // sorter's governor mailbox (nullptr when ungoverned).
   storage::SpillFlusher* flusher_ = nullptr;
   storage::SpillGovernor::Client* governor_client_ = nullptr;
 

@@ -44,23 +44,30 @@ void SetError(std::string* error, const std::string& what) {
 
 // A dead gate swallows the bytes; a gate whose budget is crossed applies a
 // prefix and then goes dead — that is the torn write the recovery scan
-// must detect. The budget is consumed with a CAS loop so concurrent
-// writers (flusher threads plus the manifest writer) debit it exactly:
-// at most one write crosses the boundary and is applied partially.
+// must detect. In error mode the same prefix lands and the write reports
+// failure, as does every later one. The budget is consumed with a CAS
+// loop so concurrent writers (flusher threads plus the manifest writer)
+// debit it exactly: at most one write crosses the boundary and is applied
+// partially.
 bool FaultedWrite(int fd, const uint8_t* data, size_t n, WriteFault* fault) {
+  bool fail = false;  // Error mode and this write crosses the budget.
   if (fault != nullptr) {
-    if (fault->dead.load(std::memory_order_relaxed)) return true;
+    const bool error = fault->error.load(std::memory_order_relaxed);
+    if (fault->dead.load(std::memory_order_relaxed)) return !error;
     int64_t budget = fault->budget.load(std::memory_order_relaxed);
     while (budget >= 0) {
       const size_t allowed = std::min<size_t>(n, static_cast<size_t>(budget));
       if (fault->budget.compare_exchange_weak(
               budget, budget - static_cast<int64_t>(allowed),
               std::memory_order_relaxed, std::memory_order_relaxed)) {
-        if (allowed < n) fault->dead.store(true, std::memory_order_relaxed);
+        if (allowed < n) {
+          fault->dead.store(true, std::memory_order_relaxed);
+          fail = error;
+        }
         n = allowed;
         break;
       }
-      if (fault->dead.load(std::memory_order_relaxed)) return true;
+      if (fault->dead.load(std::memory_order_relaxed)) return !error;
     }
   }
   while (n > 0) {
@@ -72,7 +79,7 @@ bool FaultedWrite(int fd, const uint8_t* data, size_t n, WriteFault* fault) {
     data += w;
     n -= static_cast<size_t>(w);
   }
-  return true;
+  return !fail;
 }
 
 namespace {

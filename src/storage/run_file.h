@@ -31,7 +31,8 @@
 // and truncates at the first invalid byte — the longest intact prefix of
 // blocks is exactly the durable content. WriteFault injects scripted
 // mid-write kills for the fault-harness tests (writes stop reaching the
-// file after a seeded byte budget, simulating process death).
+// file after a seeded byte budget, simulating process death) and scripted
+// write errors (a full or failing device).
 
 #ifndef IMPATIENCE_STORAGE_RUN_FILE_H_
 #define IMPATIENCE_STORAGE_RUN_FILE_H_
@@ -60,16 +61,29 @@ inline constexpr size_t kMaxBlockPayloadBytes = 8u << 20;
 // gate goes dead — the write that crosses the boundary is applied only
 // partially (a torn block) and every later write (and fsync) silently
 // vanishes, exactly as if the process had been killed at that byte.
+// ArmError scripts a write error instead: the crossing write applies its
+// prefix and then fails, as does every later write — what a process sees
+// when its spill device fills up (EFBIG/ENOSPC after a short write).
 // budget < 0 disables the fault (the default).
 struct WriteFault {
   std::atomic<int64_t> budget{-1};
   std::atomic<bool> dead{false};
+  std::atomic<bool> error{false};  // Past the budget: fail, don't vanish.
 
   void Arm(int64_t bytes) {
     budget.store(bytes, std::memory_order_relaxed);
     dead.store(false, std::memory_order_relaxed);
+    error.store(false, std::memory_order_relaxed);
   }
-  bool is_dead() const { return dead.load(std::memory_order_relaxed); }
+  void ArmError(int64_t bytes) {
+    Arm(bytes);
+    error.store(true, std::memory_order_relaxed);
+  }
+  // True once a kill fired: later writes and fsyncs silently vanish.
+  bool is_dead() const {
+    return dead.load(std::memory_order_relaxed) &&
+           !error.load(std::memory_order_relaxed);
+  }
 };
 
 // Appends CRC-framed blocks to one run file. Not thread-safe; one writer
@@ -117,8 +131,8 @@ class RunFileWriter {
 
 // Writes `n` bytes at the fd's current position through the fault gate
 // (scripted crash injection; see WriteFault). Returns false only on a real
-// I/O error. Shared by run files and the manifest so one armed fault cuts
-// the whole store's write stream at a single byte position.
+// or scripted I/O error. Shared by run files and the manifest so one armed
+// fault cuts the whole store's write stream at a single byte position.
 bool FaultedWrite(int fd, const uint8_t* data, size_t n, WriteFault* fault);
 
 enum class BlockReadStatus : uint8_t {

@@ -8,14 +8,15 @@
 // 32-byte index entry per on-disk block, and one block-sized load buffer —
 // everything else lives in the RunStore's files.
 //
-// Write-behind: with a SpillFlusher wired in, sealed blocks are handed to
-// the flusher pool through a per-run FIFO channel instead of being written
-// inline on the sorter thread. A sealed block's payload stays in RAM (and
-// in the memory accounting) until its write completes; until then every
-// read path — the punctuation cut, the merge cursor — serves it from the
-// in-flight copy, so the merge output is byte-identical whether a block
-// is on disk, in flight, or pending. Without a flusher the run behaves
-// exactly as the synchronous PR-7 tier.
+// One write path: every sealed block is handed to a SpillFlusher through a
+// per-run FIFO channel. An inline flusher (0 threads) writes it before the
+// seal returns; a pool writes it behind the sorter thread. A sealed
+// block's payload stays in RAM (and in the memory accounting) until its
+// write is confirmed; until then every read path — the punctuation cut,
+// the merge cursor — serves it from the in-flight copy, so the merge
+// output is byte-identical whether a block is on disk, in flight, or
+// pending. A failed write poisons the channel: that block and every later
+// one stay pinned in RAM for the run's life, never lost.
 //
 // SpillSettings carries the policy knobs (budget, victim choice cadence,
 // block size, flusher/governor wiring) into ImpatienceConfig; the victim
@@ -106,11 +107,11 @@ struct SpillSettings {
   // every punctuation, making ingest durable at punctuation granularity.
   // Off by default: pure spill needs no durability.
   bool sync_on_punctuation = false;
-  // Write-behind flusher pool. Sealed blocks are enqueued to it and
-  // written off the sorter thread; merge cursors prefetch through it.
-  // nullptr keeps the synchronous path — unless use_env_default is set
-  // and $IMPATIENCE_SPILL_FLUSHER_THREADS supplies a process-wide pool
-  // (the forced-async CI pass).
+  // Flusher that writes sealed blocks. A pool writes them off the sorter
+  // thread and merge cursors prefetch through it. nullptr uses
+  // storage::DefaultFlusher: the $IMPATIENCE_SPILL_FLUSHER_THREADS pool
+  // when use_env_default is set and the variable is (the forced-async CI
+  // pass), else the process-wide inline flusher.
   SpillFlusher* flusher = nullptr;
   // Shared-budget spill governor (storage/spill_governor.h). When set,
   // the sorter registers as a client and victim selection moves from
@@ -137,16 +138,17 @@ template <typename T>
 class SpilledRun {
  public:
   // Creates the backing run file. Returns nullptr on I/O failure (the
-  // caller keeps the run in RAM). With a flusher, block writes go through
-  // a per-run channel; otherwise they run inline. `async_flushes` (may be
-  // nullptr) counts blocks handed to the pool.
+  // caller keeps the run in RAM). Block writes go through a per-run
+  // channel of `flusher` (required). `async_flushes` (may be nullptr)
+  // counts blocks handed to it.
   static std::unique_ptr<SpilledRun<T>> Create(RunStore* store,
                                                size_t block_records,
-                                               SpillFlusher* flusher = nullptr,
+                                               SpillFlusher* flusher,
                                                uint64_t* async_flushes = nullptr,
                                                std::string* error = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "spilled elements are raw-copied to disk");
+    IMPATIENCE_CHECK(flusher != nullptr);
     uint64_t id = 0;
     std::unique_ptr<RunFileWriter> writer =
         store->BeginRun(sizeof(T), &id, error);
@@ -198,7 +200,6 @@ class SpilledRun {
   template <typename TimeOf>
   uint64_t FlushPending(TimeOf time_of, bool sync) {
     uint64_t flushed = 0;
-    Harvest();
     if (!pending_.empty()) {
       BlockRef ref;
       ref.offset = next_offset_;
@@ -206,8 +207,7 @@ class SpilledRun {
       ref.count = static_cast<uint32_t>(pending_.size());
       ref.first_time = time_of(pending_.front());
       ref.last_time = time_of(pending_.back());
-      flushed += channel_ == nullptr ? FlushPendingSync(ref)
-                                     : SealPendingAsync(ref);
+      flushed += SealPending(ref);
     }
     if (sync) {
       WaitWritesDone();
@@ -220,10 +220,8 @@ class SpilledRun {
   }
 
   // Blocks until every block handed to the flusher has been written (or
-  // skipped after an I/O failure) and reclaims their RAM copies. No-op on
-  // the synchronous path.
+  // skipped after an I/O failure) and reclaims their RAM copies.
   void WaitWritesDone() {
-    if (channel_ == nullptr) return;
     channel_->Wait();
     Harvest();
   }
@@ -304,10 +302,11 @@ class SpilledRun {
 
   // Streaming cursor over live elements [begin, end) (absolute indices).
   // The SpilledRun must outlive the cursor and not be appended to while
-  // the cursor is live. With a flusher, the cursor prefetches each next
-  // block through the pool while the merge consumes the current one;
-  // ra_hits/ra_misses (may be nullptr) count prefetches that were ready
-  // in time vs blocks loaded synchronously.
+  // the cursor is live. Chunks are served from the run's load buffer.
+  // When the flusher has threads, the cursor prefetches each next block
+  // through it while the merge consumes the current one; ra_hits and
+  // ra_misses (may be nullptr) count prefetches that were ready in time
+  // vs blocks read from disk on the merge thread.
   std::unique_ptr<RunCursor<T>> MakeCursor(size_t begin, size_t end,
                                            uint64_t* read_bytes,
                                            uint64_t* ra_hits = nullptr,
@@ -317,7 +316,7 @@ class SpilledRun {
   }
 
   // RAM held by this spilled run: pending appends, sealed blocks waiting
-  // on the flusher, block index, load buffer.
+  // on the flusher (or pinned by a failed write), block index, load buffer.
   size_t MemoryBytes() const {
     return pending_.capacity() * sizeof(T) + inflight_bytes_ +
            spare_.capacity() * sizeof(T) +
@@ -340,6 +339,10 @@ class SpilledRun {
   // True while a partial tail block sits in RAM with nothing scheduled to
   // write it — what the governor's idle-flush deadline watches for.
   bool HasUnflushedTail() const { return !pending_.empty(); }
+
+  // True once a block write failed: that block and every later one stay
+  // in RAM for the rest of the run's life.
+  bool write_failed() const { return channel_->failed(); }
 
   // File bytes occupied by fully-emitted blocks — what a CompactDisk
   // would reclaim.
@@ -437,12 +440,9 @@ class SpilledRun {
         block_records_(std::max<size_t>(1, block_records)),
         flusher_(flusher),
         async_flushes_(async_flushes),
-        next_offset_(writer_->next_block_offset()) {
-    if (flusher_ != nullptr) {
-      channel_ = flusher_->NewChannel();
-      written_blocks_ = std::make_shared<std::atomic<uint64_t>>(0);
-    }
-  }
+        channel_(flusher->NewChannel()),
+        written_blocks_(std::make_shared<std::atomic<uint64_t>>(0)),
+        next_offset_(writer_->next_block_offset()) {}
 
   // Index of the first block with live records.
   size_t FirstLiveBlock() const {
@@ -458,33 +458,21 @@ class SpilledRun {
     return static_cast<size_t>(&ref - blocks_.data());
   }
 
-  // Synchronous seal-and-write (no flusher). Failure keeps the block
-  // pending: a failing spill device cannot lose data still in RAM.
-  uint64_t FlushPendingSync(const BlockRef& ref) {
-    std::string error;
-    if (!writer_->AppendBlock(
-            reinterpret_cast<const uint8_t*>(pending_.data()), ref.count,
-            &error)) {
-      return 0;  // (The write fault gate never reports failure.)
-    }
-    CommitSeal(ref);
-    pending_.clear();
-    return kRunBlockHeaderBytes +
-           static_cast<uint64_t>(ref.count) * sizeof(T);
-  }
-
-  // Write-behind seal: the block enters the index immediately, its
-  // payload moves to the in-flight queue (still RAM-accounted and
-  // readable), and the write job goes to the per-run channel. After an
-  // I/O failure the channel is poisoned — later blocks stay in RAM for
-  // the rest of the run's life rather than risk appends at wrong offsets.
-  uint64_t SealPendingAsync(const BlockRef& ref) {
-    auto payload = std::make_shared<std::vector<T>>(std::move(pending_));
+  // The seal: the block enters the index immediately, its payload moves
+  // to the in-flight queue (still RAM-accounted and readable), and the
+  // write job goes to the per-run channel. After an I/O failure the
+  // channel is poisoned — later blocks stay in RAM for the rest of the
+  // run's life rather than risk appends at wrong offsets. The closing
+  // Harvest reclaims an inline write's RAM copy before the seal returns.
+  uint64_t SealPending(const BlockRef& ref) {
+    // The in-flight entry and the write job are the payload's only owners,
+    // so the closing Harvest can recycle the buffer of a finished write.
+    inflight_.push_back(Inflight{
+        ref, std::make_shared<std::vector<T>>(std::move(pending_))});
     pending_ = std::move(spare_);
     spare_ = std::vector<T>();
     pending_.clear();
-    inflight_bytes_ += payload->size() * sizeof(T);
-    inflight_.push_back(Inflight{ref, payload});
+    inflight_bytes_ += static_cast<size_t>(ref.count) * sizeof(T);
     CommitSeal(ref);
     if (!write_failed_) {
       if (async_flushes_ != nullptr) ++*async_flushes_;
@@ -492,7 +480,7 @@ class SpilledRun {
       std::shared_ptr<std::atomic<uint64_t>> written = written_blocks_;
       const uint32_t count = ref.count;
       channel_->Enqueue(
-          [writer, payload, count, written]() {
+          [writer, payload = inflight_.back().payload, count, written]() {
             std::string error;
             if (!writer->AppendBlock(
                     reinterpret_cast<const uint8_t*>(payload->data()),
@@ -505,6 +493,7 @@ class SpilledRun {
           kRunBlockHeaderBytes +
               static_cast<uint64_t>(count) * sizeof(T));
     }
+    Harvest();
     return kRunBlockHeaderBytes +
            static_cast<uint64_t>(ref.count) * sizeof(T);
   }
@@ -519,17 +508,21 @@ class SpilledRun {
   // Reclaims RAM copies of blocks the flusher has confirmed written and
   // latches the channel's failure state.
   void Harvest() {
-    if (channel_ == nullptr) return;
     const uint64_t done =
         written_blocks_->load(std::memory_order_acquire);
     while (harvested_blocks_ < done) {
       Inflight& f = inflight_.front();
       inflight_bytes_ -= f.payload->size() * sizeof(T);
-      if (spare_.capacity() == 0 && f.payload.use_count() == 1) {
-        // Recycle the block buffer: this plus pending_ is the double
-        // buffer — steady-state appends allocate nothing.
-        spare_ = std::move(*f.payload);
-        spare_.clear();
+      if (f.payload.use_count() == 1) {
+        // Recycle the block buffer, into an empty pending_ first: an
+        // inline run then holds one block buffer, a write-behind run at
+        // most two (pending_ plus spare_), and steady-state appends
+        // allocate nothing.
+        std::vector<T>& slot = pending_.capacity() == 0 ? pending_ : spare_;
+        if (slot.capacity() == 0) {
+          slot = std::move(*f.payload);
+          slot.clear();
+        }
       }
       inflight_.pop_front();
       ++harvested_blocks_;
@@ -550,32 +543,43 @@ class SpilledRun {
     return false;
   }
 
-  // Loads block `b` into load_buf_. The write path already CRC'd the
-  // bytes; a mismatch here means the device corrupted them underneath a
-  // live process, which is a hard failure, not a recovery case. The cache
-  // is keyed by file offset, not block index: AdvanceHead prunes consumed
-  // entries from blocks_, so an index names different blocks over time.
-  void LoadBlock(size_t b, uint64_t* read_bytes) {
+  // Makes load_buf_ hold block `b`: the cached copy, else the in-flight
+  // RAM copy, else a disk read. The cache is keyed by file offset, not
+  // block index: AdvanceHead prunes consumed entries from blocks_, so an
+  // index names different blocks over time. Returns true when it read the
+  // disk.
+  bool LoadBlock(size_t b, uint64_t* read_bytes) {
     const BlockRef& ref = blocks_[b];
-    if (load_offset_ == ref.offset) return;
+    if (load_offset_ == ref.offset) return false;
     Harvest();
     if (CopyFromInflight(ref, &load_buf_)) {
       load_offset_ = ref.offset;
-      return;  // Served from RAM; no disk read to account.
+      return false;  // Served from RAM; no disk read to account.
     }
-    raw_buf_.clear();
     uint32_t count = 0;
     const BlockReadStatus status = ReadBlockAt(
         writer_->fd(), ref.offset, sizeof(T), &raw_buf_, &count, nullptr);
+    InstallBlock(ref, status, count, raw_buf_, read_bytes);
+    return true;
+  }
+
+  // Copies a block read from the run file into load_buf_ and accounts the
+  // bytes. Only confirmed writes are ever read back, and the write path
+  // already CRC'd them; a failed read here means the device corrupted
+  // them underneath a live process, which is a hard failure, not a
+  // recovery case.
+  void InstallBlock(const BlockRef& ref, BlockReadStatus status,
+                    uint32_t count, const std::vector<uint8_t>& raw,
+                    uint64_t* read_bytes) {
     IMPATIENCE_CHECK_MSG(
         status == BlockReadStatus::kOk && count == ref.count,
         "spilled block unreadable under a live writer");
     load_buf_.resize(count);
-    memcpy(load_buf_.data(), raw_buf_.data(),
+    memcpy(load_buf_.data(), raw.data(),
            static_cast<size_t>(count) * sizeof(T));
     if (read_bytes != nullptr) {
-      *read_bytes += kRunBlockHeaderBytes +
-                     static_cast<uint64_t>(count) * sizeof(T);
+      *read_bytes +=
+          kRunBlockHeaderBytes + static_cast<uint64_t>(count) * sizeof(T);
     }
     load_offset_ = ref.offset;
   }
@@ -589,15 +593,12 @@ class SpilledRun {
           end_(end),
           read_bytes_(read_bytes),
           ra_hits_(ra_hits),
-          ra_misses_(ra_misses) {
-      if (run_->flusher_ != nullptr) {
-        ra_channel_ = run_->flusher_->NewChannel();
-      }
-    }
+          ra_misses_(ra_misses),
+          ra_channel_(run->flusher_->NewChannel()) {}
 
     ~Cursor() override {
-      // The prefetch job writes into slot buffers owned here.
-      if (prefetch_pending_) ra_channel_->Wait();
+      // The prefetch job writes into the slot buffer owned here.
+      ra_channel_->Wait();
     }
 
     size_t total() const override { return end_ - pos0_init_; }
@@ -608,8 +609,8 @@ class SpilledRun {
       if (pos_ < run_->disk_records_) {
         const size_t b = BlockOf(pos_);
         const auto& ref = run_->blocks_[b];
-        const T* data = ra_channel_ != nullptr ? LoadReadAhead(b)
-                                               : LoadShared(b);
+        Load(b);
+        const T* data = run_->load_buf_.data();
         const size_t lo = pos_ - ref.start_index;
         const size_t hi = std::min<uint64_t>(
             ref.count, end_ - ref.start_index);
@@ -624,79 +625,31 @@ class SpilledRun {
     }
 
    private:
-    // Synchronous path: share the run's load buffer (the punctuation cut
-    // usually left the boundary block cached there already).
-    const T* LoadShared(size_t b) {
-      run_->LoadBlock(b, read_bytes_);
-      return run_->load_buf_.data();
-    }
-
-    // Write-behind path: private ping-pong buffers. Consume block b from
-    // the prefetch slot when the pool got to it in time (hit), fall back
-    // to a synchronous load otherwise (miss), then kick off a prefetch of
-    // the next block the merge will want.
-    const T* LoadReadAhead(size_t b) {
-      const auto& ref = run_->blocks_[b];
-      bool served = false;
-      run_->Harvest();
-      if (run_->CopyFromInflight(ref, &buf_)) {
-        served = true;  // Still in RAM — neither a disk hit nor a miss.
-      } else if (prefetch_offset_ == ref.offset) {
-        ra_channel_->Wait();
-        prefetch_pending_ = false;
-        if (slot_status_ == BlockReadStatus::kOk &&
-            slot_count_ == ref.count) {
-          buf_.resize(slot_count_);
-          memcpy(buf_.data(), slot_raw_.data(),
-                 static_cast<size_t>(slot_count_) * sizeof(T));
-          if (read_bytes_ != nullptr) {
-            *read_bytes_ += kRunBlockHeaderBytes +
-                            static_cast<uint64_t>(slot_count_) * sizeof(T);
-          }
-          if (ra_hits_ != nullptr) ++*ra_hits_;
-          served = true;
-        }
-      }
-      if (!served) {
-        LoadDirect(ref);
-        if (ra_misses_ != nullptr) ++*ra_misses_;
+    // Puts block b in the run's load buffer: a landed prefetch counts as a
+    // hit; the in-flight copy and the buffer's cached block (the cut's
+    // boundary block, often) need no read; anything else is a disk read
+    // on the merge thread, a miss. Then prefetches the next block.
+    void Load(size_t b) {
+      const BlockRef& ref = run_->blocks_[b];
+      ra_channel_->Wait();  // A pending prefetch owns the slot buffer.
+      if (prefetch_offset_ == ref.offset) {
+        // Prefetches target confirmed writes only, which never return
+        // to the in-flight queue, so the landed slot is the block.
+        run_->InstallBlock(ref, slot_status_, slot_count_, slot_raw_,
+                           read_bytes_);
+        if (ra_hits_ != nullptr) ++*ra_hits_;
+      } else if (run_->LoadBlock(b, read_bytes_) && ra_misses_ != nullptr) {
+        ++*ra_misses_;
       }
       prefetch_offset_ = UINT64_MAX;
       IssuePrefetch(b);
-      return buf_.data();
     }
 
-    void LoadDirect(const BlockRef& ref) {
-      if (prefetch_pending_) {
-        ra_channel_->Wait();  // The slot buffer is about to be reused.
-        prefetch_pending_ = false;
-      }
-      slot_raw_.clear();
-      uint32_t count = 0;
-      const BlockReadStatus status =
-          ReadBlockAt(run_->writer_->fd(), ref.offset, sizeof(T),
-                      &slot_raw_, &count, nullptr);
-      IMPATIENCE_CHECK_MSG(
-          status == BlockReadStatus::kOk && count == ref.count,
-          "spilled block unreadable under a live writer");
-      buf_.resize(count);
-      memcpy(buf_.data(), slot_raw_.data(),
-             static_cast<size_t>(count) * sizeof(T));
-      if (read_bytes_ != nullptr) {
-        *read_bytes_ += kRunBlockHeaderBytes +
-                        static_cast<uint64_t>(count) * sizeof(T);
-      }
-    }
-
-    // Queues a read of the block after `b` if the merge will consume it
-    // and it lives on disk (in-flight blocks are already in RAM).
+    // Queues a read of the block after `b` if the flusher has threads to
+    // run it, the merge will consume it, and it lives on disk (in-flight
+    // blocks are already in RAM).
     void IssuePrefetch(size_t b) {
-      if (prefetch_pending_) {
-        // A stale prefetch (its block got served from the in-flight
-        // queue) still owns the slot buffer; let it land first.
-        ra_channel_->Wait();
-        prefetch_pending_ = false;
-      }
+      if (run_->flusher_->threads() == 0) return;
       const size_t next = b + 1;
       if (next >= run_->blocks_.size()) return;
       const auto& ref = run_->blocks_[next];
@@ -705,14 +658,13 @@ class SpilledRun {
         if (f.ref.offset == ref.offset) return;
       }
       prefetch_offset_ = ref.offset;
-      prefetch_pending_ = true;
       const int fd = run_->writer_->fd();
       const uint64_t offset = ref.offset;
       ra_channel_->Enqueue(
           [this, fd, offset]() {
             slot_status_ = ReadBlockAt(fd, offset, sizeof(T), &slot_raw_,
                                        &slot_count_, nullptr);
-            return true;  // Failure is resolved at consume time.
+            return true;  // A failed read is a CHECK at consume time.
           },
           0);  // Reads don't count against the write in-flight cap.
     }
@@ -740,12 +692,11 @@ class SpilledRun {
     uint64_t* ra_hits_;
     uint64_t* ra_misses_;
     std::shared_ptr<SpillFlusher::Channel> ra_channel_;
-    std::vector<T> buf_;            // Block being consumed by the merge.
-    std::vector<uint8_t> slot_raw_; // Prefetch landing buffer.
+    std::vector<uint8_t> slot_raw_;  // Prefetch landing buffer.
     uint32_t slot_count_ = 0;
     BlockReadStatus slot_status_ = BlockReadStatus::kEof;
+    // File offset of the block the last prefetch read (UINT64_MAX = none).
     uint64_t prefetch_offset_ = UINT64_MAX;
-    bool prefetch_pending_ = false;
   };
 
   RunStore* store_;

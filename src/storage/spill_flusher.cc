@@ -8,9 +8,8 @@ namespace impatience {
 namespace storage {
 
 SpillFlusher::SpillFlusher(const Options& options) : options_(options) {
-  const size_t n = options.threads < 1 ? 1 : options.threads;
-  threads_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
+  threads_.reserve(options.threads);
+  for (size_t i = 0; i < options.threads; ++i) {
     threads_.emplace_back([this]() { WorkerLoop(); });
   }
 }
@@ -52,13 +51,41 @@ void SpillFlusher::EnqueueOn(const std::shared_ptr<Channel>& ch,
   inflight_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   TRACE_COUNTER("spill.flush_queue_bytes",
                 inflight_bytes_.load(std::memory_order_relaxed));
-  ch->jobs_.push_back(Channel::Job{std::move(fn), bytes});
+  Channel::Job job{std::move(fn), bytes};
+  if (threads_.empty()) {
+    // Inline: the owner's jobs on one channel run in its call order, and
+    // pending_ stays 0, so Wait returns at once.
+    RunJob(ch.get(), &job, &lock);
+    return;
+  }
+  ch->jobs_.push_back(std::move(job));
   ++ch->pending_;
   if (!ch->scheduled_) {
     ch->scheduled_ = true;
     ready_.push_back(ch);
     work_cv_.notify_one();
   }
+}
+
+void SpillFlusher::RunJob(Channel* ch, Channel::Job* job,
+                          std::unique_lock<std::mutex>* lock) {
+  const bool skip = ch->failed_.load(std::memory_order_relaxed);
+  bool ok = false;
+  if (!skip) {
+    lock->unlock();
+    ok = job->fn();
+    lock->lock();
+  }
+  jobs_run_.fetch_add(1, std::memory_order_relaxed);
+  if (!skip && ok) {
+    async_flushes_.fetch_add(1, std::memory_order_relaxed);
+  } else if (!skip) {
+    ch->failed_.store(true, std::memory_order_release);
+  }
+  inflight_bytes_.fetch_sub(job->bytes, std::memory_order_relaxed);
+  TRACE_COUNTER("spill.flush_queue_bytes",
+                inflight_bytes_.load(std::memory_order_relaxed));
+  space_cv_.notify_all();
 }
 
 void SpillFlusher::Channel::Wait() {
@@ -82,23 +109,7 @@ void SpillFlusher::WorkerLoop() {
     while (!ch->jobs_.empty()) {
       Channel::Job job = std::move(ch->jobs_.front());
       ch->jobs_.pop_front();
-      const bool skip = ch->failed_.load(std::memory_order_relaxed);
-      bool ok = false;
-      if (!skip) {
-        lock.unlock();
-        ok = job.fn();
-        lock.lock();
-      }
-      jobs_run_.fetch_add(1, std::memory_order_relaxed);
-      if (!skip && ok) {
-        async_flushes_.fetch_add(1, std::memory_order_relaxed);
-      } else if (!skip) {
-        ch->failed_.store(true, std::memory_order_release);
-      }
-      inflight_bytes_.fetch_sub(job.bytes, std::memory_order_relaxed);
-      TRACE_COUNTER("spill.flush_queue_bytes",
-                    inflight_bytes_.load(std::memory_order_relaxed));
-      space_cv_.notify_all();
+      RunJob(ch.get(), &job, &lock);
       if (--ch->pending_ == 0) ch->done_cv_.notify_all();
     }
     ch->scheduled_ = false;
@@ -115,17 +126,18 @@ SpillFlusher::Stats SpillFlusher::stats() const {
   return s;
 }
 
-SpillFlusher* FlusherFromEnv() {
-  static SpillFlusher* flusher = []() -> SpillFlusher* {
+SpillFlusher* DefaultFlusher(bool use_env) {
+  static SpillFlusher* env_pool = []() -> SpillFlusher* {
     const char* env = std::getenv("IMPATIENCE_SPILL_FLUSHER_THREADS");
-    if (env == nullptr || *env == '\0') return nullptr;
-    const long n = std::atol(env);
+    const long n = env == nullptr ? 0 : std::atol(env);
     if (n <= 0) return nullptr;
     SpillFlusher::Options options;
     options.threads = static_cast<size_t>(n);
     return new SpillFlusher(options);  // Leaked; see header.
   }();
-  return flusher;
+  static SpillFlusher* inline_flusher =
+      new SpillFlusher(SpillFlusher::Options{.threads = 0});  // Leaked.
+  return use_env && env_pool != nullptr ? env_pool : inline_flusher;
 }
 
 }  // namespace storage

@@ -20,6 +20,12 @@
 // its channel: later jobs on that channel are skipped, never run, so a
 // torn append can't be followed by writes at wrong file offsets. The
 // caller observes `failed()` and keeps the affected blocks in RAM.
+//
+// With zero threads the pool is an inline flusher: Enqueue runs the job on
+// the calling thread before returning (outside the pool mutex, so callers
+// sharing it never serialize their writes on each other) and Wait has
+// nothing to wait for. Poisoning, stats() and the in-flight cap are the
+// same as with threads.
 
 #ifndef IMPATIENCE_STORAGE_SPILL_FLUSHER_H_
 #define IMPATIENCE_STORAGE_SPILL_FLUSHER_H_
@@ -41,7 +47,7 @@ namespace storage {
 class SpillFlusher {
  public:
   struct Options {
-    size_t threads = 1;  // Flusher threads; clamped to at least 1.
+    size_t threads = 1;  // Flusher threads; 0 = run jobs inline.
     // Pool-wide cap on bytes queued or being written. Enqueue blocks
     // while exceeded (a single oversized job is still admitted when the
     // pool is empty, so progress is always possible). 0 = unbounded.
@@ -98,7 +104,7 @@ class SpillFlusher {
 
   std::shared_ptr<Channel> NewChannel();
 
-  size_t threads() const { return threads_.size(); }
+  size_t threads() const { return threads_.size(); }  // 0 when inline.
   size_t max_inflight_bytes() const { return options_.max_inflight_bytes; }
   uint64_t inflight_bytes() const {
     return inflight_bytes_.load(std::memory_order_relaxed);
@@ -109,6 +115,10 @@ class SpillFlusher {
   void WorkerLoop();
   void EnqueueOn(const std::shared_ptr<Channel>& ch,
                  std::function<bool()> fn, size_t bytes);
+  // Runs `job` (skipped on a poisoned channel) with `lock` released and
+  // settles its stats, poison flag and in-flight bytes under `lock`.
+  void RunJob(Channel* ch, Channel::Job* job,
+              std::unique_lock<std::mutex>* lock);
 
   const Options options_;
   std::mutex mu_;
@@ -123,12 +133,13 @@ class SpillFlusher {
   std::vector<std::thread> threads_;
 };
 
-// Process-wide flusher configured by $IMPATIENCE_SPILL_FLUSHER_THREADS
-// (the CI forced-async-spill pass sets it). Returns nullptr when the
-// variable is unset, empty, or 0. The pool is created on first use and
+// The flusher of a sorter that has none configured: with `use_env`, the
+// process-wide pool sized by $IMPATIENCE_SPILL_FLUSHER_THREADS (the CI
+// forced-async-spill pass sets it) when that is a positive count; else a
+// process-wide inline flusher. Both are created on first use and
 // intentionally leaked — runs owned by static-storage sorters may still
 // flush during teardown.
-SpillFlusher* FlusherFromEnv();
+SpillFlusher* DefaultFlusher(bool use_env);
 
 }  // namespace storage
 }  // namespace impatience

@@ -491,6 +491,42 @@ TEST(RunStoreTest, CursorServesInFlightAndDiskBlocksUniformly) {
   run->Discard();
 }
 
+// An inline flusher writes each block before the seal returns, and the
+// seal recycles the written block's buffer as the next pending block: a
+// run holds exactly one block buffer between seals — no in-flight copy,
+// no second (spare) buffer, and no regrowth from empty.
+TEST(RunStoreTest, InlineRunHoldsOneBlockBuffer) {
+  TempDir dir;
+  RunStoreOptions options;
+  options.dir = dir.path() + "/store";
+  options.fsync = false;
+  std::string error;
+  auto store = RunStore::Open(options, &error);
+  ASSERT_NE(store, nullptr) << error;
+  const auto time_of = [](const int64_t& v) {
+    return static_cast<Timestamp>(v);
+  };
+
+  SpillFlusher::Options fo;
+  fo.threads = 0;
+  SpillFlusher flusher(fo);
+  constexpr size_t kBlock = 1024;
+  constexpr size_t kBlockBytes = kBlock * sizeof(int64_t);
+  auto run = SpilledRun<int64_t>::Create(store.get(), kBlock, &flusher,
+                                         nullptr, &error);
+  ASSERT_NE(run, nullptr) << error;
+  for (int64_t v = 0; v < static_cast<int64_t>(8 * kBlock); ++v) {
+    run->Append(v, time_of);
+    if ((v + 1) % kBlock == 0) {
+      // Just sealed: pending_ is empty but keeps the recycled buffer.
+      EXPECT_GE(run->MemoryBytes(), kBlockBytes) << "v=" << v;
+      EXPECT_LT(run->MemoryBytes(), 2 * kBlockBytes) << "v=" << v;
+    }
+  }
+  EXPECT_EQ(flusher.stats().async_flushes, 8u);
+  run->Discard();
+}
+
 }  // namespace
 }  // namespace storage
 }  // namespace impatience

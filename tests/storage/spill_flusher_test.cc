@@ -3,7 +3,8 @@
 // barrier, bounded in-flight bytes with blocking backpressure (including
 // the single-oversized-job admission that keeps progress possible), and
 // channel poisoning — one failed job skips everything later on that
-// channel while other channels keep flowing.
+// channel while other channels keep flowing — and the zero-thread inline
+// mode.
 
 #include "storage/spill_flusher.h"
 
@@ -243,21 +244,45 @@ TEST(SpillFlusherTest, DestructorDrainsQueuedJobs) {
   EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(SpillFlusherTest, ZeroThreadOptionStillGetsOneWorker) {
+// Zero threads is the inline flusher: each job runs on the enqueuing
+// thread before Enqueue returns, Wait has nothing to wait for, and the
+// poison rule is the pool's — a failed job skips the later jobs of its
+// own channel only.
+TEST(SpillFlusherTest, ZeroThreadsRunsJobsInlineOnTheCaller) {
   SpillFlusher::Options options;
-  options.threads = 0;  // Clamped to 1.
+  options.threads = 0;
   SpillFlusher flusher(options);
-  EXPECT_EQ(flusher.threads(), 1u);
-  auto channel = flusher.NewChannel();
-  std::atomic<bool> ran{false};
-  channel->Enqueue(
-      [&ran]() {
-        ran.store(true);
-        return true;
-      },
-      1);
-  channel->Wait();
-  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(flusher.threads(), 0u);
+  auto poisoned = flusher.NewChannel();
+  auto healthy = flusher.NewChannel();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on;
+  const auto job = [&ran_on]() {
+    ran_on.push_back(std::this_thread::get_id());
+    return true;
+  };
+  poisoned->Enqueue(job, 8);
+  ASSERT_EQ(ran_on.size(), 1u);  // Ran before Enqueue returned.
+  EXPECT_EQ(ran_on[0], caller);
+  poisoned->Wait();  // Returns at once: nothing is queued.
+
+  poisoned->Enqueue([]() { return false; }, 8);  // The I/O failure.
+  EXPECT_TRUE(poisoned->failed());
+  for (int i = 0; i < 3; ++i) {
+    poisoned->Enqueue(job, 8);  // Skipped, never run.
+    healthy->Enqueue(job, 8);
+  }
+  poisoned->Wait();
+  healthy->Wait();
+  EXPECT_EQ(ran_on.size(), 4u);  // 1 pre-failure + 3 healthy.
+  for (const std::thread::id id : ran_on) EXPECT_EQ(id, caller);
+  EXPECT_FALSE(healthy->failed());
+
+  const SpillFlusher::Stats stats = flusher.stats();
+  EXPECT_EQ(stats.jobs_run, 8u);  // Skipped jobs count, as with threads.
+  EXPECT_EQ(stats.async_flushes, 4u);
+  EXPECT_EQ(stats.inflight_bytes, 0u);
 }
 
 }  // namespace

@@ -39,11 +39,13 @@
 # output assertions verifying byte-identical results.
 #
 # A sixth pass repeats the forced-spill run with
-# IMPATIENCE_SPILL_FLUSHER_THREADS=2: every sealed block now rides a
+# IMPATIENCE_SPILL_FLUSHER_THREADS=2: the fifth pass writes every sealed
+# block through the inline flusher on the sorter thread; here each rides a
 # write-behind flusher pool and every merge cursor prefetches through it,
-# so the async spill pipeline (channel FIFOs, in-flight accounting,
-# backpressure waits, read-ahead ping-pong buffers) runs hot under each
-# detector with the same byte-identical output assertions.
+# so the pool side of the one spill path (channel FIFOs, worker handoff,
+# in-flight accounting, backpressure waits, read-ahead landing slots)
+# runs hot under each detector with the same byte-identical output
+# assertions.
 #
 # A seventh pass pins the streaming-telemetry machinery hot: the
 # server-labeled suites run with tracing forced on and each test repeated
@@ -125,7 +127,7 @@ run_pass() {
       -R "SpillDeterminismTest.ByteIdenticalUnderFlusherBackpressure" \
       --repeat until-fail:50)
   echo "$name tier-1 (native + scalar + avx2 kernels + tracing on" \
-    "+ 8-seed server fault sweep + forced-spill 64k budget, sync + async" \
+    "+ 8-seed server fault sweep + forced-spill 64k budget, inline + async" \
     "flusher pool + 3x live-telemetry server repeat + 3-seed live result," \
     "telemetry and subscription-hub subscriber sweep + 50x flusher" \
     "backpressure repeat): OK"

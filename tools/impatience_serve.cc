@@ -73,7 +73,7 @@ std::vector<impatience::Timestamp> ParseLatencies(const std::string& arg) {
       "default: the IMPATIENCE_MEMORY_BUDGET environment variable).\n"
       "--spill-flusher-threads starts the write-behind flusher pool: spill\n"
       "blocks are written (and merge read-ahead served) off the shard\n"
-      "threads (0 = synchronous, the default).\n"
+      "threads (0 = inline: each shard writes its own blocks, the default).\n"
       "--spill-flusher-inflight bounds bytes queued in the pool before\n"
       "spilling sorters block (k/m/g suffixes; default 8m).\n"
       "--telemetry-chunk-bytes bounds one streaming telemetry chunk body\n"

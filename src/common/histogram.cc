@@ -33,7 +33,12 @@ uint64_t HistogramSnapshot::CountLessOrEqual(uint64_t bound) const {
 
 HistogramSnapshot& HistogramSnapshot::operator+=(
     const HistogramSnapshot& other) {
-  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  // count_ is the bucket total, so an empty snapshot adds no bucket.
+  if (other.count_ != 0) {
+    for (size_t i = 0; i < buckets_.size(); ++i) {
+      buckets_[i] += other.buckets_[i];
+    }
+  }
   count_ += other.count_;
   sum_ += other.sum_;
   if (other.max_ > max_) max_ = other.max_;
@@ -42,6 +47,14 @@ HistogramSnapshot& HistogramSnapshot::operator+=(
 
 HistogramSnapshot LatencyHistogram::Snapshot(bool reset) {
   HistogramSnapshot snap;
+  // Nothing recorded: a plain read skips the bucket walk (scrapes of idle
+  // shards). A reset must still drain, since its count_ store can zero a
+  // concurrent record whose bucket it did not drain.
+  if (!reset && count_.load(std::memory_order_relaxed) == 0) {
+    snap.sum_ = sum_.load(std::memory_order_relaxed);
+    snap.max_ = max_.load(std::memory_order_relaxed);
+    return snap;
+  }
   uint64_t count = 0;
   uint64_t sum = 0;
   for (size_t i = 0; i < buckets_.size(); ++i) {

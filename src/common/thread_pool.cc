@@ -3,6 +3,9 @@
 #include <cstdlib>
 
 #include "common/check.h"
+#include "common/clock.h"
+#include "common/histogram.h"
+#include "common/trace.h"
 
 namespace impatience {
 
@@ -104,7 +107,7 @@ bool ThreadPool::PopFrom(WorkerQueue& q, bool back, Task* out) {
 
 void ThreadPool::Execute(Task& task) {
   task.fn();
-  task.group->OnTaskDone();
+  if (task.group != nullptr) task.group->OnTaskDone();
 }
 
 bool ThreadPool::RunOneTask(size_t home) {
@@ -167,6 +170,89 @@ void TaskGroup::Wait() {
   // (decrements happen under mu_); take the lock once so it has fully
   // left before the caller is allowed to destroy this group.
   { std::lock_guard<std::mutex> lock(mu_); }
+}
+
+Strand::Strand(ThreadPool* pool, LatencyHistogram* job_ns, const char* span)
+    : pool_(pool != nullptr && pool->thread_count() > 1 ? pool : nullptr),
+      job_ns_(job_ns),
+      span_(span) {}
+
+void Strand::RunJob(std::function<void()>& job) {
+  trace::Span span(span_);
+  const uint64_t start_ns = job_ns_ != nullptr ? Clock::Nanos() : 0;
+  job();
+  if (job_ns_ != nullptr) job_ns_->Record(Clock::Nanos() - start_ns);
+}
+
+void Strand::Post(std::function<void()> job) {
+  if (pool_ == nullptr) {
+    RunJob(job);
+    return;
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  while (jobs_.size() >= kMaxQueued) {
+    if (draining_) {
+      cv_.wait(lock);
+    } else {
+      // Caller-runs: the drain task may still be waiting for a worker, so
+      // run the backlog here instead of waiting for one.
+      DrainLocked(lock, jobs_.size());
+    }
+  }
+  jobs_.push_back(std::move(job));
+  if (!draining_ && !scheduled_) {
+    scheduled_ = true;
+    SubmitDrainTask();
+  }
+}
+
+void Strand::Wait() {
+  if (pool_ == nullptr) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (!draining_ && !jobs_.empty()) {
+      DrainLocked(lock, jobs_.size());
+    } else if (draining_ || scheduled_) {
+      cv_.wait(lock);
+    } else {
+      return;
+    }
+  }
+}
+
+void Strand::DrainLocked(std::unique_lock<std::mutex>& lock,
+                         size_t max_jobs) {
+  IMPATIENCE_DCHECK(!draining_);
+  draining_ = true;
+  for (size_t i = 0; i < max_jobs && !jobs_.empty(); ++i) {
+    std::function<void()> job = std::move(jobs_.front());
+    jobs_.pop_front();
+    if (jobs_.size() + 1 == kMaxQueued) cv_.notify_all();  // Room to post.
+    lock.unlock();
+    RunJob(job);
+    job = nullptr;  // Free the job's captures outside the lock.
+    lock.lock();
+  }
+  draining_ = false;
+  cv_.notify_all();
+}
+
+void Strand::SubmitDrainTask() {
+  pool_->Submit(ThreadPool::Task{[this] { DrainTask(); }, nullptr});
+}
+
+void Strand::DrainTask() {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!draining_) DrainLocked(lock, jobs_.size());
+  if (!draining_ && !jobs_.empty()) {
+    SubmitDrainTask();  // Stays scheduled; a fresh task takes the rest.
+    return;
+  }
+  // A running drain (a caller-runs Post or Wait) owns what is left; the
+  // next Post schedules again. This is the task's last touch of the
+  // strand: a Wait that sees scheduled_ clear may destroy it.
+  scheduled_ = false;
+  cv_.notify_all();
 }
 
 }  // namespace impatience

@@ -14,6 +14,10 @@
 // byte-for-byte identical to the sequential ones — the paper's
 // single-thread evaluation and all existing bench numbers are reproduced
 // by IMPATIENCE_THREADS=1.
+//
+// Strand adds serial execution on top: a FIFO of jobs drained one at a time
+// by pool tasks, for pipeline stages that must keep their order but should
+// not cost a thread of their own.
 
 #ifndef IMPATIENCE_COMMON_THREAD_POOL_H_
 #define IMPATIENCE_COMMON_THREAD_POOL_H_
@@ -31,6 +35,7 @@
 
 namespace impatience {
 
+class LatencyHistogram;
 class TaskGroup;
 
 class ThreadPool {
@@ -57,8 +62,11 @@ class ThreadPool {
   static void SetGlobalThreads(size_t threads);
 
  private:
+  friend class Strand;
   friend class TaskGroup;
 
+  // A task with a null group is detached (a strand's drain task): nothing
+  // joins it, so its owner must outlive it.
   struct Task {
     std::function<void()> fn;
     TaskGroup* group = nullptr;
@@ -137,6 +145,61 @@ class TaskGroup {
   std::atomic<size_t> outstanding_{0};
   std::mutex mu_;
   std::condition_variable cv_;
+};
+
+// A serial executor on a ThreadPool. Jobs posted to one strand run one at a
+// time, in posting order, on whichever thread drains them; a strand creates
+// no thread. At most one drain task per strand is in the pool at a time,
+// and it runs only the jobs queued when it starts before handing the rest
+// to a fresh task, so a thread that picks it up while helping in
+// TaskGroup::Wait is released after bounded work.
+//
+// The queue holds at most kMaxQueued jobs. A Post that finds it full while
+// no drain is running runs the queued jobs itself (caller-runs), so a
+// strand never waits for a pool worker to become free and nothing on the
+// pool blocks on it; when a drain is running, the poster waits for it to
+// make room. With no pool or a 1-thread pool every job runs inline at Post:
+// a strand-fed stage is then exactly the synchronous one. A job must not
+// post to its own strand (a full queue would wait on the job itself).
+class Strand {
+ public:
+  static constexpr size_t kMaxQueued = 8;
+
+  // `job_ns`, when set, receives each job's wall-clock duration, and every
+  // job records a trace span named `span` (a string literal).
+  explicit Strand(ThreadPool* pool, LatencyHistogram* job_ns = nullptr,
+                  const char* span = "strand.job");
+  ~Strand() { Wait(); }
+
+  Strand(const Strand&) = delete;
+  Strand& operator=(const Strand&) = delete;
+
+  // True when Post runs each job before returning.
+  bool runs_inline() const { return pool_ == nullptr; }
+
+  void Post(std::function<void()> job);
+
+  // Returns once every job posted before the call has run and no drain
+  // task of this strand is left in the pool. Queued jobs that no drain is
+  // running are run by the caller.
+  void Wait();
+
+ private:
+  void RunJob(std::function<void()>& job);
+  // Runs up to `max_jobs` queued jobs, with mu_ released around each.
+  // Requires that no drain is running.
+  void DrainLocked(std::unique_lock<std::mutex>& lock, size_t max_jobs);
+  void SubmitDrainTask();
+  void DrainTask();
+
+  ThreadPool* const pool_;  // nullptr: jobs run inline.
+  LatencyHistogram* const job_ns_;
+  const char* const span_;
+  std::mutex mu_;
+  std::condition_variable cv_;  // Room in the queue, or a drain finished.
+  std::deque<std::function<void()>> jobs_;
+  bool draining_ = false;   // A thread is running this strand's jobs.
+  bool scheduled_ = false;  // A drain task is queued or running.
 };
 
 // Runs fn(chunk_begin, chunk_end) over [begin, end) in parallel chunks of

@@ -15,6 +15,13 @@
 //    unions buffer small intermediate results instead of raw events
 //    (memory).
 // Passing identity stages yields the basic framework.
+//
+// The framework runs in two stages. The calling thread drives the
+// partition and every band's subplan (sort, PIQ). Each band's output then
+// passes through a StrandStageOp into an optional Strand, which runs the
+// union chain, the merge stages and every subscriber of the output streams
+// serially, in the order the bands emitted. Without a strand the stage
+// forwards directly and the whole framework runs on the calling thread.
 
 #ifndef IMPATIENCE_FRAMEWORK_IMPATIENCE_FRAMEWORK_H_
 #define IMPATIENCE_FRAMEWORK_IMPATIENCE_FRAMEWORK_H_
@@ -55,6 +62,10 @@ struct FrameworkOptions {
   bool parallel_bands = false;
   // Pool for band tasks; nullptr means the process-global pool.
   ThreadPool* thread_pool = nullptr;
+  // Runs the union chain, merge stages and output subscribers; nullptr
+  // runs them on the calling thread. The caller owns the strand and must
+  // Wait() on it before reading what the subscribers collected.
+  Strand* strand = nullptr;
 };
 
 // Buffers every message a band's subplan emits during a parallel round so
@@ -101,6 +112,62 @@ class BandStageOp : public Operator<W, W> {
     Timestamp t;
   };
   std::vector<Msg> msgs_;
+};
+
+// Hands one band's output to the framework's strand: each message becomes
+// one strand job that replays it into the union chain, so everything
+// downstream runs serially on the strand, in posting order. A batch is
+// copied (its producer reuses the buffer) and the copy's bytes stay
+// reserved in `tracker` until its job has run and been destroyed. Without a strand messages
+// go straight downstream; an inline strand runs each job at Post and so
+// needs no copy.
+template <int W>
+class StrandStageOp : public Operator<W, W> {
+ public:
+  StrandStageOp(Strand* strand, MemoryTracker* tracker)
+      : strand_(strand), tracker_(tracker) {}
+
+  void OnBatch(const EventBatch<W>& batch) override {
+    Sink<W>* next = this->downstream();
+    if (strand_ == nullptr || strand_->runs_inline()) {
+      Forward([next, &batch] { next->OnBatch(batch); });
+      return;
+    }
+    auto held = std::make_shared<HeldBatch>(batch, tracker_);
+    strand_->Post(
+        [next, held = std::move(held)] { next->OnBatch(held->batch); });
+  }
+  void OnPunctuation(Timestamp t) override {
+    Sink<W>* next = this->downstream();
+    Forward([next, t] { next->OnPunctuation(t); });
+  }
+  void OnFlush() override {
+    Sink<W>* next = this->downstream();
+    Forward([next] { next->OnFlush(); });
+  }
+
+ private:
+  // A queued batch and its reservation (the job must stay copyable).
+  struct HeldBatch {
+    HeldBatch(const EventBatch<W>& b, MemoryTracker* tracker)
+        : batch(b), reservation(tracker) {
+      reservation.Update(batch.MemoryBytes());
+    }
+    EventBatch<W> batch;
+    MemoryReservation reservation;
+  };
+
+  template <typename Fn>
+  void Forward(Fn&& fn) {
+    if (strand_ == nullptr) {
+      fn();
+    } else {
+      strand_->Post(std::forward<Fn>(fn));
+    }
+  }
+
+  Strand* const strand_;
+  MemoryTracker* const tracker_;
 };
 
 // Routes events to latency bands and self-punctuates each band at
@@ -442,7 +509,8 @@ Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
 
   // Per-band: sort, then PIQ; in parallel mode a staging operator caps
   // each band's subplan so the single-threaded union chain runs strictly
-  // after the per-round fork/join barrier.
+  // after the per-round fork/join barrier. Every band then ends in a
+  // strand stage, behind which the union chain runs.
   std::vector<SortOp<W>*> sorts;
   std::vector<Emitter<W>*> piq_tails;
   std::vector<BandStageOp<W>*> stages;
@@ -459,7 +527,10 @@ Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
       stages.push_back(stage);
       tail = stage;
     }
-    piq_tails.push_back(tail);
+    auto* strand_stage =
+        graph.Make<StrandStageOp<W>>(options.strand, ctx->tracker);
+    tail->SetDownstream(strand_stage);
+    piq_tails.push_back(strand_stage);
   }
   if (parallel_bands) partition->EnableParallelBands(pool, std::move(stages));
 

@@ -28,7 +28,7 @@ Connection::~Connection() {
     service_->result_exporter_->Unsubscribe(result_subscription_id_);
   }
   {
-    // Unregister any pending flush acks so shard workers cannot route an
+    // Unregister any pending flush acks so shard strands cannot route an
     // ack to a dead connection. Taking the lock also waits out an ack
     // send that is in flight right now.
     std::lock_guard<std::mutex> lock(service_->flush_mu_);

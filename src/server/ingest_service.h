@@ -11,8 +11,9 @@
 // and the transport is told to close.
 //
 // FlushSession acks are asymmetric: the request is applied on the shard
-// worker thread (after everything the session sent earlier), so the ack
-// is sent from that thread via a session→connection routing table.
+// worker thread (after everything the session sent earlier), and the ack
+// is sent serially per shard, on its emit strand, after the records the
+// flush released, via a session→connection routing table.
 
 #ifndef IMPATIENCE_SERVER_INGEST_SERVICE_H_
 #define IMPATIENCE_SERVER_INGEST_SERVICE_H_
@@ -37,7 +38,8 @@ namespace server {
 struct ServiceOptions {
   ShardManagerOptions shards;
   // Optional tap on every row the shard pipelines emit (tests, benches).
-  // Called on shard worker threads.
+  // Called serially per shard, on its emit strand (concurrently across
+  // shards).
   ResultFn on_result;
   // Streaming telemetry (kSubscribeRequest / kTelemetryChunk). Tests set
   // telemetry.start_thread = false and drive the exporter's Tick()
@@ -53,7 +55,7 @@ class IngestService;
 // IngestService::OpenConnection; destroyed when the transport closes.
 // OnData must be called from one thread at a time (the connection's
 // reader); the send function may be invoked from the reader thread and
-// from shard worker threads concurrently, so it must be thread-safe.
+// from shard emit strands concurrently, so it must be thread-safe.
 class Connection {
  public:
   ~Connection();

@@ -259,6 +259,9 @@ constexpr MetricDef kMetrics[] = {
     Histogram("impatience_shard_drain_stall", kNanoseconds,
               H(shard->drain_stall),
               "Drain-loop stall applying one frame to the pipeline."),
+    Histogram("impatience_shard_emit", kNanoseconds, H(shard->emit),
+              "Emit-strand job: union chain and result fan-out of one band "
+              "message, or a progress report or flush ack."),
     Histogram("impatience_shard_spill_merge_fanin", kNone,
               H(shard->sorter.spill_merge_fanin),
               "Fan-in of punctuation merges touching spilled runs."),

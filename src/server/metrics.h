@@ -67,6 +67,9 @@ struct ShardMetrics {
   // pipeline (time the queue could not drain — the stall the frame caused),
   // plus one sample per burst-boundary flush of a half-filled batch.
   HistogramSnapshot drain_stall;
+  // Wall-clock nanoseconds of one emit-strand job: a union-chain message
+  // with its result fan-out, a burst-end progress report, or a flush ack.
+  HistogramSnapshot emit;
   // Event-time lag per session, worst session first.
   std::vector<SessionWatermark> watermarks;
   int64_t max_watermark_lag = 0;  // Largest per-session lag (0 if none).

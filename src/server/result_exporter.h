@@ -1,8 +1,8 @@
 // Streaming query results: fans the per-shard pipeline output out to
 // subscribed connections as kResultChunk frames.
 //
-// The shard workers call OnResult for every record the pipeline emits
-// (the same emission point as ServiceOptions::on_result). Records
+// Each shard's emit strand calls OnResult for every record the pipeline
+// emits (the same emission point as ServiceOptions::on_result). Records
 // accumulate in a per-shard slot and are sealed into one chunk when the
 // emitting stream changes, when the chunk would exceed `max_chunk_bytes`,
 // or at a burst boundary (OnShardProgress — the shard's ingress queue
@@ -55,7 +55,7 @@ struct ResultStreamOptions {
 
 class ResultExporter {
  public:
-  // Called from shard worker threads.
+  // Called from shard emit strands.
   using TrySink = SubscriptionHub::TrySink;
 
   // Matches any shard in a subscription's filter.
@@ -67,8 +67,8 @@ class ResultExporter {
   ResultExporter& operator=(const ResultExporter&) = delete;
 
   // Pipeline emission hook: one record out of `shard`'s pipeline for
-  // logical stream `stream`. Called on the shard's worker thread (one
-  // call at a time per shard; concurrent across shards).
+  // logical stream `stream`. Called serially per shard, on its emit
+  // strand (one call at a time per shard; concurrent across shards).
   void OnResult(size_t shard, size_t stream, const Event& e);
 
   // Burst-boundary hook: `watermark` is the shard's band-0 punctuation

@@ -13,6 +13,7 @@
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/memory_tracker.h"
+#include "common/thread_pool.h"
 #include "common/timestamp.h"
 #include "common/trace.h"
 #include "engine/streamable.h"
@@ -71,7 +72,11 @@ struct SessionShardManager::Shard {
         // needs to punctuate on its own; SIZE_MAX disables its cadence.
         pipeline({.punctuation_period = static_cast<size_t>(-1),
                   .reorder_latency = 0},
-                 &memory) {}
+                 &memory),
+        strand(options.framework.thread_pool != nullptr
+                   ? options.framework.thread_pool
+                   : &ThreadPool::Global(),
+               &emit, "shard.emit") {}
 
   const size_t index;
   BoundedMpscQueue<Frame> queue;
@@ -94,6 +99,14 @@ struct SessionShardManager::Shard {
   // Session id -> largest event sync_time the session has sent (the
   // session's event-time watermark; kMinTimestamp until it sends events).
   std::unordered_map<uint64_t, Timestamp> sessions;
+
+  // Strand job time: one sample per union-chain message, burst-end
+  // progress report or flush ack the emit stage ran.
+  LatencyHistogram emit;
+  // The emit stage: runs the union chain, on_result, progress reports and
+  // flush acks in the order the worker posts them. Declared after the
+  // pipeline so it is destroyed (and waited for) first.
+  Strand strand;
 
   std::thread worker;
 
@@ -163,6 +176,7 @@ SessionShardManager::SessionShardManager(ShardManagerOptions options,
   for (size_t i = 0; i < options_.num_shards; ++i) {
     Shard* s = shards_[i].get();
     FrameworkOptions fw = options_.framework;
+    fw.strand = &s->strand;
     if (!options_.spill_dir.empty()) {
       storage::RunStoreOptions store_options;
       store_options.dir =
@@ -205,7 +219,10 @@ SessionShardManager::SessionShardManager(ShardManagerOptions options,
         if (on_result_) on_result_(s->index, j, e);
       });
     }
-    if (s->store != nullptr) RecoverShard(s);
+    if (s->store != nullptr) {
+      RecoverShard(s);
+      s->strand.Wait();  // Replayed results land before construction ends.
+    }
   }
   if (!options_.manual_drain) {
     for (auto& shard : shards_) {
@@ -326,17 +343,21 @@ void SessionShardManager::WorkerLoop(Shard* s) {
         frontier = s->streams->partition().band_punctuation(0);
       }
     }
-    // Progress is reported outside pipeline_mu: the callback fans chunks
+    // Progress is posted outside pipeline_mu: the callback fans chunks
     // out to subscribers and must not hold up metrics snapshots.
-    if (burst_end && on_shard_progress_) {
-      on_shard_progress_(s->index, frontier);
-    }
+    if (burst_end) PostProgress(s, frontier);
     frame = Frame{};
   }
   // Queue closed and drained: flush the pipeline so every buffered event
   // is released in order before the thread exits. An abandoned manager
   // (crash simulation) skips this — buffered state is deliberately lost.
   if (!abandoned_.load(std::memory_order_acquire)) FlushPipeline(s);
+}
+
+void SessionShardManager::PostProgress(Shard* s, Timestamp frontier) {
+  if (!on_shard_progress_) return;
+  s->strand.Post(
+      [this, s, frontier] { on_shard_progress_(s->index, frontier); });
 }
 
 void SessionShardManager::Process(Shard* s, Frame& frame) {
@@ -376,7 +397,12 @@ void SessionShardManager::Process(Shard* s, Frame& frame) {
       // queue is FIFO); surface what can be surfaced and ack.
       s->pipeline.ingress().FlushPending();
       s->streams->mutable_partition()->ForcePunctuation();
-      if (on_session_flush_) on_session_flush_(frame.session_id);
+      // Posted behind the records this punctuation released.
+      if (on_session_flush_) {
+        s->strand.Post([this, session_id = frame.session_id] {
+          on_session_flush_(session_id);
+        });
+      }
       break;
     default:
       // Control frames that do not reach shards (metrics, shutdown, acks)
@@ -393,7 +419,8 @@ void SessionShardManager::FlushPipeline(Shard* s) {
     s->pipeline.ingress().Finish();
     frontier = s->streams->partition().band_punctuation(0);
   }
-  if (on_shard_progress_) on_shard_progress_(s->index, frontier);
+  PostProgress(s, frontier);
+  s->strand.Wait();
 }
 
 void SessionShardManager::Shutdown() {
@@ -435,6 +462,8 @@ void SessionShardManager::AbandonForTest() {
       if (shard->worker.joinable()) shard->worker.join();
     }
   }
+  // Results already posted still reach on_result; nothing is flushed.
+  for (auto& shard : shards_) shard->strand.Wait();
   // No FlushPipeline: everything still buffered in RAM is lost, exactly
   // as in a crash. Spilled run files and manifests stay on disk.
   shut_down_.store(true, std::memory_order_release);
@@ -470,6 +499,7 @@ std::vector<ShardMetrics> SessionShardManager::SnapshotShards(
     // counters: a reset scrape drains both.
     m.queue_wait = s->queue_wait.Snapshot(reset_sorter_counters);
     m.drain_stall = s->drain_stall.Snapshot(reset_sorter_counters);
+    m.emit = s->emit.Snapshot(reset_sorter_counters);
     {
       std::lock_guard<std::mutex> lock(s->pipeline_mu);
       m.sessions = s->sessions.size();
@@ -522,7 +552,8 @@ void SessionShardManager::DrainShardForTest(size_t shard) {
     s->pipeline.ingress().FlushPending();
     frontier = s->streams->partition().band_punctuation(0);
   }
-  if (on_shard_progress_) on_shard_progress_(s->index, frontier);
+  PostProgress(s, frontier);
+  s->strand.Wait();
 }
 
 }  // namespace server

@@ -12,6 +12,12 @@
 // parallel punctuation merges, band-parallel execution — runs on the
 // existing process-wide ThreadPool, shared by all shards.
 //
+// Two stages: the shard thread pops frames, partitions and sorts; each
+// band's output goes to the shard's emit Strand on the same pool, which
+// runs the union chain, the result callback, progress reports and flush
+// acks serially, in the order the shard thread posted them. With a
+// 1-thread pool the strand runs every job inline on the shard thread.
+//
 // Backpressure: the queue holds whole decoded frames, and the policy
 // decides what happens when a shard falls behind:
 //   kBlock       — the connection thread waits (lossless; TCP pushback
@@ -106,20 +112,23 @@ struct SubmitResult {
   uint64_t affected_events = 0;
 };
 
-// Called on the shard's worker thread for every row the shard pipeline
-// emits on a subscribed output stream. One call at a time per shard;
-// different shards call concurrently.
+// Called serially per shard, on its emit strand, for every row the shard
+// pipeline emits on a subscribed output stream. One call at a time per
+// shard; different shards call concurrently.
 using ResultFn =
     std::function<void(size_t shard, size_t stream, const Event& e)>;
 
-// Called on the shard's worker thread once a kFlushSession frame has been
-// applied — every earlier frame of that session is in the pipeline.
+// Called serially per shard, on its emit strand, once a kFlushSession
+// frame has been applied — every earlier frame of that session is in the
+// pipeline, and every record its punctuation released has already gone to
+// the ResultFn.
 using SessionFlushFn = std::function<void(uint64_t session_id)>;
 
 // Called at shard burst boundaries (ingress queue drained, explicit test
 // drain, pipeline flush) with the shard's band-0 punctuation frontier.
-// Invoked outside pipeline_mu, after every on_result call the burst
-// produced — a result exporter can treat it as "seal what you have".
+// Called serially per shard, on its emit strand, after every on_result
+// call the burst produced — a result exporter can treat it as "seal what
+// you have".
 using ShardProgressFn =
     std::function<void(size_t shard, Timestamp watermark)>;
 
@@ -145,7 +154,8 @@ class SessionShardManager {
   SubmitResult Submit(Frame frame);
 
   // Drain-and-flush shutdown; idempotent, returns when every shard has
-  // flushed its pipeline and its worker has exited.
+  // flushed its pipeline, its emit strand has run everything posted, and
+  // its worker has exited.
   void Shutdown();
 
   bool shutting_down() const {
@@ -160,7 +170,7 @@ class SessionShardManager {
   std::vector<ShardMetrics> SnapshotShards(bool reset_sorter_counters = false);
 
   // Test hook (requires options.manual_drain): synchronously processes
-  // everything queued on `shard`.
+  // everything queued on `shard` and waits for its emit strand.
   void DrainShardForTest(size_t shard);
 
   // Crash simulation for recovery tests: closes the queues and stops the
@@ -175,7 +185,10 @@ class SessionShardManager {
 
   void WorkerLoop(Shard* shard);
   void Process(Shard* shard, Frame& frame);
+  // Finishes the pipeline, reports progress and waits for the strand.
   void FlushPipeline(Shard* shard);
+  // Posts a burst-end progress report behind the burst's results.
+  void PostProgress(Shard* shard, Timestamp frontier);
   // Replays runs a crashed predecessor spilled into this shard's store
   // back through the pipeline ingress (at-least-once), then drops them.
   void RecoverShard(Shard* shard);

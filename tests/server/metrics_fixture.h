@@ -120,6 +120,7 @@ inline ServerMetrics MakeMetrics() {
     s.sorter.punct_to_emit.Record(v * 1000);
     s.queue_wait.Record(v * 10);
     s.drain_stall.Record(v * 100);
+    s.emit.Record(v * 30);
   }
   s.sorter.ingest_to_emit.Record(777);
   s.sorter.ingest_to_emit.Record(123456);

@@ -27,6 +27,7 @@ TEST(MetricsRenderTest, JsonCarriesHistogramsAndWatermarks) {
             std::string::npos);
   EXPECT_NE(json.find("\"queue_wait_ns\":{"), std::string::npos);
   EXPECT_NE(json.find("\"drain_stall_ns\":{"), std::string::npos);
+  EXPECT_NE(json.find("\"emit_ns\":{\"count\":1000,"), std::string::npos);
   EXPECT_NE(json.find("\"ingest_to_emit_ns\":{"), std::string::npos);
   EXPECT_NE(json.find("\"sorter_parallel_merges\":43"), std::string::npos);
   EXPECT_NE(json.find("\"spill_merge_fanin\":{\"count\":3,"),
@@ -46,6 +47,8 @@ TEST(MetricsRenderTest, TextCarriesQuantileLines) {
       text.find("impatience_shard_punct_to_emit_ns_count{shard=\"0\"} 1000"),
       std::string::npos);
   EXPECT_NE(text.find("impatience_shard_queue_wait_ns{shard=\"0\",q=\"p999\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("impatience_shard_emit_ns_count{shard=\"0\"} 1000"),
             std::string::npos);
   EXPECT_NE(text.find("impatience_shard_max_watermark_lag{shard=\"0\"} 2000"),
             std::string::npos);
@@ -78,6 +81,11 @@ TEST(MetricsRenderTest, PrometheusSummariesAndEscaping) {
   EXPECT_NE(
       prom.find("# TYPE impatience_shard_drain_stall_nanoseconds summary"),
       std::string::npos);
+  EXPECT_NE(prom.find("# TYPE impatience_shard_emit_nanoseconds summary"),
+            std::string::npos);
+  EXPECT_NE(prom.find("impatience_shard_emit_nanoseconds_count{shard=\"0\"}"
+                      " 1000"),
+            std::string::npos);
   EXPECT_NE(
       prom.find("# TYPE impatience_shard_sorter_parallel_merges counter"),
       std::string::npos);
@@ -284,6 +292,9 @@ TEST(MetricsRenderTest, PrometheusBucketSiblingsAreExact) {
             std::string::npos);
   EXPECT_NE(prom.find("# TYPE impatience_shard_drain_stall_nanoseconds"
                       "_hist histogram"),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE impatience_shard_emit_nanoseconds_hist "
+                      "histogram"),
             std::string::npos);
   EXPECT_NE(
       prom.find("# TYPE impatience_shard_spill_merge_fanin_hist histogram"),

@@ -68,6 +68,10 @@
 # a version whose backpressure assertion depends on thread timing fails
 # here instead of once in a hundred runs.
 #
+# A tenth pass repeats the Strand tests 50x: FIFO order, the overlap
+# detector, caller-runs on a full queue and Wait's completion guarantee
+# each run across 50 schedules under each detector.
+#
 # Benches/examples/tools are skipped: they share the same code, and
 # building them under the sanitizers roughly doubles the wall clock for no
 # extra coverage.
@@ -126,11 +130,14 @@ run_pass() {
       ctest --output-on-failure \
       -R "SpillDeterminismTest.ByteIdenticalUnderFlusherBackpressure" \
       --repeat until-fail:50)
+  (cd "$build_dir" && \
+    env IMPATIENCE_THREADS=8 $env_opts \
+      ctest --output-on-failure -R "^StrandTest\." --repeat until-fail:50)
   echo "$name tier-1 (native + scalar + avx2 kernels + tracing on" \
     "+ 8-seed server fault sweep + forced-spill 64k budget, inline + async" \
     "flusher pool + 3x live-telemetry server repeat + 3-seed live result," \
     "telemetry and subscription-hub subscriber sweep + 50x flusher" \
-    "backpressure repeat): OK"
+    "backpressure repeat + 50x strand repeat): OK"
 }
 
 tsan_pass() {

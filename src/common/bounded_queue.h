@@ -17,6 +17,7 @@
 #ifndef IMPATIENCE_COMMON_BOUNDED_QUEUE_H_
 #define IMPATIENCE_COMMON_BOUNDED_QUEUE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -35,6 +36,13 @@ enum class QueuePush {
   kRejected,  // Queue full; item NOT enqueued (TryPush only).
   kShed,      // Item enqueued; the oldest item was evicted (PushShedOldest).
   kClosed,    // Queue closed; item NOT enqueued.
+};
+
+// Outcome of a timed pop.
+enum class QueuePop {
+  kItem,      // An item was popped.
+  kTimedOut,  // Nothing arrived within the timeout; the queue is open.
+  kClosed,    // Queue closed and drained.
 };
 
 template <typename T>
@@ -102,6 +110,22 @@ class BoundedMpscQueue {
     items_.pop_front();
     not_full_.notify_one();
     return true;
+  }
+
+  // Pop that waits at most `timeout` for an item. kTimedOut tells an
+  // idle consumer that nothing has arrived for that long.
+  QueuePop PopFor(T* out, std::chrono::nanoseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!not_empty_.wait_for(lock, timeout, [this] {
+          return !items_.empty() || closed_;
+        })) {
+      return QueuePop::kTimedOut;
+    }
+    if (items_.empty()) return QueuePop::kClosed;
+    *out = std::move(items_.front());
+    items_.pop_front();
+    not_full_.notify_one();
+    return QueuePop::kItem;
   }
 
   // Non-blocking pop; false when nothing is queued right now.

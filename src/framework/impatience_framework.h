@@ -443,16 +443,18 @@ class Streamables {
     return total;
   }
 
-  // Runs spill maintenance (governor spill targets, idle tail flushes,
-  // run-file compaction) on every band's sorter. Called on the thread
-  // that owns the pipeline when the spill governor's wakeup lands, or at
-  // any other quiet point. Returns true if any band did work.
-  bool PerformSpillMaintenance() {
+  // Runs spill maintenance (run-file compaction and, with `flush_tails`,
+  // spilled tail-block flushes) on every band's sorter. Called on the
+  // thread that owns the pipeline, between punctuations, at quiet points.
+  // Returns true if any band did work.
+  bool PerformSpillMaintenance(bool flush_tails = false) {
     bool did = false;
     for (SortOp<W>* sort : sorts_) {
       auto* impatience = dynamic_cast<ImpatienceSorter<BasicEvent<W>>*>(
           sort->mutable_sorter());
-      if (impatience != nullptr) did |= impatience->PerformSpillMaintenance();
+      if (impatience != nullptr) {
+        did |= impatience->PerformSpillMaintenance(flush_tails);
+      }
     }
     return did;
   }

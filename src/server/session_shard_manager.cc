@@ -1,6 +1,7 @@
 #include "server/session_shard_manager.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <optional>
@@ -20,7 +21,6 @@
 #include "storage/run_store.h"
 #include "storage/spill.h"
 #include "storage/spill_flusher.h"
-#include "storage/spill_governor.h"
 
 namespace impatience {
 namespace server {
@@ -61,6 +61,11 @@ uint64_t MixSession(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
 }
+
+// A shard whose queue has been empty this long writes its sorters' spilled
+// tail blocks to disk: the durability bound for a session that stops
+// sending without a punctuation or flush.
+constexpr std::chrono::milliseconds kIdleSpillFlushAfter{100};
 
 }  // namespace
 
@@ -109,11 +114,6 @@ struct SessionShardManager::Shard {
   Strand strand;
 
   std::thread worker;
-
-  // True while a kMaintenance frame sits in the queue — the governor's
-  // wakeup enqueues at most one at a time, so a stalled (or manually
-  // drained) shard never fills its queue with maintenance frames.
-  std::atomic<bool> maintenance_queued{false};
 
   // Backpressure and traffic counters; written by connection threads
   // (Submit) and the worker, read by SnapshotShards.
@@ -164,15 +164,6 @@ SessionShardManager::SessionShardManager(ShardManagerOptions options,
     fo.max_inflight_bytes = options_.spill_flusher_inflight_bytes;
     flusher_ = std::make_unique<storage::SpillFlusher>(fo);
   }
-  if (options_.memory_budget > 0) {
-    // The governor watches the sum of every shard's tracker against the
-    // *total* budget and assigns spill targets to the globally coldest
-    // sorters; each sorter keeps its per-shard slice as a local fallback.
-    storage::SpillGovernor::Options go;
-    go.memory_budget = options_.memory_budget;
-    for (auto& shard : shards_) go.trackers.push_back(&shard->memory);
-    governor_ = std::make_unique<storage::SpillGovernor>(go);
-  }
   for (size_t i = 0; i < options_.num_shards; ++i) {
     Shard* s = shards_[i].get();
     FrameworkOptions fw = options_.framework;
@@ -193,23 +184,6 @@ SessionShardManager::SessionShardManager(ShardManagerOptions options,
     fw.sorter_config.spill.memory_budget = shard_budget;
     fw.sorter_config.spill.tracker = &s->memory;
     fw.sorter_config.spill.flusher = flusher_.get();
-    if (governor_ != nullptr) {
-      fw.sorter_config.spill.governor = governor_.get();
-      // Governor requests are consumed on the shard thread: the wakeup
-      // posts one maintenance frame (deduplicated) onto the ingress
-      // queue. Non-blocking by contract — it runs inside the tick.
-      fw.sorter_config.spill.governor_wakeup = [s]() {
-        if (s->maintenance_queued.exchange(true,
-                                           std::memory_order_acq_rel)) {
-          return;
-        }
-        Frame frame;
-        frame.type = FrameType::kMaintenance;
-        if (s->queue.TryPush(std::move(frame)) != QueuePush::kOk) {
-          s->maintenance_queued.store(false, std::memory_order_release);
-        }
-      };
-    }
     s->streams.emplace(ToStreamables(s->pipeline.disordered(), fw));
     const size_t first_stream =
         options_.subscribe_all_streams ? 0 : s->streams->size() - 1;
@@ -325,7 +299,15 @@ SubmitResult SessionShardManager::Submit(Frame frame) {
 
 void SessionShardManager::WorkerLoop(Shard* s) {
   Frame frame;
-  while (s->queue.Pop(&frame)) {
+  for (;;) {
+    const QueuePop pop = s->queue.PopFor(&frame, kIdleSpillFlushAfter);
+    if (pop == QueuePop::kClosed) break;
+    if (pop == QueuePop::kTimedOut) {
+      // Idle: write the spilled tails a quiet session left behind.
+      std::lock_guard<std::mutex> lock(s->pipeline_mu);
+      s->streams->PerformSpillMaintenance(/*flush_tails=*/true);
+      continue;
+    }
     bool burst_end = false;
     Timestamp frontier = kMinTimestamp;
     {
@@ -333,11 +315,13 @@ void SessionShardManager::WorkerLoop(Shard* s) {
       Process(s, frame);
       // Burst boundary: nothing else queued right now, so push any
       // half-filled batch into the pipeline instead of letting it sit
-      // until the next frame arrives. The flush is pipeline work like a
-      // frame's, so it is timed into drain_stall as its own sample.
+      // until the next frame arrives, then compact run files while the
+      // shard is quiet. Both are pipeline work like a frame's, so they
+      // are timed into drain_stall as one sample.
       if (s->queue.size() == 0) {
         const uint64_t flush_start_ns = Clock::Nanos();
         s->pipeline.ingress().FlushPending();
+        s->streams->PerformSpillMaintenance();
         s->drain_stall.Record(Clock::Nanos() - flush_start_ns);
         burst_end = true;
         frontier = s->streams->partition().band_punctuation(0);
@@ -365,15 +349,6 @@ void SessionShardManager::Process(Shard* s, Frame& frame) {
   const uint64_t start_ns = Clock::Nanos();
   if (frame.enqueue_ns != 0 && start_ns >= frame.enqueue_ns) {
     s->queue_wait.Record(start_ns - frame.enqueue_ns);
-  }
-  if (frame.type == FrameType::kMaintenance) {
-    // Governor-requested spill maintenance; carries no session or events,
-    // so it must not touch the watermark map. Clear the dedup flag first:
-    // a wakeup firing during the work re-queues, which is correct.
-    s->maintenance_queued.store(false, std::memory_order_release);
-    s->streams->PerformSpillMaintenance();
-    s->drain_stall.Record(Clock::Nanos() - start_ns);
-    return;
   }
   Timestamp& session_watermark =
       s->sessions.emplace(frame.session_id, kMinTimestamp).first->second;
@@ -427,10 +402,6 @@ void SessionShardManager::Shutdown() {
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mu_);
   if (shut_down_.load(std::memory_order_acquire)) return;
   shutting_down_.store(true, std::memory_order_release);
-  // The governor's tick thread reads the shards' MemoryTrackers and
-  // pushes onto their queues; it must be quiesced before any of that
-  // dies. The object itself stays alive for the sorters' Unregister.
-  if (governor_ != nullptr) governor_->StopTicking();
   for (auto& shard : shards_) shard->queue.Close();
   if (options_.manual_drain) {
     for (auto& shard : shards_) {
@@ -455,7 +426,6 @@ void SessionShardManager::AbandonForTest() {
   if (shut_down_.load(std::memory_order_acquire)) return;
   abandoned_.store(true, std::memory_order_release);
   shutting_down_.store(true, std::memory_order_release);
-  if (governor_ != nullptr) governor_->StopTicking();
   for (auto& shard : shards_) shard->queue.Close();
   if (!options_.manual_drain) {
     for (auto& shard : shards_) {
@@ -550,6 +520,7 @@ void SessionShardManager::DrainShardForTest(size_t shard) {
   {
     std::lock_guard<std::mutex> lock(s->pipeline_mu);
     s->pipeline.ingress().FlushPending();
+    s->streams->PerformSpillMaintenance();
     frontier = s->streams->partition().band_punctuation(0);
   }
   PostProgress(s, frontier);

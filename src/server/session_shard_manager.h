@@ -50,7 +50,6 @@
 namespace impatience {
 namespace storage {
 class SpillFlusher;
-class SpillGovernor;
 }  // namespace storage
 namespace server {
 
@@ -90,9 +89,9 @@ struct ShardManagerOptions {
   // enforced by each shard's MemoryTracker: when a shard's pipeline
   // exceeds its slice, the coldest sorter runs spill to disk. 0 defers to
   // IMPATIENCE_MEMORY_BUDGET (then enforced per sorter, not per shard).
-  // With a nonzero budget a SpillGovernor also watches the *total* across
-  // all shards and assigns spill targets to the globally coldest
-  // sorters, drives idle tail flushes, and nudges run-file compaction.
+  // Spill upkeep runs on the shard thread: run-file compaction whenever
+  // its queue drains, and a flush of spilled tail blocks once the queue
+  // has been idle for 100 ms.
   size_t memory_budget = 0;
   // Write-behind spill pipeline: >0 starts a SpillFlusher pool with this
   // many threads; sealed spill blocks are written (and merge read-ahead
@@ -197,12 +196,10 @@ class SessionShardManager {
   ResultFn on_result_;
   SessionFlushFn on_session_flush_;
   ShardProgressFn on_shard_progress_;
-  // Write-behind pool (nullptr at 0 threads) and spill governor. Declared
-  // before shards_ so they outlive the shards: sorters hold flusher
-  // channels and governor client registrations until their pipelines are
-  // destroyed.
+  // Write-behind pool (nullptr at 0 threads). Declared before shards_ so
+  // it outlives the shards: sorters hold flusher channels until their
+  // pipelines are destroyed.
   std::unique_ptr<storage::SpillFlusher> flusher_;
-  std::unique_ptr<storage::SpillGovernor> governor_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> shutting_down_{false};
   std::atomic<bool> shut_down_{false};

@@ -166,8 +166,6 @@ void EmitPayload(const Frame& frame, Out* out) {
     case FrameType::kSubscribeRequest:
     case FrameType::kResultSubscribeRequest:
       return;  // Empty payloads.
-    case FrameType::kMaintenance:
-      break;  // Internal only — falls through to the CHECK below.
   }
   IMPATIENCE_CHECK_MSG(false, "unencodable frame type");
 }
@@ -289,8 +287,6 @@ DecodeStatus ParsePayload(FrameType type, uint8_t aux, const uint8_t* p,
     case FrameType::kShutdownAck:
       return n == 0 && aux == 0 ? DecodeStatus::kOk
                                 : DecodeStatus::kBadPayload;
-    case FrameType::kMaintenance:
-      return DecodeStatus::kBadPayload;  // Internal only, never on the wire.
   }
   return DecodeStatus::kBadPayload;  // Unknown type byte.
 }

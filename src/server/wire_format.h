@@ -106,10 +106,8 @@ enum class FrameType : uint8_t {
   kReject = 9,
   kTraceRequest = 10,
   kTraceResponse = 11,
-  // Internal only — never encoded on the wire. The spill governor's
-  // wakeup enqueues one on a shard's ingress queue to run spill
-  // maintenance on the shard thread; the decoder rejects it as unknown.
-  kMaintenance = 12,
+  // 12 is unassigned: it once named an internal, never-encoded frame, and
+  // the decoder rejects it like any unknown type byte.
   kSubscribeRequest = 13,
   kSubscribeAck = 14,
   kTelemetryChunk = 15,

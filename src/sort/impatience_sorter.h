@@ -42,7 +42,6 @@
 #include "sort/run_select.h"
 #include "sort/sorter.h"
 #include "storage/spill.h"
-#include "storage/spill_governor.h"
 
 namespace impatience {
 
@@ -94,8 +93,8 @@ struct ImpatienceCounters {
   uint64_t spill_read_bytes = 0;
   // Flusher pipeline: blocks handed to the flusher (inline or pool);
   // merge-cursor prefetches that were ready in time vs blocks the merge
-  // read from disk itself; idle-deadline tail flushes and run-file
-  // compactions driven by the spill governor.
+  // read from disk itself; idle tail flushes and run-file compactions run
+  // by PerformSpillMaintenance.
   uint64_t async_flushes = 0;
   uint64_t readahead_hits = 0;
   uint64_t readahead_misses = 0;
@@ -167,29 +166,11 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
       if (spill_budget_ == 0 && config_.spill.use_env_default) {
         spill_budget_ = storage::MemoryBudgetFromEnv();
       }
-      if (config_.spill.governor != nullptr) {
-        // A governed sorter shares the global budget; its local trigger is
-        // only the fallback for overrunning that budget single-handedly
-        // between ticks.
-        if (spill_budget_ == 0) {
-          spill_budget_ = config_.spill.governor->memory_budget();
-        }
-        governor_client_ =
-            config_.spill.governor->Register(config_.spill.governor_wakeup);
-      }
       flusher_ = config_.spill.flusher != nullptr
                      ? config_.spill.flusher
                      : storage::DefaultFlusher(config_.spill.use_env_default);
       spill_block_records_ =
           std::max<size_t>(1, config_.spill.block_bytes / sizeof(T));
-    }
-  }
-
-  ~ImpatienceSorter() override {
-    // Spilled runs still hold flusher channels; they drain in the member
-    // destructors after this body.
-    if (governor_client_ != nullptr) {
-      config_.spill.governor->Unregister(governor_client_);
     }
   }
 
@@ -374,13 +355,6 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
       // Opportunistic end-of-punctuation budget check: merges and cuts
       // just churned buffers, so this is where usage peaks move.
       if (spill_budget_ != 0) MaybeSpill();
-      // Ungoverned sorters compact half-consumed run files here (cursors
-      // from this punctuation are gone); governed ones wait for the
-      // governor's maintenance nudge.
-      if (governor_client_ == nullptr && spill_budget_ != 0) {
-        MaybeCompactDisk();
-      }
-      PublishToGovernor();
       counters_.flush_queue_bytes = flusher_->inflight_bytes();
     }
 
@@ -437,41 +411,33 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   // The last punctuation received (kMinTimestamp if none yet).
   Timestamp last_punctuation() const { return last_punctuation_; }
 
-  // Consumes any outstanding governor requests: an assigned spill target,
-  // an idle-deadline tail flush, a disk-compaction nudge. The server calls
-  // this on the shard thread when the governor wakeup lands; calling it at
-  // any other quiet point (or with no governor) is harmless. Returns true
-  // if any maintenance work ran.
-  bool PerformSpillMaintenance() {
+  // Spill upkeep that stays off the push and punctuation paths: rewrites
+  // run files whose emitted prefix dominates their disk footprint and,
+  // with `flush_tails`, writes every spilled run's partial tail block
+  // (through the fsync when the store is durable), so a session that
+  // stops sending does not keep its last events RAM-only. The owner calls
+  // it between punctuations at quiet points: the server's shard thread
+  // compacts whenever its queue drains and also flushes tails once the
+  // queue has been idle for a while. Returns true if any work ran.
+  bool PerformSpillMaintenance(bool flush_tails = false) {
     if constexpr (!std::is_trivially_copyable_v<T>) {
       return false;
     } else {
-      if (spill_budget_ == 0 && governor_client_ == nullptr) return false;
-      bool did = false;
-      if (governor_client_ != nullptr &&
-          governor_client_->TakeIdleFlush()) {
-        // Push quiescent tail blocks to disk (and through the fsync when
-        // the store is durable) — a session that stops sending must not
-        // keep its last events RAM-only forever.
+      if (spill_budget_ == 0) return false;
+      bool flushed = false;
+      if (flush_tails) {
         for (Run& run : runs_) {
           if (run.spilled != nullptr && run.spilled->HasUnflushedTail()) {
             counters_.spill_bytes_written +=
                 run.spilled->FlushPending(time_of_, /*sync=*/true);
-            did = true;
+            flushed = true;
           }
         }
-        if (did) ++counters_.idle_flushes;
+        if (flushed) ++counters_.idle_flushes;
       }
-      const uint64_t spilled_before = counters_.runs_spilled;
-      MaybeSpill();  // Consumes the governor's spill target, if any.
-      did |= counters_.runs_spilled != spilled_before;
-      if (governor_client_ == nullptr ||
-          governor_client_->TakeCompaction()) {
-        did |= MaybeCompactDisk();
-      }
-      PublishToGovernor();
+      const bool compacted = MaybeCompactDisk();
       counters_.flush_queue_bytes = flusher_->inflight_bytes();
-      return did;
+      return flushed || compacted;
     }
   }
 
@@ -490,9 +456,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     std::vector<T> items;
     size_t head = 0;
     std::unique_ptr<storage::SpilledRun<T>> spilled;
-    // Victim-choice recency at the last append (only maintained while a
-    // spill budget is active): the private append sequence, or — under a
-    // governor — its coarse tick, so coldness compares across sorters.
+    // Victim-choice recency: the sorter's append sequence at the run's
+    // last append (only maintained while a spill budget is active).
     uint64_t last_append = 0;
 
     size_t live_size() const { return items.size() - head; }
@@ -502,14 +467,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     IMPATIENCE_DCHECK(tails_[r] <= t);
     Run& run = runs_[r];
     if constexpr (std::is_trivially_copyable_v<T>) {
-      if (spill_budget_ != 0) {
-        if (governor_client_ != nullptr) {
-          run.last_append = config_.spill.governor->now_tick();
-          governor_client_->NoteAppend(run.last_append);
-        } else {
-          run.last_append = ++append_seq_;
-        }
-      }
+      if (spill_budget_ != 0) run.last_append = ++append_seq_;
       // Not under the budget check: a store failure zeroes the budget,
       // and runs spilled before it still take their appends on disk.
       if (run.spilled != nullptr) {
@@ -565,29 +523,19 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
                            &scratch_);
   }
 
-  // Enforces the byte budget: trims the buffer pool, then spills victim
+  // Enforces the byte budget: usage is the larger of this sorter's own
+  // bytes and the shared tracker (the whole pipeline's residency, when
+  // configured). Over budget, trims the buffer pool, then spills victim
   // runs coldest-first (least recently appended, ties to the larger run)
   // until the measured excess is covered or nothing spillable remains.
-  // Governed sorters spill what the governor assigned (it ranked every
-  // client's coldness globally); the local used>budget trigger survives
-  // only as the fallback for a single sorter overrunning the whole shared
-  // budget between ticks.
   void MaybeSpill() {
     const size_t own_before = MemoryBytes();
-    size_t deficit = 0;
-    if (governor_client_ != nullptr) {
-      deficit = std::min(governor_client_->TakeSpillTarget(), own_before);
-      if (spill_budget_ != 0 && own_before > spill_budget_) {
-        deficit = std::max(deficit, own_before - spill_budget_);
-      }
-    } else {
-      size_t used = own_before;
-      if (config_.spill.tracker != nullptr) {
-        used = std::max(used, config_.spill.tracker->current_bytes());
-      }
-      if (used > spill_budget_) deficit = used - spill_budget_;
+    size_t used = own_before;
+    if (config_.spill.tracker != nullptr) {
+      used = std::max(used, config_.spill.tracker->current_bytes());
     }
-    if (deficit == 0) return;
+    if (used <= spill_budget_) return;
+    const size_t deficit = used - spill_budget_;
     // Pooled merge buffers are pure cache — drop them before touching any
     // run.
     pool_.Trim(0);
@@ -598,7 +546,6 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
       if (!SpillRun(victim)) break;
       own = MemoryBytes();
     }
-    PublishToGovernor();
   }
 
   // Coldest unspilled run with enough live bytes to be worth a file; if
@@ -698,32 +645,6 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     return did;
   }
 
-  // Refreshes the governor's view of this sorter: resident bytes, age of
-  // the coldest spillable run (UINT64_MAX = nothing to spill, ranks
-  // last), whether a partial tail block sits unflushed, and whether any
-  // run file is worth compacting.
-  void PublishToGovernor() {
-    if (governor_client_ == nullptr) return;
-    uint64_t coldest = UINT64_MAX;
-    bool pending_tail = false;
-    bool wants_compaction = false;
-    for (const Run& run : runs_) {
-      if (run.spilled != nullptr) {
-        if (run.spilled->HasUnflushedTail()) pending_tail = true;
-        if (!wants_compaction && CompactionWorthy(*run.spilled)) {
-          wants_compaction = true;
-        }
-        continue;
-      }
-      if (run.live_size() * sizeof(T) < config_.spill.min_spill_bytes) {
-        continue;
-      }
-      coldest = std::min(coldest, run.last_append);
-    }
-    governor_client_->Publish(MemoryBytes(), coldest, pending_tail);
-    governor_client_->AdvertiseCompaction(wants_compaction);
-  }
-
   void RemoveEmptyRunsAndCompact() {
     size_t w = 0;
     for (size_t r = 0; r < runs_.size(); ++r) {
@@ -803,10 +724,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   uint64_t append_seq_ = 0;
   std::unique_ptr<storage::RunStore> owned_store_;
   // The flusher that writes spilled blocks (config, else
-  // storage::DefaultFlusher; never null for trivially-copyable T) and this
-  // sorter's governor mailbox (nullptr when ungoverned).
+  // storage::DefaultFlusher; never null for trivially-copyable T).
   storage::SpillFlusher* flusher_ = nullptr;
-  storage::SpillGovernor::Client* governor_client_ = nullptr;
 
   std::vector<Run> runs_;
   std::vector<Timestamp> tails_;  // tails_[i] == time of runs_[i].items.back()

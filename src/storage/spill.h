@@ -19,9 +19,13 @@
 // one stay pinned in RAM for the run's life, never lost.
 //
 // SpillSettings carries the policy knobs (budget, victim choice cadence,
-// block size, flusher/governor wiring) into ImpatienceConfig; the victim
-// scan itself lives in the sorter, which owns the run metadata the
-// coldest-first choice needs.
+// block size, flusher wiring, compaction thresholds) into
+// ImpatienceConfig. The policy itself lives in the sorter, which owns the
+// run metadata the coldest-first choice needs: every check_period pushes
+// and at the end of every punctuation it compares max(own bytes, tracker)
+// with its budget and spills its coldest runs. Run-file compaction and
+// idle tail flushes run only when the owner calls the sorter's
+// PerformSpillMaintenance at a quiet point.
 
 #ifndef IMPATIENCE_STORAGE_SPILL_H_
 #define IMPATIENCE_STORAGE_SPILL_H_
@@ -33,7 +37,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -48,8 +51,6 @@
 
 namespace impatience {
 namespace storage {
-
-class SpillGovernor;  // storage/spill_governor.h
 
 // Parses a byte-size string: decimal digits with an optional k/m/g suffix
 // (case-insensitive, power-of-two). Returns 0 on anything malformed.
@@ -113,18 +114,9 @@ struct SpillSettings {
   // when use_env_default is set and the variable is (the forced-async CI
   // pass), else the process-wide inline flusher.
   SpillFlusher* flusher = nullptr;
-  // Shared-budget spill governor (storage/spill_governor.h). When set,
-  // the sorter registers as a client and victim selection moves from
-  // per-sorter to globally-coldest across every client sharing the
-  // budget; the governor's tick also drives idle flushes and compaction.
-  SpillGovernor* governor = nullptr;
-  // Wakeup the sorter hands the governor at registration — invoked from
-  // the tick thread when a request is posted, so it must be cheap and
-  // non-blocking (the server enqueues a maintenance frame; standalone
-  // sorters leave it empty and poll at their next push/punctuation).
-  std::function<void()> governor_wakeup;
-  // Disk compaction: rewrite a spilled run's file once the emitted-prefix
-  // blocks hold at least this fraction of its on-disk bytes...
+  // Disk compaction (PerformSpillMaintenance): rewrite a spilled run's
+  // file once the emitted-prefix blocks hold at least this fraction of its
+  // on-disk bytes...
   double compact_disk_fraction = 0.5;
   // ...and at least this many bytes would be reclaimed.
   size_t compact_min_disk_bytes = 256 << 10;
@@ -337,7 +329,7 @@ class SpilledRun {
   uint64_t DiskBytes() const { return next_offset_; }
 
   // True while a partial tail block sits in RAM with nothing scheduled to
-  // write it — what the governor's idle-flush deadline watches for.
+  // write it — what an idle tail flush writes out.
   bool HasUnflushedTail() const { return !pending_.empty(); }
 
   // True once a block write failed: that block and every later one stay

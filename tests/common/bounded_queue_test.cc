@@ -1,5 +1,6 @@
 #include "common/bounded_queue.h"
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -66,6 +67,27 @@ TEST(BoundedQueueTest, CloseDrainsThenStops) {
   EXPECT_TRUE(q.Pop(&v));
   EXPECT_EQ(v, 2);
   EXPECT_FALSE(q.Pop(&v));
+}
+
+TEST(BoundedQueueTest, PopForTimesOutThenPopsThenReportsClosed) {
+  BoundedMpscQueue<int> q(2);
+  int v = 0;
+  EXPECT_EQ(q.PopFor(&v, std::chrono::milliseconds(1)), QueuePop::kTimedOut);
+  EXPECT_EQ(q.TryPush(7), QueuePush::kOk);
+  q.Close();
+  // Close never discards: the queued item still pops, then kClosed.
+  EXPECT_EQ(q.PopFor(&v, std::chrono::milliseconds(1)), QueuePop::kItem);
+  EXPECT_EQ(v, 7);
+  EXPECT_EQ(q.PopFor(&v, std::chrono::hours(1)), QueuePop::kClosed);
+}
+
+TEST(BoundedQueueTest, PopForWakesOnPush) {
+  BoundedMpscQueue<int> q(2);
+  std::thread producer([&q] { EXPECT_EQ(q.PushBlock(5), QueuePush::kOk); });
+  int v = 0;
+  EXPECT_EQ(q.PopFor(&v, std::chrono::hours(1)), QueuePop::kItem);
+  EXPECT_EQ(v, 5);
+  producer.join();
 }
 
 TEST(BoundedQueueTest, BlockedProducerResumesWhenConsumerDrains) {

@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "engine/streamable.h"
+#include "storage/spill_flusher.h"
 #include "workload/generators.h"
 
 namespace impatience {
@@ -253,13 +254,21 @@ TEST(FrameworkTest, EarlyStreamsDeliverPartialResultsEarly) {
 TEST(FrameworkTest, AdvancedUsesLessMemoryThanBasic) {
   const std::vector<Event> events = LayeredLatenessStream(120000, 11);
   const Timestamp window = 500;
+  // Under a forced spill budget both arms spill; pin them to an inline
+  // flusher. A write-behind pool keeps each sealed block RAM-accounted
+  // until its write lands, so the peaks would depend on how far the pool
+  // lags the sorter, and the comparison would be a race.
+  storage::SpillFlusher::Options inline_options;
+  inline_options.threads = 0;
+  storage::SpillFlusher inline_flusher(inline_options);
+  FrameworkOptions options = ThreeBands();
+  options.sorter_config.spill.flusher = &inline_flusher;
 
-  auto run_basic = [&events, window]() {
+  auto run_basic = [&events, window, &options]() {
     MemoryTracker tracker;
     QueryPipeline<4> q(NoPunctIngress(), &tracker);
     Streamables<4> streams =
-        ToStreamables<4>(q.disordered().TumblingWindow(window),
-                         ThreeBands());
+        ToStreamables<4>(q.disordered().TumblingWindow(window), options);
     // Basic framework: the full query runs per output stream.
     std::vector<CountingSink<4>*> sinks;
     for (size_t i = 0; i < streams.size(); ++i) {
@@ -269,14 +278,14 @@ TEST(FrameworkTest, AdvancedUsesLessMemoryThanBasic) {
     return tracker.peak_bytes();
   };
 
-  auto run_advanced = [&events, window]() {
+  auto run_advanced = [&events, window, &options]() {
     MemoryTracker tracker;
     QueryPipeline<4> q(NoPunctIngress(), &tracker);
     StageFn<4> piq = [](Streamable<4> s) { return s.GroupCount(); };
     StageFn<4> merge = [](Streamable<4> s) { return s.CombinePartials(); };
     Streamables<4> streams =
-        ToStreamables<4>(q.disordered().TumblingWindow(window),
-                         ThreeBands(), piq, merge);
+        ToStreamables<4>(q.disordered().TumblingWindow(window), options,
+                         piq, merge);
     std::vector<CountingSink<4>*> sinks;
     for (size_t i = 0; i < streams.size(); ++i) {
       sinks.push_back(streams.stream(i).ToCounting());

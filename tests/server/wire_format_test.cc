@@ -187,6 +187,22 @@ TEST(WireFormatTest, OutOfRangeAuxRejected) {
   }
 }
 
+TEST(WireFormatTest, UnassignedTypeByteRejectedAsUnknown) {
+  // Type 12 is unassigned: an otherwise well-formed header-only frame
+  // carrying it fails exactly like any other unknown type byte.
+  for (const uint8_t type : {uint8_t{12}, uint8_t{0}, uint8_t{200}}) {
+    Frame f;
+    f.type = FrameType::kShutdown;
+    std::vector<uint8_t> bytes = EncodeFrame(f);
+    bytes[4] = type;  // Empty payload: the CRC still matches.
+    FrameDecoder decoder;
+    decoder.Feed(bytes.data(), bytes.size());
+    Frame frame;
+    EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kBadPayload)
+        << "type " << static_cast<int>(type);
+  }
+}
+
 TEST(WireFormatTest, TraceRequestWithPayloadRejected) {
   // kTraceRequest is header-only; a payload is protocol misuse.
   Frame f;

@@ -20,7 +20,6 @@
 #include "common/thread_pool.h"
 #include "sort/impatience_sorter.h"
 #include "storage/spill_flusher.h"
-#include "storage/spill_governor.h"
 
 namespace impatience {
 namespace {
@@ -88,8 +87,11 @@ int64_t NextTime(StreamShape shape, Rng& rng, int64_t now) {
 // Drives one sorter through the punctuation stress and returns everything
 // it emitted. Identical (shape, seed) means an identical push/punctuation
 // sequence, so outputs are directly comparable across configurations.
+// With `maintain`, spill maintenance (compaction) runs after every
+// punctuation, as the server's shard thread runs it between bursts.
 std::vector<Tagged> RunSession(SpillSorter* sorter, StreamShape shape,
-                               uint64_t seed, size_t steps = 3000) {
+                               uint64_t seed, size_t steps = 3000,
+                               bool maintain = false) {
   Rng rng(seed);
   int64_t now = 0;
   uint32_t tag = 0;
@@ -99,6 +101,7 @@ std::vector<Tagged> RunSession(SpillSorter* sorter, StreamShape shape,
     ++now;
     if (shape != StreamShape::kAllTies && rng.NextBelow(50) == 0) {
       sorter->OnPunctuation(now - 30, &out);
+      if (maintain) sorter->PerformSpillMaintenance();
     }
   }
   sorter->Flush(&out);
@@ -309,68 +312,40 @@ TEST(SpillDeterminismTest, ByteIdenticalUnderFlusherBackpressure) {
   EXPECT_GT(flusher.stats().backpressure_waits, 0u);
 }
 
-// Full tentpole composition: a governor assigning spill targets from its
-// asynchronous tick thread plus a flusher pool writing behind — when the
-// spills happen shifts with timing, but the emitted bytes may not.
-TEST(SpillDeterminismTest, ByteIdenticalUnderGovernorAndFlusher) {
+// A flusher pool writing behind plus run-file compaction between
+// punctuations: when blocks land and files are rewritten shifts with
+// timing, but the emitted bytes may not.
+TEST(SpillDeterminismTest, ByteIdenticalUnderFlusherAndCompaction) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
     SpillSorter ram_sorter(InMemoryConfig());
+    const std::vector<Tagged> want =
+        RunSession(&ram_sorter, StreamShape::kRandom, 600 + seed);
 
-    storage::SpillGovernor::Options go;
-    go.memory_budget = 16 << 10;
-    go.tick_period_us = 500;  // Aggressive ticking during the session.
-    storage::SpillGovernor governor(go);
     storage::SpillFlusher::Options fo;
     fo.threads = 2;
     storage::SpillFlusher flusher(fo);
-
     ImpatienceConfig config = InMemoryConfig();
+    config.spill.memory_budget = 16 << 10;
     config.spill.check_period = 8;
     config.spill.min_spill_bytes = 0;
     config.spill.block_bytes = 1024;
-    config.spill.governor = &governor;  // Budget comes from the governor.
     config.spill.flusher = &flusher;
-    {
-      // The sorter unregisters its governor client on destruction, so it
-      // must not outlive the governor (scoped here to enforce that).
-      SpillSorter sorter(config);
-      Rng rng(600 + seed);
-      int64_t now = 0;
-      uint32_t tag = 0;
-      std::vector<Tagged> got;
-      for (size_t step = 0; step < 3000; ++step) {
-        sorter.Push(
-            Tagged{NextTime(StreamShape::kRandom, rng, now), tag++});
-        ++now;
-        // Standalone sorters poll the governor's mailbox between pushes
-        // (the server does this via maintenance frames).
-        if (step % 64 == 63) sorter.PerformSpillMaintenance();
-        if (rng.NextBelow(50) == 0) sorter.OnPunctuation(now - 30, &got);
-      }
-      sorter.Flush(&got);
-      // Replay the reference with the identical push/punctuation script.
-      Rng ref_rng(600 + seed);
-      now = 0;
-      tag = 0;
-      std::vector<Tagged> ref;
-      for (size_t step = 0; step < 3000; ++step) {
-        ram_sorter.Push(
-            Tagged{NextTime(StreamShape::kRandom, ref_rng, now), tag++});
-        ++now;
-        if (ref_rng.NextBelow(50) == 0) {
-          ram_sorter.OnPunctuation(now - 30, &ref);
-        }
-      }
-      ram_sorter.Flush(&ref);
-      ASSERT_EQ(got, ref) << "seed=" << seed;
-      EXPECT_GT(sorter.counters().runs_spilled, 0u) << "seed=" << seed;
-    }
+    config.spill.compact_min_disk_bytes = 1;  // Any reclaimable byte.
+    config.spill.compact_disk_fraction = 0.0;
+    SpillSorter sorter(config);
+    const std::vector<Tagged> got =
+        RunSession(&sorter, StreamShape::kRandom, 600 + seed,
+                   /*steps=*/3000, /*maintain=*/true);
+    ASSERT_EQ(got, want) << "seed=" << seed;
+    EXPECT_GT(sorter.counters().runs_spilled, 0u) << "seed=" << seed;
+    EXPECT_GT(sorter.counters().spill_compactions, 0u) << "seed=" << seed;
   }
 }
 
-// Disk compaction rides maintenance: with the thresholds floored, every
-// punctuation rewrites run files whose emitted prefix still occupies disk,
-// and the rewritten files keep serving byte-identical merges.
+// Disk compaction rides maintenance: with the thresholds floored, the
+// maintenance after every punctuation rewrites run files whose emitted
+// prefix still occupies disk, and the rewritten files keep serving
+// byte-identical merges.
 TEST(SpillDeterminismTest, ByteIdenticalWithAggressiveDiskCompaction) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
     SpillSorter ram_sorter(InMemoryConfig());
@@ -382,7 +357,8 @@ TEST(SpillDeterminismTest, ByteIdenticalWithAggressiveDiskCompaction) {
     config.spill.compact_disk_fraction = 0.0;
     SpillSorter sorter(config);
     const std::vector<Tagged> got =
-        RunSession(&sorter, StreamShape::kRandom, 700 + seed);
+        RunSession(&sorter, StreamShape::kRandom, 700 + seed,
+                   /*steps=*/3000, /*maintain=*/true);
     ASSERT_EQ(got, want) << "seed=" << seed;
     EXPECT_GT(sorter.counters().spill_compactions, 0u) << "seed=" << seed;
   }

@@ -6,23 +6,29 @@
 // already delivered pre-crash is delivered after recovery + flush, no
 // event twice, none invented. A second scenario tears the newest run
 // file's tail before restart — recovery then yields the longest intact
-// prefix, still without duplicates.
+// prefix, still without duplicates. Two more cases pin the shard thread's
+// spill upkeep: an idle session's spilled tail reaches disk without a
+// punctuation, and run files compact under continuous load.
 
 #include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/timestamp.h"
+#include "engine/batch.h"
 #include "server/session_shard_manager.h"
 #include "storage/run_store.h"
 #include "storage/spill.h"
@@ -281,9 +287,9 @@ TEST(SpillRecoveryTest, TornTailRecoversLongestIntactPrefix) {
 }
 
 // The same two scenarios with the write-behind flusher pool carrying the
-// spill writes: the crash boundary now cuts across flusher threads, the
-// shared-budget governor, and maintenance frames, and recovery must still
-// deliver exactly the durable suffix — no loss, no duplicates.
+// spill writes: the crash boundary now cuts across flusher threads and
+// the shard thread's spill maintenance, and recovery must still deliver
+// exactly the durable suffix — no loss, no duplicates.
 TEST(SpillRecoveryTest, KillAndRestartWithWriteBehindFlusherPool) {
   RunKillRestartScenario(/*tear_tail=*/false, /*flusher_threads=*/2);
 }
@@ -320,6 +326,106 @@ TEST(SpillRecoveryTest, CleanShutdownLeavesNothingToRecover) {
   EXPECT_EQ(events_recovered, 0u);
   EXPECT_EQ(runs_recovered, 0u);
   EXPECT_TRUE(second.Ids().empty());
+}
+
+// Submits `events` events of one session (so one shard) in frames of
+// kEventsPerFrame, sync_time and id continuing from *seq; returns the last
+// id submitted.
+uint64_t SubmitOneSession(SessionShardManager* manager, size_t events,
+                          uint64_t* seq) {
+  for (size_t sent = 0; sent < events; sent += kEventsPerFrame) {
+    Frame frame;
+    frame.type = FrameType::kEvents;
+    frame.session_id = 1;
+    for (size_t i = sent; i < std::min(events, sent + kEventsPerFrame);
+         ++i) {
+      frame.events.push_back(
+          MakeEvent(static_cast<Timestamp>(*seq), *seq, /*key=*/1));
+      ++*seq;
+    }
+    const QueuePush push = manager->Submit(std::move(frame)).push;
+    EXPECT_TRUE(push == QueuePush::kOk || push == QueuePush::kBlocked);
+  }
+  return *seq - 1;
+}
+
+uint64_t SumSorter(const std::vector<ShardMetrics>& shards,
+                   uint64_t ImpatienceCounters::*field) {
+  uint64_t total = 0;
+  for (const ShardMetrics& m : shards) total += m.sorter.*field;
+  return total;
+}
+
+// A session that stops sending — no punctuation, no flush — leaves its
+// newest events in a spilled run's partial tail block. The idle shard
+// writes that tail out (through the fsync) on its own, so the events are
+// durable and a crash afterwards replays them.
+TEST(SpillRecoveryTest, IdleSessionTailReachesDiskAndRecovers) {
+  TempDir dir;
+  const std::string spill_dir = dir.path() + "/spill";
+  const std::string snapshot_dir = dir.path() + "/snapshot";
+
+  // No punctuation rounds at all: the partition hands the sorter whole
+  // batches, and exactly two of them put the newest event in the sorter.
+  ShardManagerOptions options = DurableOptions(spill_dir);
+  options.framework.punctuation_period = size_t{1} << 30;
+  Collector before;
+  auto manager = std::make_unique<SessionShardManager>(options, before.Fn());
+  uint64_t seq = 0;
+  const uint64_t newest =
+      SubmitOneSession(manager.get(), 2 * kDefaultBatchSize, &seq);
+
+  // Poll copies of the live spill tree (recovery truncates torn tails, so
+  // it must never run on the directory the shard is writing).
+  bool durable_newest = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!durable_newest && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::error_code ec;
+    std::filesystem::remove_all(snapshot_dir, ec);
+    std::filesystem::copy(spill_dir, snapshot_dir,
+                          std::filesystem::copy_options::recursive, ec);
+    if (ec) continue;  // A file vanished mid-copy; try again.
+    durable_newest = DurableIds(snapshot_dir).count(newest) > 0;
+  }
+  ASSERT_TRUE(durable_newest) << "idle tail never reached disk";
+  const std::vector<ShardMetrics> shards = manager->SnapshotShards();
+  EXPECT_GT(SumSorter(shards, &ImpatienceCounters::runs_spilled), 0u);
+  EXPECT_GT(SumSorter(shards, &ImpatienceCounters::idle_flushes), 0u);
+
+  manager->AbandonForTest();
+  manager.reset();
+  const std::set<uint64_t> durable = DurableIds(spill_dir);
+  ASSERT_EQ(durable.count(newest), 1u);
+  EXPECT_EQ(before.Ids().count(newest), 0u);  // Never emitted pre-crash.
+
+  Collector after;
+  auto restarted = std::make_unique<SessionShardManager>(options, after.Fn());
+  restarted->Shutdown();
+  restarted.reset();
+  after.ExpectNoDuplicates("post-recovery emissions");
+  EXPECT_EQ(after.Ids(), durable);
+}
+
+// Compaction does not wait for an idle shard: with the thresholds floored
+// and frames arriving back to back (never 100 ms apart), run files are
+// rewritten whenever the shard's queue drains between frames.
+TEST(SpillRecoveryTest, RunFilesCompactUnderContinuousLoad) {
+  TempDir dir;
+  ShardManagerOptions options = DurableOptions(dir.path() + "/spill");
+  options.framework.sorter_config.spill.compact_min_disk_bytes = 1;
+  options.framework.sorter_config.spill.compact_disk_fraction = 0.0;
+  SessionShardManager manager(options);
+  uint64_t seq = 0;
+  uint64_t compactions = 0;
+  for (size_t round = 0; round < 500 && compactions == 0; ++round) {
+    SubmitOneSession(&manager, 8 * kEventsPerFrame, &seq);
+    compactions = SumSorter(manager.SnapshotShards(),
+                            &ImpatienceCounters::spill_compactions);
+  }
+  EXPECT_GT(compactions, 0u);
+  manager.Shutdown();
 }
 
 }  // namespace

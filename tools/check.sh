@@ -72,6 +72,12 @@
 # detector, caller-runs on a full queue and Wait's completion guarantee
 # each run across 50 schedules under each detector.
 #
+# An eleventh pass repeats the shard thread's spill-upkeep tests 20x: the
+# idle tail flush (a quiet session's spilled tail reaches disk after the
+# timed queue pop gives up, then survives a crash) and compaction under
+# continuous load, each across 20 schedules of shard worker, flusher and
+# queue timing under each detector.
+#
 # Benches/examples/tools are skipped: they share the same code, and
 # building them under the sanitizers roughly doubles the wall clock for no
 # extra coverage.
@@ -133,11 +139,16 @@ run_pass() {
   (cd "$build_dir" && \
     env IMPATIENCE_THREADS=8 $env_opts \
       ctest --output-on-failure -R "^StrandTest\." --repeat until-fail:50)
+  (cd "$build_dir" && \
+    env IMPATIENCE_THREADS=8 $env_opts \
+      ctest --output-on-failure \
+      -R "SpillRecoveryTest\.(IdleSessionTail|RunFilesCompact)" \
+      --repeat until-fail:20)
   echo "$name tier-1 (native + scalar + avx2 kernels + tracing on" \
     "+ 8-seed server fault sweep + forced-spill 64k budget, inline + async" \
     "flusher pool + 3x live-telemetry server repeat + 3-seed live result," \
     "telemetry and subscription-hub subscriber sweep + 50x flusher" \
-    "backpressure repeat + 50x strand repeat): OK"
+    "backpressure repeat + 50x strand repeat + 20x spill-upkeep repeat): OK"
 }
 
 tsan_pass() {

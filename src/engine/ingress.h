@@ -71,12 +71,6 @@ class Ingress : public Emitter<W> {
     downstream_->OnFlush();
   }
 
-  // Pushes any partially filled batch downstream without ending the
-  // stream. Long-lived drivers (the server's shard workers) call this
-  // after draining a burst so events do not sit in a half-filled batch
-  // until the next burst arrives.
-  void FlushPending() { FlushBatch(); }
-
   Timestamp high_watermark() const { return high_watermark_; }
   Timestamp last_punctuation() const { return last_punctuation_; }
 

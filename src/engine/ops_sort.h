@@ -1,6 +1,6 @@
 // The sorting operator: the bridge from disordered to in-order streams.
 //
-// Consumes batches in arrival order, buffers live rows in an
+// Consumes rows (Push) or batches in arrival order, buffers live rows in an
 // IncrementalSorter (Impatience sort by default), and on every punctuation
 // emits the released events in sync_time order. All operators downstream of
 // this node see an in-order stream and can be ordinary in-order operators —
@@ -42,15 +42,23 @@ class SortOp : public Operator<W, W> {
       : SortOp(std::make_unique<ImpatienceSorter<Element>>(config),
                tracker) {}
 
+  // Row entry: buffers one event. Rows pushed here skip the batch
+  // reshape; the caller calls UpdateReservation() once after each span of
+  // pushes (punctuations and flushes update it themselves).
+  void Push(const Element& e) { sorter_->Push(e); }
+
+  // Re-reads the sorter's buffered bytes into the tracker reservation.
+  void UpdateReservation() { reservation_.Update(sorter_->MemoryBytes()); }
+
   void OnBatch(const EventBatch<W>& batch) override {
     // The selection bitmap is resolved here: filtered rows are dropped and
     // never buffered (but every bitmap bit is still inspected — the cost
     // the paper points out in §VI-C).
     for (size_t i = 0; i < batch.size(); ++i) {
       if (batch.filtered.Test(i)) continue;
-      sorter_->Push(batch.RowAt(i));
+      Push(batch.RowAt(i));
     }
-    reservation_.Update(sorter_->MemoryBytes());
+    UpdateReservation();
   }
 
   void OnPunctuation(Timestamp t) override {
@@ -60,7 +68,7 @@ class SortOp : public Operator<W, W> {
       builder_.Append(e, this->downstream());
     }
     builder_.Flush(this->downstream());
-    reservation_.Update(sorter_->MemoryBytes());
+    UpdateReservation();
     this->EmitPunctuation(t);
   }
 
@@ -71,7 +79,7 @@ class SortOp : public Operator<W, W> {
       builder_.Append(e, this->downstream());
     }
     builder_.Flush(this->downstream());
-    reservation_.Update(sorter_->MemoryBytes());
+    UpdateReservation();
     this->EmitPunctuation(kMaxTimestamp);
     this->EmitFlush();
   }

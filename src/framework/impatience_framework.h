@@ -17,7 +17,8 @@
 // Passing identity stages yields the basic framework.
 //
 // The framework runs in two stages. The calling thread drives the
-// partition and every band's subplan (sort, PIQ). Each band's output then
+// partition, which pushes every routed event straight into its band's
+// sorter, and every band's subplan (sort, PIQ). Each band's output then
 // passes through a StrandStageOp into an optional Strand, which runs the
 // union chain, the merge stages and every subscriber of the output streams
 // serially, in the order the bands emitted. Without a strand the stage
@@ -171,14 +172,17 @@ class StrandStageOp : public Operator<W, W> {
 };
 
 // Routes events to latency bands and self-punctuates each band at
-// (high watermark - band latency) every `punctuation_period` events.
-// Upstream punctuations are absorbed: the partition is the authority on
-// band-level progress.
+// (high watermark - band latency) every `punctuation_period` events. Each
+// band's head is its SortOp: a routed event is pushed into that band's
+// sorter as a row, with no batch in between. Rows enter as batches
+// (OnBatch, from an upstream operator) or as plain arrays (PushRows, from
+// a driver that already holds decoded rows); both take the one routing
+// path. Upstream punctuations are absorbed: the partition is the authority
+// on band-level progress.
 template <int W>
 class PartitionOp : public Sink<W> {
  public:
-  PartitionOp(std::vector<Timestamp> latencies, size_t punctuation_period,
-              size_t batch_size)
+  PartitionOp(std::vector<Timestamp> latencies, size_t punctuation_period)
       : latencies_(std::move(latencies)),
         punctuation_period_(punctuation_period) {
     IMPATIENCE_CHECK(!latencies_.empty());
@@ -187,17 +191,14 @@ class PartitionOp : public Sink<W> {
                            "reorder latencies must be strictly increasing");
     }
     IMPATIENCE_CHECK(punctuation_period_ > 0);
-    bands_.reserve(latencies_.size());
-    for (size_t i = 0; i < latencies_.size(); ++i) {
-      bands_.emplace_back(batch_size);
-    }
+    bands_.resize(latencies_.size());
   }
 
-  // Wires band `i`'s output; must be called for every band before data
+  // Wires band `i`'s sorter; must be called for every band before data
   // flows.
-  void SetBandDownstream(size_t i, Sink<W>* sink) {
+  void SetBandDownstream(size_t i, SortOp<W>* sort) {
     IMPATIENCE_CHECK(i < bands_.size() && bands_[i].head == nullptr);
-    bands_[i].head = sink;
+    bands_[i].head = sort;
   }
 
   void OnBatch(const EventBatch<W>& batch) override {
@@ -205,6 +206,21 @@ class PartitionOp : public Sink<W> {
       if (batch.filtered.Test(r)) continue;
       Route(batch.RowAt(r));
     }
+    UpdateReservations();
+  }
+
+  // Routes `n` arrival-ordered rows, exactly as OnBatch routes an
+  // unfiltered batch holding them. Returns the largest sync_time among the
+  // rows (kMinTimestamp when n == 0), so a driver can keep its own
+  // watermark without a second pass.
+  Timestamp PushRows(const BasicEvent<W>* rows, size_t n) {
+    Timestamp max_sync = kMinTimestamp;
+    for (size_t r = 0; r < n; ++r) {
+      if (rows[r].sync_time > max_sync) max_sync = rows[r].sync_time;
+      Route(rows[r]);
+    }
+    UpdateReservations();
+    return max_sync;
   }
 
   // Upstream punctuations carry no band information; ignored (see class
@@ -218,7 +234,6 @@ class PartitionOp : public Sink<W> {
         Band* band = &b;
         group.Run([band] {
           band->DeliverPending();
-          band->builder.Flush(band->head);
           band->head->OnFlush();
         });
       }
@@ -226,10 +241,7 @@ class PartitionOp : public Sink<W> {
       for (BandStageOp<W>* stage : stages_) stage->Replay();
       return;
     }
-    for (Band& band : bands_) {
-      band.builder.Flush(band.head);
-      band.head->OnFlush();
-    }
+    for (Band& band : bands_) band.head->OnFlush();
   }
 
   // Switches to band-parallel execution: events are staged per band and
@@ -275,21 +287,33 @@ class PartitionOp : public Sink<W> {
 
  private:
   struct Band {
-    explicit Band(size_t batch_size) : builder(batch_size) {}
-    BatchBuilder<W> builder;
-    Sink<W>* head = nullptr;
+    SortOp<W>* head = nullptr;
     Timestamp last_punctuation = kMinTimestamp;
+    // Rows pushed into `head` since its reservation was last updated
+    // (serial mode only).
+    bool pushed = false;
     // Events staged since the last punctuation round (parallel mode only).
     std::vector<BasicEvent<W>> pending;
 
-    // Appends the staged events in arrival order. SortOp buffers until
+    // Pushes the staged events in arrival order. SortOp buffers until
     // punctuation, so deferring delivery to the round boundary is
     // invisible downstream.
     void DeliverPending() {
-      for (const BasicEvent<W>& e : pending) builder.Append(e, head);
+      if (pending.empty()) return;
+      for (const BasicEvent<W>& e : pending) head->Push(e);
+      head->UpdateReservation();
       pending.clear();
     }
   };
+
+  // Brings each band's reservation up to date after a span of rows.
+  void UpdateReservations() {
+    for (Band& band : bands_) {
+      if (!band.pushed) continue;
+      band.head->UpdateReservation();
+      band.pushed = false;
+    }
+  }
 
   void Route(const BasicEvent<W>& e) {
     if (band_counts_.empty()) band_counts_.resize(bands_.size(), 0);
@@ -309,7 +333,8 @@ class PartitionOp : public Sink<W> {
       bands_[band].pending.push_back(e);
       ++band_counts_[band];
     } else {
-      bands_[band].builder.Append(e, bands_[band].head);
+      bands_[band].head->Push(e);
+      bands_[band].pushed = true;
       ++band_counts_[band];
     }
 
@@ -332,7 +357,6 @@ class PartitionOp : public Sink<W> {
       for (size_t i = 0; i < bands_.size(); ++i) {
         const Timestamp p = high_watermark_ - latencies_[i];
         if (p > bands_[i].last_punctuation) {
-          bands_[i].builder.Flush(bands_[i].head);
           bands_[i].head->OnPunctuation(p);
           bands_[i].last_punctuation = p;
         }
@@ -355,7 +379,6 @@ class PartitionOp : public Sink<W> {
         TRACE_SPAN("framework.band_task");
         band->DeliverPending();
         if (p > band->last_punctuation) {
-          band->builder.Flush(band->head);
           band->head->OnPunctuation(p);
           band->last_punctuation = p;
         }
@@ -402,7 +425,8 @@ class Streamables {
   // Partition statistics (drops, per-band routing).
   const PartitionOp<W>& partition() const { return *partition_; }
 
-  // Mutable partition access for the ingest path (ForcePunctuation).
+  // Mutable partition access for the ingest path (PushRows,
+  // ForcePunctuation).
   PartitionOp<W>* mutable_partition() { return partition_; }
 
   // Total events lost: too late for the largest latency, plus the rare
@@ -494,9 +518,8 @@ Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
   const size_t k = options.reorder_latencies.size();
   IMPATIENCE_CHECK(k > 0);
 
-  auto* partition = graph.Make<PartitionOp<W>>(
-      options.reorder_latencies, options.punctuation_period,
-      ctx->batch_size);
+  auto* partition = graph.Make<PartitionOp<W>>(options.reorder_latencies,
+                                              options.punctuation_period);
   source.tail()->SetDownstream(partition);
 
   auto apply = [&ctx](const StageFn<W>& fn, Emitter<W>* tail) {

@@ -65,7 +65,7 @@ struct ShardMetrics {
   HistogramSnapshot queue_wait;
   // Wall-clock nanoseconds the drain loop spent applying one frame to the
   // pipeline (time the queue could not drain — the stall the frame caused),
-  // plus one sample per burst-boundary flush of a half-filled batch.
+  // plus one per spill upkeep pass at a burst boundary or that compacted.
   HistogramSnapshot drain_stall;
   // Wall-clock nanoseconds of one emit-strand job: a union-chain message
   // with its result fan-out, a burst-end progress report, or a flush ack.

@@ -67,14 +67,18 @@ uint64_t MixSession(uint64_t x) {
 // sending without a punctuation or flush.
 constexpr std::chrono::milliseconds kIdleSpillFlushAfter{100};
 
+// Events recovery hands the partition per PushRows call.
+constexpr size_t kRecoveryChunkEvents = 4096;
+
 }  // namespace
 
 struct SessionShardManager::Shard {
   Shard(size_t index, const ShardManagerOptions& options)
       : index(index),
         queue(options.queue_capacity),
-        // The partition absorbs ingress punctuations, so the ingress never
-        // needs to punctuate on its own; SIZE_MAX disables its cadence.
+        // Rows bypass the ingress (Process hands them to the partition),
+        // which only carries the shutdown flush; SIZE_MAX disables its
+        // punctuation cadence.
         pipeline({.punctuation_period = static_cast<size_t>(-1),
                   .reorder_latency = 0},
                  &memory),
@@ -130,8 +134,8 @@ struct SessionShardManager::Shard {
   // Latency distributions (atomic buckets): recorded by the drain loop,
   // snapshotted concurrently by SnapshotShards without pipeline_mu.
   LatencyHistogram queue_wait;   // Submit-to-pop wait per frame.
-  // Pipeline-apply time: one sample per frame plus one per burst-boundary
-  // flush.
+  // Pipeline-apply time: one sample per frame, plus one per spill upkeep
+  // pass at a burst boundary or one that compacted.
   LatencyHistogram drain_stall;
 };
 
@@ -215,29 +219,37 @@ void SessionShardManager::RecoverShard(Shard* s) {
   IMPATIENCE_CHECK_MSG(s->store->Recover(&runs, &stats, &error), "%s",
                        error.c_str());
   // Replay each intact run (ascending within a run, run-id order across
-  // runs) through the normal ingress path: the partition re-routes, the
+  // runs) through the frame path, in chunks: the partition re-routes, the
   // sorters re-sort, and the data re-spills if the budget demands —
   // recovery needs no special-case emit path. At-least-once: a suffix the
   // crashed process already emitted but whose head advance was not yet
   // durable is emitted again.
+  PartitionOp<4>* partition = s->streams->mutable_partition();
+  std::vector<Event> chunk;
+  chunk.reserve(kRecoveryChunkEvents);
   for (const storage::RecoveredRun& run : runs) {
     uint64_t read_bytes = 0;
     uint64_t replayed = 0;
     const bool ok = storage::ReplayRecoveredRun<Event>(
         run,
         [&](const Event& e) {
-          s->pipeline.ingress().Push(e);
+          chunk.push_back(e);
+          if (chunk.size() == kRecoveryChunkEvents) {
+            partition->PushRows(chunk.data(), chunk.size());
+            chunk.clear();
+          }
           ++replayed;
         },
         &read_bytes, &error);
     IMPATIENCE_CHECK_MSG(ok, "%s", error.c_str());
+    partition->PushRows(chunk.data(), chunk.size());
+    chunk.clear();
     s->events_recovered += replayed;
     ++s->runs_recovered;
     // The events live in the pipeline again (RAM or re-spilled under new
     // run ids); the old file is dead weight.
     s->store->DeleteRun(run.id, nullptr);
   }
-  s->pipeline.ingress().FlushPending();
 }
 
 size_t SessionShardManager::ShardOf(uint64_t session_id) const {
@@ -313,19 +325,18 @@ void SessionShardManager::WorkerLoop(Shard* s) {
     {
       std::lock_guard<std::mutex> lock(s->pipeline_mu);
       Process(s, frame);
-      // Burst boundary: nothing else queued right now, so push any
-      // half-filled batch into the pipeline instead of letting it sit
-      // until the next frame arrives, then compact run files while the
-      // shard is quiet. Both are pipeline work like a frame's, so they
-      // are timed into drain_stall as one sample.
-      if (s->queue.size() == 0) {
-        const uint64_t flush_start_ns = Clock::Nanos();
-        s->pipeline.ingress().FlushPending();
-        s->streams->PerformSpillMaintenance();
-        s->drain_stall.Record(Clock::Nanos() - flush_start_ns);
-        burst_end = true;
-        frontier = s->streams->partition().band_punctuation(0);
+      // Compact run files after every frame: each frame does its own
+      // sorting, so a loaded shard may never see its queue drain, and its
+      // files must still shrink. That is pipeline work like a frame's,
+      // timed into drain_stall at each burst boundary (nothing else queued
+      // right now) and whenever it compacted.
+      burst_end = s->queue.size() == 0;
+      const uint64_t upkeep_start_ns = Clock::Nanos();
+      const bool compacted = s->streams->PerformSpillMaintenance();
+      if (burst_end || compacted) {
+        s->drain_stall.Record(Clock::Nanos() - upkeep_start_ns);
       }
+      if (burst_end) frontier = s->streams->partition().band_punctuation(0);
     }
     // Progress is posted outside pipeline_mu: the callback fans chunks
     // out to subscribers and must not hold up metrics snapshots.
@@ -354,23 +365,22 @@ void SessionShardManager::Process(Shard* s, Frame& frame) {
       s->sessions.emplace(frame.session_id, kMinTimestamp).first->second;
   switch (frame.type) {
     case FrameType::kEvents:
-      for (const Event& e : frame.events) {
-        if (e.sync_time > session_watermark) session_watermark = e.sync_time;
-        s->pipeline.ingress().Push(e);
-      }
+      // The decoded rows go straight to the partition, which pushes each
+      // into its band's sorter and returns the frame's largest sync_time.
+      session_watermark = std::max(
+          session_watermark, s->streams->mutable_partition()->PushRows(
+                                 frame.events.data(), frame.events.size()));
       break;
     case FrameType::kPunctuation:
       // A client punctuation promises no events ≤ t will follow on this
       // session. Sessions share the shard pipeline, so the promise alone
       // cannot advance band punctuations — but it is a natural point to
       // run a partition round so idle periods still produce output.
-      s->pipeline.ingress().FlushPending();
       s->streams->mutable_partition()->ForcePunctuation();
       break;
     case FrameType::kFlushSession:
       // Everything this session sent earlier is now in the pipeline (the
       // queue is FIFO); surface what can be surfaced and ack.
-      s->pipeline.ingress().FlushPending();
       s->streams->mutable_partition()->ForcePunctuation();
       // Posted behind the records this punctuation released.
       if (on_session_flush_) {
@@ -519,7 +529,6 @@ void SessionShardManager::DrainShardForTest(size_t shard) {
   Timestamp frontier = kMinTimestamp;
   {
     std::lock_guard<std::mutex> lock(s->pipeline_mu);
-    s->pipeline.ingress().FlushPending();
     s->streams->PerformSpillMaintenance();
     frontier = s->streams->partition().band_punctuation(0);
   }

@@ -189,7 +189,7 @@ class SessionShardManager {
   // Posts a burst-end progress report behind the burst's results.
   void PostProgress(Shard* shard, Timestamp frontier);
   // Replays runs a crashed predecessor spilled into this shard's store
-  // back through the pipeline ingress (at-least-once), then drops them.
+  // back through the partition (at-least-once), then drops them.
   void RecoverShard(Shard* shard);
 
   ShardManagerOptions options_;

@@ -528,6 +528,15 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   // configured). Over budget, trims the buffer pool, then spills victim
   // runs coldest-first (least recently appended, ties to the larger run)
   // until the measured excess is covered or nothing spillable remains.
+  //
+  // A write-behind flusher leaves sealed blocks in flight, RAM-accounted
+  // until their writes land and a seal or read reclaims them, and each
+  // spilled run a spare block buffer. Over budget the sorter reclaims the
+  // landed blocks, drops the spares, and lets at most two spill blocks'
+  // worth stay in flight, waiting for its writes past that. While it picks
+  // victims it counts the blocks in flight as already leaving: spilling
+  // more runs cannot free them sooner. Behind an inline flusher nothing is
+  // ever in flight, so none of this changes what it spills.
   void MaybeSpill() {
     const size_t own_before = MemoryBytes();
     size_t used = own_before;
@@ -539,12 +548,45 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     // Pooled merge buffers are pure cache — drop them before touching any
     // run.
     pool_.Trim(0);
-    size_t own = MemoryBytes();
-    while (own_before - own < deficit) {
+    ReclaimSpillBuffers();
+    size_t own = MemoryBytes() - InflightBytes();
+    auto covered = [&] { return own + deficit <= own_before; };
+    // Spill until covered; stop early if spilling grew the footprint (a
+    // run smaller than its spill block costs more spilled than in RAM).
+    while (!covered() && own <= own_before) {
       const size_t victim = PickVictim();
       if (victim == runs_.size()) break;
       if (!SpillRun(victim)) break;
-      own = MemoryBytes();
+      ReclaimSpillBuffers();
+      own = MemoryBytes() - InflightBytes();
+    }
+  }
+
+  // Bytes of spilled blocks whose writes are under way (a failed write
+  // pins its blocks in RAM for good; those are not counted).
+  size_t InflightBytes() const {
+    size_t bytes = 0;
+    for (const Run& run : runs_) {
+      if (run.spilled != nullptr && !run.spilled->write_failed()) {
+        bytes += run.spilled->inflight_bytes();
+      }
+    }
+    return bytes;
+  }
+
+  // Waits for this sorter's spill writes once more than two blocks' worth
+  // are in flight, reclaims the landed ones, and frees the spare buffers
+  // they were recycled into.
+  void ReclaimSpillBuffers() {
+    const bool wait = InflightBytes() > 2 * config_.spill.block_bytes;
+    for (Run& run : runs_) {
+      if (run.spilled == nullptr) continue;
+      if (wait) {
+        run.spilled->WaitWritesDone();
+      } else {
+        run.spilled->Harvest();
+      }
+      run.spilled->ReleaseSpare();
     }
   }
 

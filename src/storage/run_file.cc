@@ -52,14 +52,16 @@ void SetError(std::string* error, const std::string& what) {
 bool FaultedWrite(int fd, const uint8_t* data, size_t n, WriteFault* fault) {
   bool fail = false;  // Error mode and this write crosses the budget.
   if (fault != nullptr) {
+    // The budget first: its acquire load makes the mode WriteFault::Set
+    // stored with it visible.
+    int64_t budget = fault->budget.load(std::memory_order_acquire);
     const bool error = fault->error.load(std::memory_order_relaxed);
     if (fault->dead.load(std::memory_order_relaxed)) return !error;
-    int64_t budget = fault->budget.load(std::memory_order_relaxed);
     while (budget >= 0) {
       const size_t allowed = std::min<size_t>(n, static_cast<size_t>(budget));
       if (fault->budget.compare_exchange_weak(
               budget, budget - static_cast<int64_t>(allowed),
-              std::memory_order_relaxed, std::memory_order_relaxed)) {
+              std::memory_order_acquire, std::memory_order_acquire)) {
         if (allowed < n) {
           fault->dead.store(true, std::memory_order_relaxed);
           fail = error;

@@ -70,14 +70,16 @@ struct WriteFault {
   std::atomic<bool> dead{false};
   std::atomic<bool> error{false};  // Past the budget: fail, don't vanish.
 
-  void Arm(int64_t bytes) {
-    budget.store(bytes, std::memory_order_relaxed);
+  void Arm(int64_t bytes) { Set(bytes, /*fail=*/false); }
+  void ArmError(int64_t bytes) { Set(bytes, /*fail=*/true); }
+  // The mode is stored before the budget, whose release store publishes
+  // it: a writer on another thread that sees the new budget also sees its
+  // mode. Storing the budget first let a concurrent write cross it in the
+  // old mode, so an armed error could silently drop a block instead.
+  void Set(int64_t bytes, bool fail) {
+    error.store(fail, std::memory_order_relaxed);
     dead.store(false, std::memory_order_relaxed);
-    error.store(false, std::memory_order_relaxed);
-  }
-  void ArmError(int64_t bytes) {
-    Arm(bytes);
-    error.store(true, std::memory_order_relaxed);
+    budget.store(bytes, std::memory_order_release);
   }
   // True once a kill fired: later writes and fsyncs silently vanish.
   bool is_dead() const {

@@ -218,6 +218,31 @@ class SpilledRun {
     Harvest();
   }
 
+  // Reclaims RAM copies of blocks the flusher has confirmed written and
+  // latches the channel's failure state.
+  void Harvest() {
+    const uint64_t done =
+        written_blocks_->load(std::memory_order_acquire);
+    while (harvested_blocks_ < done) {
+      Inflight& f = inflight_.front();
+      inflight_bytes_ -= f.payload->size() * sizeof(T);
+      if (f.payload.use_count() == 1) {
+        // Recycle the block buffer, into an empty pending_ first: an
+        // inline run then holds one block buffer, a write-behind run at
+        // most two (pending_ plus spare_), and steady-state appends
+        // allocate nothing.
+        std::vector<T>& slot = pending_.capacity() == 0 ? pending_ : spare_;
+        if (slot.capacity() == 0) {
+          slot = std::move(*f.payload);
+          slot.clear();
+        }
+      }
+      inflight_.pop_front();
+      ++harvested_blocks_;
+    }
+    if (channel_->failed()) write_failed_ = true;
+  }
+
   // Counts the live elements (index >= head) with time <= t and reports
   // the time of the first survivor (kMaxTimestamp when none). Requires at
   // least one live element with time <= t (the sorter only cuts runs whose
@@ -315,6 +340,14 @@ class SpilledRun {
            blocks_.capacity() * sizeof(BlockRef) +
            load_buf_.capacity() * sizeof(T);
   }
+
+  // Bytes of sealed blocks whose writes are not yet reclaimed (always 0
+  // behind an inline flusher, unless a write failed).
+  size_t inflight_bytes() const { return inflight_bytes_; }
+
+  // Frees the recycled block buffer a write-behind run keeps for its next
+  // seal (an inline run never holds one).
+  void ReleaseSpare() { std::vector<T>().swap(spare_); }
 
   // Trims the load buffer (kept across punctuations otherwise).
   void TrimScratch() {
@@ -464,6 +497,12 @@ class SpilledRun {
     pending_ = std::move(spare_);
     spare_ = std::vector<T>();
     pending_.clear();
+    // Behind a pool the sealed buffer comes back only once its write
+    // lands: give the next block a buffer of exactly one block, so the
+    // run's footprint does not depend on when writes land.
+    if (pending_.capacity() == 0 && flusher_->threads() > 0) {
+      pending_.reserve(block_records_);
+    }
     inflight_bytes_ += static_cast<size_t>(ref.count) * sizeof(T);
     CommitSeal(ref);
     if (!write_failed_) {
@@ -495,31 +534,6 @@ class SpilledRun {
     disk_records_ += ref.count;
     next_offset_ +=
         kRunBlockHeaderBytes + static_cast<uint64_t>(ref.count) * sizeof(T);
-  }
-
-  // Reclaims RAM copies of blocks the flusher has confirmed written and
-  // latches the channel's failure state.
-  void Harvest() {
-    const uint64_t done =
-        written_blocks_->load(std::memory_order_acquire);
-    while (harvested_blocks_ < done) {
-      Inflight& f = inflight_.front();
-      inflight_bytes_ -= f.payload->size() * sizeof(T);
-      if (f.payload.use_count() == 1) {
-        // Recycle the block buffer, into an empty pending_ first: an
-        // inline run then holds one block buffer, a write-behind run at
-        // most two (pending_ plus spare_), and steady-state appends
-        // allocate nothing.
-        std::vector<T>& slot = pending_.capacity() == 0 ? pending_ : spare_;
-        if (slot.capacity() == 0) {
-          slot = std::move(*f.payload);
-          slot.clear();
-        }
-      }
-      inflight_.pop_front();
-      ++harvested_blocks_;
-    }
-    if (channel_->failed()) write_failed_ = true;
   }
 
   // Serves `ref` from an in-flight RAM copy if its write has not been

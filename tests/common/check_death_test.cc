@@ -44,7 +44,7 @@ void FeedOutOfOrderStream() {
 }
 
 void NonIncreasingLatencies() {
-  PartitionOp<4> partition({100, 100}, 10, 16);
+  PartitionOp<4> partition({100, 100}, 10);
 }
 
 TEST(CheckDeathTest, CheckAborts) {

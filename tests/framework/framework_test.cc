@@ -60,20 +60,20 @@ typename Ingress<4>::Options NoPunctIngress() {
 }
 
 TEST(PartitionTest, RoutesByLateness) {
-  PartitionOp<4> partition({100, 1000, 10000}, /*punctuation_period=*/10,
-                           /*batch_size=*/8);
-  CollectSink<4> band0;
-  CollectSink<4> band1;
-  CollectSink<4> band2;
-  // Bands feed sorters normally; collect directly for routing inspection.
-  // (CollectSink's order checks hold because each band sees only events
-  // that are in order *per band*... not guaranteed here, so use counting.)
+  PartitionOp<4> partition({100, 1000, 10000}, /*punctuation_period=*/10);
+  // Each band's head is its sorter; count what each sorter releases.
+  SortOp<4> sort0;
+  SortOp<4> sort1;
+  SortOp<4> sort2;
   CountingSink<4> c0;
   CountingSink<4> c1;
   CountingSink<4> c2;
-  partition.SetBandDownstream(0, &c0);
-  partition.SetBandDownstream(1, &c1);
-  partition.SetBandDownstream(2, &c2);
+  sort0.SetDownstream(&c0);
+  sort1.SetDownstream(&c1);
+  sort2.SetDownstream(&c2);
+  partition.SetBandDownstream(0, &sort0);
+  partition.SetBandDownstream(1, &sort1);
+  partition.SetBandDownstream(2, &sort2);
 
   EventBatch<4> batch;
   auto add = [&batch](Timestamp t) {
@@ -102,12 +102,16 @@ TEST(PartitionTest, RoutesByLateness) {
 }
 
 TEST(PartitionTest, BandPunctuationsFollowHighWatermark) {
-  PartitionOp<4> partition({10, 100}, /*punctuation_period=*/4,
-                           /*batch_size=*/4);
+  PartitionOp<4> partition({10, 100}, /*punctuation_period=*/4);
+  // Band outputs are sorted; CollectSink checks order and punctuations.
+  SortOp<4> sort0;
+  SortOp<4> sort1;
   CollectSink<4> s0;
   CollectSink<4> s1;
-  partition.SetBandDownstream(0, &s0);
-  partition.SetBandDownstream(1, &s1);
+  sort0.SetDownstream(&s0);
+  sort1.SetDownstream(&s1);
+  partition.SetBandDownstream(0, &sort0);
+  partition.SetBandDownstream(1, &sort1);
 
   EventBatch<4> batch;
   for (Timestamp t : {100, 200, 300, 400}) {

@@ -16,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/event.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "sort/impatience_sorter.h"
 #include "storage/spill_flusher.h"
+#include "workload/generators.h"
 
 namespace impatience {
 namespace {
@@ -423,6 +425,67 @@ TEST(SpillAcceptanceTest, EightTimesBudgetSessionRunsBounded) {
   EXPECT_LE(peak, kBudget + kBudget / 2) << "resident peak above budget";
   EXPECT_GE(ram_sorter.counters().pushes * sizeof(Tagged),
             8 * kBudget);  // The workload really was external-memory scale.
+}
+
+constexpr size_t kBudgetTestBlock = 4 << 10;
+
+struct BudgetRun {
+  size_t peak = 0;  // Largest MemoryBytes() seen after any push or cut.
+  uint64_t runs_spilled = 0;
+};
+
+// One standalone sorter over AndroidLog under a 256 KiB budget with 4 KiB
+// blocks, punctuated every 10k events at (high watermark - 2 h), writing
+// its spilled blocks through a flusher with `flusher_threads` threads.
+BudgetRun RunAndroidLogUnderBudget(const std::vector<Event>& events,
+                                   size_t flusher_threads) {
+  storage::SpillFlusher::Options fo;
+  fo.threads = flusher_threads;
+  storage::SpillFlusher flusher(fo);
+  ImpatienceConfig config;
+  config.spill.use_env_default = false;
+  config.spill.memory_budget = 256 << 10;
+  config.spill.block_bytes = kBudgetTestBlock;
+  config.spill.flusher = &flusher;
+  BudgetRun result;
+  ImpatienceSorter<Event> sorter(config);
+  std::vector<Event> out;
+  Timestamp high_watermark = kMinTimestamp;
+  for (size_t i = 0; i < events.size(); ++i) {
+    sorter.Push(events[i]);
+    high_watermark = std::max(high_watermark, events[i].sync_time);
+    result.peak = std::max(result.peak, sorter.MemoryBytes());
+    if ((i + 1) % 10000 == 0) {
+      out.clear();
+      sorter.OnPunctuation(high_watermark - 2 * kHour, &out);
+      result.peak = std::max(result.peak, sorter.MemoryBytes());
+    }
+  }
+  out.clear();
+  sorter.Flush(&out);
+  result.runs_spilled = sorter.counters().runs_spilled;
+  return result;
+}
+
+// A write-behind flusher must not let a sorter's spilled bytes escape its
+// budget: a victim's rows sit in in-flight blocks, still accounted, until
+// their writes land and a seal or read reclaims them, so a budget check
+// that counted them as resident would keep spilling more runs to cover
+// bytes already on their way to disk. The write-behind arm may hold at
+// most two block buffers per spilled run beyond the inline arm's peak
+// (pending plus spare), and may spill no more runs than the inline arm.
+TEST(SpillBudgetTest, WriteBehindStaysWithinInlinePeak) {
+  AndroidLogConfig gen;
+  gen.num_events = 400000;
+  gen.seed = 7;
+  const std::vector<Event> events = GenerateAndroidLog(gen).events;
+  const BudgetRun inline_run = RunAndroidLogUnderBudget(events, 0);
+  const BudgetRun pool_run = RunAndroidLogUnderBudget(events, 2);
+  ASSERT_GT(inline_run.runs_spilled, 0u);
+  EXPECT_LE(pool_run.runs_spilled, inline_run.runs_spilled);
+  EXPECT_LE(pool_run.peak,
+            inline_run.peak + 2 * kBudgetTestBlock * pool_run.runs_spilled)
+      << "inline peak " << inline_run.peak;
 }
 
 }  // namespace

@@ -410,7 +410,7 @@ TEST(SpillRecoveryTest, IdleSessionTailReachesDiskAndRecovers) {
 
 // Compaction does not wait for an idle shard: with the thresholds floored
 // and frames arriving back to back (never 100 ms apart), run files are
-// rewritten whenever the shard's queue drains between frames.
+// rewritten by the upkeep pass that follows every frame.
 TEST(SpillRecoveryTest, RunFilesCompactUnderContinuousLoad) {
   TempDir dir;
   ShardManagerOptions options = DurableOptions(dir.path() + "/spill");

@@ -78,6 +78,10 @@
 # continuous load, each across 20 schedules of shard worker, flusher and
 # queue timing under each detector.
 #
+# A twelfth pass repeats the write-behind budget test 20x: a standalone
+# sorter spilling through a 2-thread flusher pool must stay within its
+# inline twin's peak and spill no more runs, whenever its writes land.
+#
 # Benches/examples/tools are skipped: they share the same code, and
 # building them under the sanitizers roughly doubles the wall clock for no
 # extra coverage.
@@ -144,11 +148,17 @@ run_pass() {
       ctest --output-on-failure \
       -R "SpillRecoveryTest\.(IdleSessionTail|RunFilesCompact)" \
       --repeat until-fail:20)
+  (cd "$build_dir" && \
+    env IMPATIENCE_THREADS=8 $env_opts \
+      ctest --output-on-failure \
+      -R "SpillBudgetTest\.WriteBehindStaysWithinInlinePeak" \
+      --repeat until-fail:20)
   echo "$name tier-1 (native + scalar + avx2 kernels + tracing on" \
     "+ 8-seed server fault sweep + forced-spill 64k budget, inline + async" \
     "flusher pool + 3x live-telemetry server repeat + 3-seed live result," \
     "telemetry and subscription-hub subscriber sweep + 50x flusher" \
-    "backpressure repeat + 50x strand repeat + 20x spill-upkeep repeat): OK"
+    "backpressure repeat + 50x strand repeat + 20x spill-upkeep repeat" \
+    "+ 20x write-behind budget repeat): OK"
 }
 
 tsan_pass() {

@@ -409,11 +409,13 @@ class Streamables {
  public:
   Streamables(std::shared_ptr<QueryContext> ctx,
               std::vector<Emitter<W>*> tails, PartitionOp<W>* partition,
-              std::vector<SortOp<W>*> sorts)
+              std::vector<SortOp<W>*> sorts,
+              std::vector<UnionMergeOp<W>*> unions)
       : ctx_(std::move(ctx)),
         tails_(std::move(tails)),
         partition_(partition),
-        sorts_(std::move(sorts)) {}
+        sorts_(std::move(sorts)),
+        unions_(std::move(unions)) {}
 
   size_t size() const { return tails_.size(); }
 
@@ -467,6 +469,14 @@ class Streamables {
     return total;
   }
 
+  // Sums the union chain's spill counters; `reset` zeroes each union's in
+  // the same touch. Safe while the chain runs on the strand.
+  UnionSpillCounters UnionCounters(bool reset = false) {
+    UnionSpillCounters total;
+    for (UnionMergeOp<W>* u : unions_) total += u->Counters(reset);
+    return total;
+  }
+
   // Runs spill maintenance (run-file compaction and, with `flush_tails`,
   // spilled tail-block flushes) on every band's sorter. Called on the
   // thread that owns the pipeline, between punctuations, at quiet points.
@@ -497,6 +507,7 @@ class Streamables {
   std::vector<Emitter<W>*> tails_;
   PartitionOp<W>* partition_;
   std::vector<SortOp<W>*> sorts_;
+  std::vector<UnionMergeOp<W>*> unions_;
 };
 
 // A query stage: takes a band/merged stream, returns the transformed
@@ -560,15 +571,19 @@ Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
   if (parallel_bands) partition->EnableParallelBands(pool, std::move(stages));
 
   // Union chain with merge stages; tee every combined stream that both
-  // feeds the next union and serves subscribers.
+  // feeds the next union and serves subscribers. Each union spills its
+  // buffers under the sorters' spill settings.
   std::vector<Emitter<W>*> outputs(k);
+  std::vector<UnionMergeOp<W>*> unions;
   Emitter<W>* combined = piq_tails[0];
   for (size_t i = 1; i < k; ++i) {
     auto* tee = graph.Make<TeeOp<W>>();
     combined->SetDownstream(tee);
     outputs[i - 1] = graph.Make<TeeBranch<W>>(tee);
 
-    auto* u = graph.Make<UnionMergeOp<W>>(ctx->tracker, ctx->batch_size);
+    auto* u = graph.Make<UnionMergeOp<W>>(ctx->tracker, ctx->batch_size,
+                                          options.sorter_config.spill);
+    unions.push_back(u);
     tee->AddDownstream(u->input(0));
     piq_tails[i]->SetDownstream(u->input(1));
     combined = apply(merge, u).tail();
@@ -576,7 +591,7 @@ Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
   outputs[k - 1] = combined;
 
   return Streamables<W>(ctx, std::move(outputs), partition,
-                        std::move(sorts));
+                        std::move(sorts), std::move(unions));
 }
 
 }  // namespace impatience

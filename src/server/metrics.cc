@@ -247,6 +247,15 @@ constexpr MetricDef kMetrics[] = {
     Metric("impatience_shard_sorter_flush_queue_bytes", kGauge,
            V(shard->sorter.flush_queue_bytes),
            "Bytes queued in the flusher pool at the last observation."),
+    Metric("impatience_shard_union_sides_spilled", kCounter,
+           V(shard->unions.sides_spilled),
+           "Union input buffers moved to a disk tail."),
+    Metric("impatience_shard_union_spill_bytes_written", kCounter,
+           V(shard->unions.bytes_written),
+           "Bytes written to union tail files."),
+    Metric("impatience_shard_union_spill_read_bytes", kCounter,
+           V(shard->unions.bytes_read),
+           "Bytes read back from union tail files."),
 
     Histogram("impatience_shard_punct_to_emit", kNanoseconds,
               H(shard->sorter.punct_to_emit),

@@ -15,6 +15,7 @@
 
 #include "common/histogram.h"
 #include "common/timestamp.h"
+#include "engine/ops_union.h"
 #include "sort/impatience_sorter.h"
 
 namespace impatience {
@@ -34,7 +35,7 @@ struct SessionWatermark {
 
 // One shard's view. Queue/backpressure counters are maintained by the
 // shard itself; sorter counters are aggregated across the shard
-// pipeline's bands.
+// pipeline's bands, union spill counters across its union chain.
 struct ShardMetrics {
   size_t shard = 0;
   size_t queue_depth = 0;        // Frames waiting in the ingress queue.
@@ -60,6 +61,7 @@ struct ShardMetrics {
   uint64_t runs_recovered = 0;
   uint64_t events_recovered = 0;
   ImpatienceCounters sorter;     // Aggregated across the shard's bands.
+  UnionSpillCounters unions;     // Aggregated across the shard's unions.
   // Wall-clock nanoseconds a frame waited in the ingress queue before the
   // drain loop popped it.
   HistogramSnapshot queue_wait;

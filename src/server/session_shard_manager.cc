@@ -488,6 +488,7 @@ std::vector<ShardMetrics> SessionShardManager::SnapshotShards(
       // zeroed in one touch, so samples recorded by the worker between a
       // scrape's read and reset can never be dropped.
       m.sorter = s->streams->AggregatedCounters(reset_sorter_counters);
+      m.unions = s->streams->UnionCounters(reset_sorter_counters);
 
       const Timestamp frontier = s->streams->partition().band_punctuation(0);
       m.watermarks.reserve(s->sessions.size());

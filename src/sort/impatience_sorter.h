@@ -159,19 +159,8 @@ template <typename T, typename TimeOf = SyncTimeOf>
 class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
  public:
   explicit ImpatienceSorter(ImpatienceConfig config = {})
-      : config_(config) {
+      : config_(config), spill_(config_.spill, /*private_store=*/false) {
     counters_.kernel_level = static_cast<uint64_t>(level_);
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      spill_budget_ = config_.spill.memory_budget;
-      if (spill_budget_ == 0 && config_.spill.use_env_default) {
-        spill_budget_ = storage::MemoryBudgetFromEnv();
-      }
-      flusher_ = config_.spill.flusher != nullptr
-                     ? config_.spill.flusher
-                     : storage::DefaultFlusher(config_.spill.use_env_default);
-      spill_block_records_ =
-          std::max<size_t>(1, config_.spill.block_bytes / sizeof(T));
-    }
   }
 
   ImpatienceSorter(const ImpatienceSorter&) = delete;
@@ -193,7 +182,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     // Spill check every check_period pushes (one predictable compare when
     // no budget is configured).
     if constexpr (std::is_trivially_copyable_v<T>) {
-      if (__builtin_expect(spill_budget_ != 0, 0) &&
+      if (__builtin_expect(spill_.budget() != 0, 0) &&
           ++spill_tick_ >= config_.spill.check_period) {
         spill_tick_ = 0;
         MaybeSpill();
@@ -327,7 +316,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
       // queue, or a crash between the two would lose data the manifest
       // claims was emitted. (Without sync_on_punctuation the ordering is
       // moot — nothing is durable by contract.)
-      if (spill_budget_ != 0 && config_.spill.sync_on_punctuation) {
+      if (spill_.budget() != 0 && config_.spill.sync_on_punctuation) {
         for (Run& run : runs_) {
           if (run.spilled != nullptr) {
             counters_.spill_bytes_written +=
@@ -338,10 +327,13 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
       if (any_spilled) {
         // The cut ranges are out the door: advance the durable heads (the
         // manifest record a restart resumes from) before cleanup drops
-        // emptied runs.
+        // emptied runs, and free the read buffers the merge filled.
         for (const CutRange& c : cut_runs_) {
           Run& run = runs_[c.run];
-          if (run.spilled != nullptr) run.spilled->AdvanceHead(c.end);
+          if (run.spilled != nullptr) {
+            run.spilled->AdvanceHead(c.end);
+            run.spilled->TrimScratch();
+          }
         }
       }
     }
@@ -354,8 +346,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     if constexpr (std::is_trivially_copyable_v<T>) {
       // Opportunistic end-of-punctuation budget check: merges and cuts
       // just churned buffers, so this is where usage peaks move.
-      if (spill_budget_ != 0) MaybeSpill();
-      counters_.flush_queue_bytes = flusher_->inflight_bytes();
+      if (spill_.budget() != 0) MaybeSpill();
+      counters_.flush_queue_bytes = spill_.flusher()->inflight_bytes();
     }
 
     const uint64_t now_ns = Clock::Nanos();
@@ -423,7 +415,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     if constexpr (!std::is_trivially_copyable_v<T>) {
       return false;
     } else {
-      if (spill_budget_ == 0) return false;
+      if (spill_.budget() == 0) return false;
       bool flushed = false;
       if (flush_tails) {
         for (Run& run : runs_) {
@@ -436,7 +428,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
         if (flushed) ++counters_.idle_flushes;
       }
       const bool compacted = MaybeCompactDisk();
-      counters_.flush_queue_bytes = flusher_->inflight_bytes();
+      counters_.flush_queue_bytes = spill_.flusher()->inflight_bytes();
       return flushed || compacted;
     }
   }
@@ -467,7 +459,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     IMPATIENCE_DCHECK(tails_[r] <= t);
     Run& run = runs_[r];
     if constexpr (std::is_trivially_copyable_v<T>) {
-      if (spill_budget_ != 0) run.last_append = ++append_seq_;
+      if (spill_.budget() != 0) run.last_append = ++append_seq_;
       // Not under the budget check: a store failure zeroes the budget,
       // and runs spilled before it still take their appends on disk.
       if (run.spilled != nullptr) {
@@ -543,8 +535,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     if (config_.spill.tracker != nullptr) {
       used = std::max(used, config_.spill.tracker->current_bytes());
     }
-    if (used <= spill_budget_) return;
-    const size_t deficit = used - spill_budget_;
+    if (used <= spill_.budget()) return;
+    const size_t deficit = used - spill_.budget();
     // Pooled merge buffers are pure cache — drop them before touching any
     // run.
     pool_.Trim(0);
@@ -622,20 +614,10 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   // its RAM storage. On store/file failure, disables spilling for this
   // sorter (data stays in RAM — never at risk) and returns false.
   bool SpillRun(size_t r) {
-    storage::RunStore* store = EnsureStore();
-    if (store == nullptr) {
-      spill_budget_ = 0;
-      return false;
-    }
-    Run& run = runs_[r];
-    std::string error;
     std::unique_ptr<storage::SpilledRun<T>> spilled =
-        storage::SpilledRun<T>::Create(store, spill_block_records_, flusher_,
-                                       &counters_.async_flushes, &error);
-    if (spilled == nullptr) {
-      spill_budget_ = 0;
-      return false;
-    }
+        spill_.NewRun(&counters_.async_flushes);
+    if (spilled == nullptr) return false;
+    Run& run = runs_[r];
     counters_.spill_bytes_written += spilled->AppendRange(
         run.items.data() + run.head, run.items.size() - run.head, time_of_);
     counters_.spill_bytes_written +=
@@ -649,25 +631,6 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     return true;
   }
 
-  storage::RunStore* EnsureStore() {
-    if (config_.spill.store != nullptr) return config_.spill.store;
-    if (owned_store_ == nullptr) {
-      std::string error;
-      owned_store_ = storage::RunStore::CreateTemp(&error);
-    }
-    return owned_store_.get();
-  }
-
-  // A run file is worth rewriting once its fully-emitted prefix holds both
-  // an absolute floor of bytes and a fraction of the whole file.
-  bool CompactionWorthy(const storage::SpilledRun<T>& s) const {
-    const uint64_t reclaim = s.ReclaimableDiskBytes();
-    return reclaim >= config_.spill.compact_min_disk_bytes &&
-           static_cast<double>(reclaim) >=
-               config_.spill.compact_disk_fraction *
-                   static_cast<double>(s.DiskBytes());
-  }
-
   // Rewrites every qualifying run file's live suffix into a fresh file
   // (crash-atomic compact-swap). Only call between punctuations — live
   // cursors hold offsets into the old files. Returns true if any run was
@@ -675,7 +638,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   bool MaybeCompactDisk() {
     bool did = false;
     for (Run& run : runs_) {
-      if (run.spilled == nullptr || !CompactionWorthy(*run.spilled)) {
+      if (run.spilled == nullptr ||
+          !run.spilled->CompactionWorthy(config_.spill)) {
         continue;
       }
       if (run.spilled->CompactDisk(time_of_, &counters_.spill_read_bytes) >
@@ -755,19 +719,12 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   // instead of re-reading the process-wide cache.
   const KernelLevel level_ = ActiveKernelLevel();
 
-  // Spill tier state. spill_budget_ is the resolved byte budget (0 =
-  // disabled; config takes precedence over IMPATIENCE_MEMORY_BUDGET).
-  // owned_store_ is the lazily-created temp-dir store used when no shared
-  // store was configured; declared before runs_ so spilled runs (which
-  // reference the store) are destroyed first.
-  size_t spill_budget_ = 0;
-  size_t spill_block_records_ = 1;
+  // Spill tier state: the resolved budget, flusher and store, declared
+  // before runs_ so spilled runs (which reference its store) are
+  // destroyed first.
+  storage::SpillTarget<T> spill_;
   size_t spill_tick_ = 0;
   uint64_t append_seq_ = 0;
-  std::unique_ptr<storage::RunStore> owned_store_;
-  // The flusher that writes spilled blocks (config, else
-  // storage::DefaultFlusher; never null for trivially-copyable T).
-  storage::SpillFlusher* flusher_ = nullptr;
 
   std::vector<Run> runs_;
   std::vector<Timestamp> tails_;  // tails_[i] == time of runs_[i].items.back()

@@ -85,6 +85,21 @@ bool EnsureDir(const std::string& dir, std::string* error) {
   return true;
 }
 
+// Unlinks every file in `dir`, then the directory (a temp store holds no
+// subdirectories).
+void RemoveFlatDir(const std::string& dir) {
+  DIR* d = ::opendir(dir.c_str());
+  if (d != nullptr) {
+    while (struct dirent* entry = ::readdir(d)) {
+      const std::string name = entry->d_name;
+      if (name == "." || name == "..") continue;
+      ::unlink((dir + "/" + name).c_str());
+    }
+    ::closedir(d);
+  }
+  ::rmdir(dir.c_str());
+}
+
 }  // namespace
 
 std::unique_ptr<RunStore> RunStore::Open(const RunStoreOptions& options,
@@ -105,10 +120,14 @@ std::unique_ptr<RunStore> RunStore::Open(const RunStoreOptions& options,
   return store;
 }
 
-std::unique_ptr<RunStore> RunStore::CreateTemp(std::string* error) {
-  const char* base = getenv("TMPDIR");
-  std::string tmpl = std::string(base != nullptr ? base : "/tmp") +
-                     "/impatience-spill-XXXXXX";
+std::unique_ptr<RunStore> RunStore::CreateTemp(std::string* error,
+                                               const std::string& parent) {
+  std::string base = parent;
+  if (base.empty()) {
+    const char* tmpdir = getenv("TMPDIR");
+    base = tmpdir != nullptr ? tmpdir : "/tmp";
+  }
+  std::string tmpl = base + "/" + kTempStorePrefix + "XXXXXX";
   std::vector<char> buf(tmpl.begin(), tmpl.end());
   buf.push_back('\0');
   if (::mkdtemp(buf.data()) == nullptr) {
@@ -118,25 +137,16 @@ std::unique_ptr<RunStore> RunStore::CreateTemp(std::string* error) {
   RunStoreOptions options;
   options.dir = buf.data();
   options.fsync = false;
-  std::unique_ptr<RunStore> store = Open(options, error);
-  if (store != nullptr) store->owns_dir_ = true;
+  // No manifest: nothing ever recovers a temp store.
+  std::unique_ptr<RunStore> store(new RunStore(std::move(options)));
+  store->owns_dir_ = true;
   return store;
 }
 
 RunStore::~RunStore() {
   if (manifest_fd_ >= 0) ::close(manifest_fd_);
-  if (!owns_dir_) return;
   // Temp stores are pure spill: nothing in them outlives the process.
-  DIR* d = ::opendir(options_.dir.c_str());
-  if (d != nullptr) {
-    while (struct dirent* entry = ::readdir(d)) {
-      const std::string name = entry->d_name;
-      if (name == "." || name == "..") continue;
-      ::unlink((options_.dir + "/" + name).c_str());
-    }
-    ::closedir(d);
-  }
-  ::rmdir(options_.dir.c_str());
+  if (owns_dir_) RemoveFlatDir(options_.dir);
 }
 
 std::string RunStore::RunPath(uint64_t run_id) const {
@@ -145,6 +155,7 @@ std::string RunStore::RunPath(uint64_t run_id) const {
 
 bool RunStore::AppendManifest(uint8_t type, uint64_t run_id, uint64_t arg,
                               bool sync, std::string* error) {
+  if (owns_dir_) return true;  // A temp store keeps no manifest.
   uint8_t rec[kManifestRecordBytes] = {0};
   PutU32(kManifestMagic, rec);
   rec[4] = type;
@@ -246,6 +257,21 @@ bool RunStore::Recover(std::vector<RecoveredRun>* runs, RecoveryStats* stats,
   std::lock_guard<std::mutex> lock(mu_);
   runs->clear();
   *stats = RecoveryStats{};
+
+  // Temp stores a crashed process left here (a server's union tails):
+  // their contents were never durable.
+  if (DIR* d = ::opendir(options_.dir.c_str())) {
+    std::vector<std::string> stale;
+    while (struct dirent* entry = ::readdir(d)) {
+      const std::string name = entry->d_name;
+      if (name.rfind(kTempStorePrefix, 0) == 0) {
+        stale.push_back(options_.dir + "/" + name);
+      }
+    }
+    ::closedir(d);
+    for (const std::string& dir : stale) RemoveFlatDir(dir);
+    stats->temp_stores_removed = stale.size();
+  }
 
   const std::string manifest_path = options_.dir + "/MANIFEST";
   std::vector<uint8_t> bytes;

@@ -57,6 +57,8 @@ namespace storage {
 
 inline constexpr uint32_t kManifestMagic = 0x4D525049u;  // "IPRM"
 inline constexpr size_t kManifestRecordBytes = 32;
+// Directory-name prefix of CreateTemp stores.
+inline constexpr char kTempStorePrefix[] = "impatience-spill-";
 
 struct RunStoreOptions {
   std::string dir;
@@ -84,6 +86,7 @@ struct RecoveryStats {
   size_t missing_runs = 0;  // Begun in the manifest but file absent.
   uint64_t truncated_bytes = 0;
   bool manifest_truncated = false;
+  size_t temp_stores_removed = 0;  // Stale CreateTemp directories.
 };
 
 class RunStore {
@@ -94,17 +97,23 @@ class RunStore {
   // ones and torn tails are cut.
   static std::unique_ptr<RunStore> Open(const RunStoreOptions& options,
                                         std::string* error);
-  // Creates a private store in a fresh temp directory (fsync off — pure
-  // spill, no durability contract). The directory and all its files are
-  // removed on destruction.
-  static std::unique_ptr<RunStore> CreateTemp(std::string* error);
+  // Creates a private store in a fresh directory named
+  // kTempStorePrefix + a unique suffix, under `parent` (empty: $TMPDIR, else
+  // /tmp). Pure spill, no durability contract: fsync is off, no manifest
+  // is kept, and the directory and all its files are removed on
+  // destruction. One a crashed process left behind is removed by the next
+  // Recover() of the store whose directory is its parent.
+  static std::unique_ptr<RunStore> CreateTemp(std::string* error,
+                                              const std::string& parent = "");
   ~RunStore();
 
   RunStore(const RunStore&) = delete;
   RunStore& operator=(const RunStore&) = delete;
 
   // Replays the manifest and scans every live run file; truncates torn
-  // tails (manifest and run files) so subsequent appends are clean.
+  // tails (manifest and run files) so subsequent appends are clean. Also
+  // removes the temp stores (CreateTemp) a previous process left in this
+  // store's directory.
   bool Recover(std::vector<RecoveredRun>* runs, RecoveryStats* stats,
                std::string* error);
 
@@ -149,7 +158,7 @@ class RunStore {
   RunStoreOptions options_;
   bool owns_dir_ = false;  // CreateTemp: remove everything on destruction.
   std::mutex mu_;
-  int manifest_fd_ = -1;
+  int manifest_fd_ = -1;  // -1 in a temp store, which keeps no manifest.
   uint64_t next_run_id_ = 1;
 };
 

@@ -4,9 +4,10 @@
 // append in sorted order, a head index tracks the emitted prefix, and the
 // live suffix streams back at merge time through a RunCursor (sort/merge.h)
 // so the k-way cursor merge treats disk and RAM runs uniformly. RAM cost
-// per spilled run is bounded: one partial block of pending appends, a
-// 32-byte index entry per on-disk block, and one block-sized load buffer —
-// everything else lives in the RunStore's files.
+// per spilled run is bounded: one partial block of pending appends and a
+// 32-byte index entry per on-disk block, plus one block-sized load buffer
+// while a punctuation cuts and merges it — everything else lives in the
+// RunStore's files.
 //
 // One write path: every sealed block is handed to a SpillFlusher through a
 // per-run FIFO channel. An inline flusher (0 threads) writes it before the
@@ -25,7 +26,9 @@
 // and at the end of every punctuation it compares max(own bytes, tracker)
 // with its budget and spills its coldest runs. Run-file compaction and
 // idle tail flushes run only when the owner calls the sorter's
-// PerformSpillMaintenance at a quiet point.
+// PerformSpillMaintenance at a quiet point. Framework unions
+// (engine/ops_union.h) spill their buffers under the same settings;
+// SpillTarget resolves them for both owners.
 
 #ifndef IMPATIENCE_STORAGE_SPILL_H_
 #define IMPATIENCE_STORAGE_SPILL_H_
@@ -333,12 +336,13 @@ class SpilledRun {
   }
 
   // RAM held by this spilled run: pending appends, sealed blocks waiting
-  // on the flusher (or pinned by a failed write), block index, load buffer.
+  // on the flusher (or pinned by a failed write), block index, and the
+  // read buffers until TrimScratch frees them.
   size_t MemoryBytes() const {
     return pending_.capacity() * sizeof(T) + inflight_bytes_ +
            spare_.capacity() * sizeof(T) +
            blocks_.capacity() * sizeof(BlockRef) +
-           load_buf_.capacity() * sizeof(T);
+           load_buf_.capacity() * sizeof(T) + raw_buf_.capacity();
   }
 
   // Bytes of sealed blocks whose writes are not yet reclaimed (always 0
@@ -349,13 +353,15 @@ class SpilledRun {
   // seal (an inline run never holds one).
   void ReleaseSpare() { std::vector<T>().swap(spare_); }
 
-  // Trims the load buffer (kept across punctuations otherwise).
+  // Frees the read buffers a cut or merge cursor filled: the decoded load
+  // buffer and the raw read buffer behind it, a block each. The owner
+  // calls it once a punctuation's merge is done, so a spilled run pins no
+  // read buffer between punctuations; the next cut may then read its
+  // boundary block again.
   void TrimScratch() {
-    load_buf_.clear();
-    load_buf_.shrink_to_fit();
+    std::vector<T>().swap(load_buf_);
+    std::vector<uint8_t>().swap(raw_buf_);
     load_offset_ = UINT64_MAX;
-    spare_.clear();
-    spare_.shrink_to_fit();
   }
 
   // Total file bytes, including the emitted prefix not yet reclaimed.
@@ -375,6 +381,16 @@ class SpilledRun {
     const uint64_t first_live =
         blocks_.empty() ? next_offset_ : blocks_.front().offset;
     return first_live - kRunFileHeaderBytes;
+  }
+
+  // A run file is worth rewriting once its fully-emitted prefix holds both
+  // an absolute floor of bytes and a fraction of the whole file.
+  bool CompactionWorthy(const SpillSettings& settings) const {
+    const uint64_t reclaim = ReclaimableDiskBytes();
+    return reclaim >= settings.compact_min_disk_bytes &&
+           static_cast<double>(reclaim) >=
+               settings.compact_disk_fraction *
+                   static_cast<double>(DiskBytes());
   }
 
   // Rewrites the live suffix into a fresh run file and atomically swaps
@@ -436,7 +452,7 @@ class SpilledRun {
     blocks_ = std::move(new_blocks);
     base_index_ = blocks_.empty() ? new_base : blocks_.front().start_index;
     next_offset_ = new_offset;
-    load_offset_ = UINT64_MAX;  // Cached offsets belong to the old file.
+    TrimScratch();  // The cached block's offset belongs to the old file.
     // Re-record the durable head in the new file's index space.
     store_->AdvanceHead(id_, head_ - base_index_, nullptr);
     return old_bytes - new_offset;
@@ -732,6 +748,71 @@ class SpilledRun {
   uint64_t load_offset_ = UINT64_MAX;
 
   friend class Cursor;
+};
+
+// One spilling owner's resolved SpillSettings, shared by ImpatienceSorter
+// and UnionMergeOp: the byte budget (memory_budget, else
+// IMPATIENCE_MEMORY_BUDGET when use_env_default; 0 = never spill), the
+// flusher (flusher, else DefaultFlusher), records per block, and the store
+// new runs go to. A shared owner writes to settings.store when one is
+// set; a private owner, or any owner without one, writes to a temp store
+// created at its first spill, under settings.store's directory when set
+// (else $TMPDIR). Temp stores are never recovered; a stale one is removed
+// by the next RunStore::Recover of its parent. Element types that are not
+// trivially copyable never spill.
+template <typename T>
+class SpillTarget {
+ public:
+  SpillTarget(const SpillSettings& settings, bool private_store)
+      : settings_(settings), private_store_(private_store) {
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      budget_ = settings.memory_budget;
+      if (budget_ == 0 && settings.use_env_default) {
+        budget_ = MemoryBudgetFromEnv();
+      }
+      flusher_ = settings.flusher != nullptr
+                     ? settings.flusher
+                     : DefaultFlusher(settings.use_env_default);
+      block_records_ = std::max<size_t>(1, settings.block_bytes / sizeof(T));
+    }
+  }
+
+  const SpillSettings& settings() const { return settings_; }
+  size_t budget() const { return budget_; }
+  SpillFlusher* flusher() const { return flusher_; }
+
+  // Starts a new spilled run. On a store or file failure, disables
+  // spilling (budget() reads 0 from then on) and returns nullptr, so the
+  // caller keeps its data in RAM.
+  std::unique_ptr<SpilledRun<T>> NewRun(uint64_t* async_flushes = nullptr) {
+    RunStore* store = Store();
+    std::unique_ptr<SpilledRun<T>> run =
+        store == nullptr ? nullptr
+                         : SpilledRun<T>::Create(store, block_records_,
+                                                 flusher_, async_flushes);
+    if (run == nullptr) budget_ = 0;
+    return run;
+  }
+
+ private:
+  RunStore* Store() {
+    if (settings_.store != nullptr && !private_store_) return settings_.store;
+    if (owned_store_ == nullptr) {
+      std::string error;
+      owned_store_ = RunStore::CreateTemp(
+          &error, settings_.store != nullptr ? settings_.store->dir() : "");
+    }
+    return owned_store_.get();
+  }
+
+  const SpillSettings settings_;
+  const bool private_store_;
+  size_t budget_ = 0;
+  SpillFlusher* flusher_ = nullptr;
+  size_t block_records_ = 1;
+  // Owners declare their SpillTarget before their spilled runs, so the
+  // runs (which reference this store) are destroyed first.
+  std::unique_ptr<RunStore> owned_store_;
 };
 
 // Replays a recovered run's durable, un-emitted records [head, records)

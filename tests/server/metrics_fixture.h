@@ -148,6 +148,9 @@ inline ServerMetrics MakeMetrics() {
   s.sorter.idle_flushes = 2;
   s.sorter.spill_compactions = 5;
   s.sorter.flush_queue_bytes = 8192;
+  s.unions.sides_spilled = 3;
+  s.unions.bytes_written = 50000;
+  s.unions.bytes_read = 40000;
 
   SessionWatermark nasty;
   nasty.label = "se\"ss\\ion\nid\x01";  // Hostile label for both formats.

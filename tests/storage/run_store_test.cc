@@ -7,9 +7,11 @@
 
 #include "storage/run_store.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -280,6 +282,57 @@ TEST(RunStoreTest, FullyEmittedRunIsDroppedOnRecovery) {
   ASSERT_TRUE(store->Recover(&runs, &stats, &error)) << error;
   EXPECT_TRUE(runs.empty());
   EXPECT_EQ(stats.live_runs, 0u);
+}
+
+// A temp store under a durable store's directory keeps no manifest, leaves
+// nothing behind when destroyed, and one a crashed process left there is
+// removed by the durable store's Recover without touching its runs.
+TEST(RunStoreTest, TempStoreUnderParentIsNeverRecovered) {
+  TempDir dir;
+  RunStoreOptions options;
+  options.dir = dir.path() + "/store";
+  options.fsync = false;
+  std::string error;
+  auto store = RunStore::Open(options, &error);
+  ASSERT_NE(store, nullptr) << error;
+  uint64_t id = 0;
+  auto w = store->BeginRun(sizeof(int64_t), &id, &error);
+  std::vector<int64_t> values = {1, 2, 3};
+  ASSERT_TRUE(w->AppendBlock(PayloadOf(values).data(), 3, &error));
+  w.reset();
+
+  std::string temp_dir;
+  {
+    auto temp = RunStore::CreateTemp(&error, options.dir);
+    ASSERT_NE(temp, nullptr) << error;
+    temp_dir = temp->dir();
+    EXPECT_EQ(temp_dir.rfind(options.dir + "/" + kTempStorePrefix, 0), 0u);
+    uint64_t temp_id = 0;
+    auto tw = temp->BeginRun(sizeof(int64_t), &temp_id, &error);
+    ASSERT_NE(tw, nullptr) << error;
+    ASSERT_TRUE(tw->AppendBlock(PayloadOf(values).data(), 3, &error));
+    ASSERT_TRUE(temp->AdvanceHead(temp_id, 1, &error));
+    EXPECT_EQ(access(temp->RunPath(temp_id).c_str(), F_OK), 0);
+    EXPECT_NE(access((temp_dir + "/MANIFEST").c_str(), F_OK), 0);
+  }
+  EXPECT_NE(access(temp_dir.c_str(), F_OK), 0);
+
+  // What a crash leaves: a temp store directory holding a run file.
+  const std::string stale = options.dir + "/" + kTempStorePrefix + "stale";
+  ASSERT_EQ(mkdir(stale.c_str(), 0755), 0);
+  const std::string stale_run = WriteRunFile(dir, 2, 4);
+  ASSERT_EQ(rename(stale_run.c_str(), (stale + "/run-1.rf").c_str()), 0);
+  store.reset();
+
+  store = RunStore::Open(options, &error);
+  std::vector<RecoveredRun> runs;
+  RecoveryStats stats;
+  ASSERT_TRUE(store->Recover(&runs, &stats, &error)) << error;
+  EXPECT_EQ(stats.temp_stores_removed, 1u);
+  EXPECT_NE(access(stale.c_str(), F_OK), 0);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].id, id);
+  EXPECT_EQ(runs[0].records, 3u);
 }
 
 // Torn manifest tails (any truncation) must be cut back to whole intact

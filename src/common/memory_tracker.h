@@ -24,10 +24,11 @@ namespace impatience {
 // nullptr and all calls become no-ops.
 //
 // Add/Sub are lock-free so reservations may be updated from concurrent
-// band tasks (partition-parallel execution). The peak is a CAS-max over
-// the post-Add total; with concurrent updates it is exact with respect to
-// the interleaving the atomics observed, which is the same guarantee a
-// sequential tracker gives for any one interleaving.
+// threads (a shard's sorters and the batches queued on its emit strand).
+// The peak is a CAS-max over the post-Add total; with concurrent updates
+// it is exact with respect to the interleaving the atomics observed, which
+// is the same guarantee a sequential tracker gives for any one
+// interleaving.
 class MemoryTracker {
  public:
   MemoryTracker() = default;

@@ -5,8 +5,8 @@
 // workers steal from the front (FIFO takes the oldest — typically largest —
 // subtree). Tasks submitted from non-worker threads land in a shared
 // injector queue. Fork/join is expressed with TaskGroup, whose Wait() helps
-// execute queued tasks instead of blocking, so nested joins (a parallel
-// merge inside a parallel band task) cannot starve the pool.
+// execute queued tasks instead of blocking, so nested joins (a merge
+// task that forks its own subtree merges) cannot starve the pool.
 //
 // Sizing: the process-wide pool is sized by $IMPATIENCE_THREADS (default
 // hardware_concurrency()). A pool of size 1 spawns no workers and runs

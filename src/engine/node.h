@@ -8,12 +8,10 @@
 //                           punctuation precedes it).
 //
 // Nodes are single-threaded, mirroring the paper's single-thread
-// evaluation; the Graph owns every node. Two sanctioned exceptions live in
-// framework/impatience_framework.h: band-parallel execution runs each
-// band's share-nothing subplan on a pool task between fork/join barriers,
-// and a framework given a Strand runs its union chain and subscribers as
-// strand jobs. Either way every individual node is only ever driven by one
-// thread at a time.
+// evaluation; the Graph owns every node. One sanctioned exception lives in
+// framework/impatience_framework.h: a framework given a Strand runs its
+// union chain and subscribers as strand jobs. Even then every individual
+// node is only ever driven by one thread at a time.
 
 #ifndef IMPATIENCE_ENGINE_NODE_H_
 #define IMPATIENCE_ENGINE_NODE_H_

@@ -87,8 +87,6 @@ class SortOp : public Operator<W, W> {
   // Events dropped for arriving at or before a past punctuation.
   uint64_t late_drops() const { return sorter_->late_drops(); }
 
-  const IncrementalSorter<Element>& sorter() const { return *sorter_; }
-
   // Mutable access for maintenance that does not affect the stream —
   // counter snapshot-and-reset from the metrics path.
   IncrementalSorter<Element>* mutable_sorter() { return sorter_.get(); }

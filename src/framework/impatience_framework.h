@@ -54,65 +54,12 @@ struct FrameworkOptions {
   std::vector<Timestamp> reorder_latencies;
   // Events between consecutive punctuation rounds at the partition.
   size_t punctuation_period = 10000;
+  // Every band's sorter; its thread_pool runs the punctuation merges.
   ImpatienceConfig sorter_config;
-  // Run each band's subplan (sort + PIQ) as a pool task per punctuation
-  // round. Bands are share-nothing up to the union chain; a staging
-  // operator per band captures the subplan's output and replays it in
-  // band order after the join, so the combined output is identical to
-  // sequential execution.
-  bool parallel_bands = false;
-  // Pool for band tasks; nullptr means the process-global pool.
-  ThreadPool* thread_pool = nullptr;
   // Runs the union chain, merge stages and output subscribers; nullptr
   // runs them on the calling thread. The caller owns the strand and must
   // Wait() on it before reading what the subscribers collected.
   Strand* strand = nullptr;
-};
-
-// Buffers every message a band's subplan emits during a parallel round so
-// the single-threaded union chain can consume them after the fork/join
-// barrier. One writer (the band task) fills it; Replay() drains it on the
-// coordinating thread.
-template <int W>
-class BandStageOp : public Operator<W, W> {
- public:
-  void OnBatch(const EventBatch<W>& batch) override {
-    msgs_.push_back(Msg{MsgKind::kBatch, batch, kMinTimestamp});
-  }
-  void OnPunctuation(Timestamp t) override {
-    msgs_.push_back(Msg{MsgKind::kPunctuation, {}, t});
-  }
-  void OnFlush() override {
-    msgs_.push_back(Msg{MsgKind::kFlush, {}, kMinTimestamp});
-  }
-
-  // Forwards the buffered messages downstream in arrival order.
-  void Replay() {
-    TRACE_SPAN("framework.band_replay");
-    for (Msg& m : msgs_) {
-      switch (m.kind) {
-        case MsgKind::kBatch:
-          this->downstream()->OnBatch(m.batch);
-          break;
-        case MsgKind::kPunctuation:
-          this->downstream()->OnPunctuation(m.t);
-          break;
-        case MsgKind::kFlush:
-          this->downstream()->OnFlush();
-          break;
-      }
-    }
-    msgs_.clear();
-  }
-
- private:
-  enum class MsgKind { kBatch, kPunctuation, kFlush };
-  struct Msg {
-    MsgKind kind;
-    EventBatch<W> batch;
-    Timestamp t;
-  };
-  std::vector<Msg> msgs_;
 };
 
 // Hands one band's output to the framework's strand: each message becomes
@@ -192,6 +139,7 @@ class PartitionOp : public Sink<W> {
     }
     IMPATIENCE_CHECK(punctuation_period_ > 0);
     bands_.resize(latencies_.size());
+    band_counts_.resize(latencies_.size(), 0);
   }
 
   // Wires band `i`'s sorter; must be called for every band before data
@@ -228,33 +176,7 @@ class PartitionOp : public Sink<W> {
   void OnPunctuation(Timestamp) override {}
 
   void OnFlush() override {
-    if (parallel_) {
-      TaskGroup group(pool_);
-      for (Band& b : bands_) {
-        Band* band = &b;
-        group.Run([band] {
-          band->DeliverPending();
-          band->head->OnFlush();
-        });
-      }
-      group.Wait();
-      for (BandStageOp<W>* stage : stages_) stage->Replay();
-      return;
-    }
     for (Band& band : bands_) band.head->OnFlush();
-  }
-
-  // Switches to band-parallel execution: events are staged per band and
-  // each punctuation round delivers, flushes, and punctuates every band as
-  // one pool task, with `stages` (one per band, at the tail of each band's
-  // subplan) replayed in band order after the join. Call after all
-  // SetBandDownstream wiring and before any data flows.
-  void EnableParallelBands(ThreadPool* pool,
-                           std::vector<BandStageOp<W>*> stages) {
-    IMPATIENCE_CHECK(stages.size() == bands_.size());
-    pool_ = pool != nullptr ? pool : &ThreadPool::Global();
-    stages_ = std::move(stages);
-    parallel_ = true;
   }
 
   // Runs a punctuation round now, off the usual every-N-events cadence.
@@ -268,7 +190,7 @@ class PartitionOp : public Sink<W> {
 
   // Events later than the largest latency (discarded).
   uint64_t dropped() const { return dropped_; }
-  // Events routed to each band.
+  // Events routed to each band (all zero before the first event).
   const std::vector<uint64_t>& band_counts() const { return band_counts_; }
   Timestamp high_watermark() const { return high_watermark_; }
 
@@ -281,7 +203,7 @@ class PartitionOp : public Sink<W> {
     return bands_[i].last_punctuation;
   }
 
-  // One sample per punctuation round: nanoseconds to deliver, sort, and
+  // One sample per punctuation round: nanoseconds to punctuate, merge and
   // emit across every band (including ForcePunctuation rounds).
   const HistogramSnapshot& round_latency() const { return round_latency_; }
 
@@ -289,21 +211,8 @@ class PartitionOp : public Sink<W> {
   struct Band {
     SortOp<W>* head = nullptr;
     Timestamp last_punctuation = kMinTimestamp;
-    // Rows pushed into `head` since its reservation was last updated
-    // (serial mode only).
+    // Rows pushed into `head` since its reservation was last updated.
     bool pushed = false;
-    // Events staged since the last punctuation round (parallel mode only).
-    std::vector<BasicEvent<W>> pending;
-
-    // Pushes the staged events in arrival order. SortOp buffers until
-    // punctuation, so deferring delivery to the round boundary is
-    // invisible downstream.
-    void DeliverPending() {
-      if (pending.empty()) return;
-      for (const BasicEvent<W>& e : pending) head->Push(e);
-      head->UpdateReservation();
-      pending.clear();
-    }
   };
 
   // Brings each band's reservation up to date after a span of rows.
@@ -316,7 +225,6 @@ class PartitionOp : public Sink<W> {
   }
 
   void Route(const BasicEvent<W>& e) {
-    if (band_counts_.empty()) band_counts_.resize(bands_.size(), 0);
     if (e.sync_time > high_watermark_) high_watermark_ = e.sync_time;
     const Timestamp lateness = high_watermark_ - e.sync_time;
 
@@ -329,9 +237,6 @@ class PartitionOp : public Sink<W> {
     }
     if (band == bands_.size()) {
       ++dropped_;  // Later than every latency the user asked for.
-    } else if (parallel_) {
-      bands_[band].pending.push_back(e);
-      ++band_counts_[band];
     } else {
       bands_[band].head->Push(e);
       bands_[band].pushed = true;
@@ -351,41 +256,14 @@ class PartitionOp : public Sink<W> {
     if (high_watermark_ == kMinTimestamp) return;
     TRACE_SPAN("framework.punctuation_round");
     const uint64_t round_start_ns = Clock::Nanos();
-    if (parallel_) {
-      PunctuateBandsParallel();
-    } else {
-      for (size_t i = 0; i < bands_.size(); ++i) {
-        const Timestamp p = high_watermark_ - latencies_[i];
-        if (p > bands_[i].last_punctuation) {
-          bands_[i].head->OnPunctuation(p);
-          bands_[i].last_punctuation = p;
-        }
+    for (size_t i = 0; i < bands_.size(); ++i) {
+      const Timestamp p = high_watermark_ - latencies_[i];
+      if (p > bands_[i].last_punctuation) {
+        bands_[i].head->OnPunctuation(p);
+        bands_[i].last_punctuation = p;
       }
     }
     round_latency_.Record(Clock::Nanos() - round_start_ns);
-  }
-
-  // One pool task per band: deliver the staged slice, then punctuate. The
-  // tasks are share-nothing (disjoint Band state and subplan nodes; the
-  // MemoryTracker is atomic); each band's output is captured by its stage
-  // and replayed in band order after the join, so downstream sees exactly
-  // the sequential message sequence.
-  void PunctuateBandsParallel() {
-    TaskGroup group(pool_);
-    for (size_t i = 0; i < bands_.size(); ++i) {
-      Band* band = &bands_[i];
-      const Timestamp p = high_watermark_ - latencies_[i];
-      group.Run([band, p] {
-        TRACE_SPAN("framework.band_task");
-        band->DeliverPending();
-        if (p > band->last_punctuation) {
-          band->head->OnPunctuation(p);
-          band->last_punctuation = p;
-        }
-      });
-    }
-    group.Wait();
-    for (BandStageOp<W>* stage : stages_) stage->Replay();
   }
 
   std::vector<Timestamp> latencies_;
@@ -395,9 +273,6 @@ class PartitionOp : public Sink<W> {
   Timestamp high_watermark_ = kMinTimestamp;
   size_t since_punctuation_ = 0;
   uint64_t dropped_ = 0;
-  bool parallel_ = false;
-  ThreadPool* pool_ = nullptr;
-  std::vector<BandStageOp<W>*> stages_;
   HistogramSnapshot round_latency_;
 };
 
@@ -440,24 +315,11 @@ class Streamables {
   }
 
   // Sums the Impatience counters across every band's sorter. Bands driven
-  // by a substituted non-Impatience sorter contribute nothing.
-  ImpatienceCounters AggregatedCounters() const {
-    ImpatienceCounters total;
-    for (const SortOp<W>* sort : sorts_) {
-      const auto* impatience =
-          dynamic_cast<const ImpatienceSorter<BasicEvent<W>>*>(
-              &sort->sorter());
-      if (impatience != nullptr) total += impatience->counters();
-    }
-    return total;
-  }
-
-  // Single-pass snapshot-and-reset: each band's counters are read and
-  // zeroed in one touch, so no sample recorded between a separate read and
-  // reset can be dropped. Long-lived pipelines (server metrics scrapes)
-  // use this instead of AggregatedCounters() + ResetCounters(). Buffered
-  // sorter state is untouched.
-  ImpatienceCounters AggregatedCounters(bool reset) {
+  // by a substituted non-Impatience sorter contribute nothing. With `reset`
+  // each band's counters are read and zeroed in one touch, so no sample
+  // recorded between a read and a reset is lost (server metrics scrapes).
+  // Buffered sorter state is untouched.
+  ImpatienceCounters AggregatedCounters(bool reset = false) {
     ImpatienceCounters total;
     for (SortOp<W>* sort : sorts_) {
       auto* impatience = dynamic_cast<ImpatienceSorter<BasicEvent<W>>*>(
@@ -491,15 +353,6 @@ class Streamables {
       }
     }
     return did;
-  }
-
-  // Zeroes every band's counters without reading them.
-  void ResetCounters() {
-    for (SortOp<W>* sort : sorts_) {
-      auto* impatience = dynamic_cast<ImpatienceSorter<BasicEvent<W>>*>(
-          sort->mutable_sorter());
-      if (impatience != nullptr) impatience->ResetCounters();
-    }
   }
 
  private:
@@ -538,18 +391,10 @@ Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
     return fn ? fn(s) : s;
   };
 
-  ThreadPool* pool = options.thread_pool != nullptr ? options.thread_pool
-                                                    : &ThreadPool::Global();
-  const bool parallel_bands =
-      options.parallel_bands && k > 1 && pool->thread_count() > 1;
-
-  // Per-band: sort, then PIQ; in parallel mode a staging operator caps
-  // each band's subplan so the single-threaded union chain runs strictly
-  // after the per-round fork/join barrier. Every band then ends in a
-  // strand stage, behind which the union chain runs.
+  // Per-band: sort, then PIQ, then a strand stage, behind which the union
+  // chain runs.
   std::vector<SortOp<W>*> sorts;
   std::vector<Emitter<W>*> piq_tails;
-  std::vector<BandStageOp<W>*> stages;
   sorts.reserve(k);
   piq_tails.reserve(k);
   for (size_t i = 0; i < k; ++i) {
@@ -557,18 +402,11 @@ Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
     partition->SetBandDownstream(i, sort);
     sorts.push_back(sort);
     Emitter<W>* tail = apply(piq, sort).tail();
-    if (parallel_bands) {
-      auto* stage = graph.Make<BandStageOp<W>>();
-      tail->SetDownstream(stage);
-      stages.push_back(stage);
-      tail = stage;
-    }
     auto* strand_stage =
         graph.Make<StrandStageOp<W>>(options.strand, ctx->tracker);
     tail->SetDownstream(strand_stage);
     piq_tails.push_back(strand_stage);
   }
-  if (parallel_bands) partition->EnableParallelBands(pool, std::move(stages));
 
   // Union chain with merge stages; tee every combined stream that both
   // feeds the next union and serves subscribers. Each union spills its

@@ -82,8 +82,8 @@ struct SessionShardManager::Shard {
         pipeline({.punctuation_period = static_cast<size_t>(-1),
                   .reorder_latency = 0},
                  &memory),
-        strand(options.framework.thread_pool != nullptr
-                   ? options.framework.thread_pool
+        strand(options.framework.sorter_config.thread_pool != nullptr
+                   ? options.framework.sorter_config.thread_pool
                    : &ThreadPool::Global(),
                &emit, "shard.emit") {}
 

@@ -9,8 +9,8 @@
 // metrics snapshot and shutdown barrier. Each shard's drain loop runs on
 // its own dedicated thread (it blocks on the queue, which a task on the
 // fork/join ThreadPool must never do); the pipeline *inside* the shard —
-// parallel punctuation merges, band-parallel execution — runs on the
-// existing process-wide ThreadPool, shared by all shards.
+// parallel punctuation merges and the emit strand — runs on the sorters'
+// pool (by default the process-wide ThreadPool, shared by all shards).
 //
 // Two stages: the shard thread pops frames, partitions and sorts; each
 // band's output goes to the shard's emit Strand on the same pool, which

@@ -74,8 +74,9 @@ TEST(ThreadPoolTest, TasksCanSpawnTasksIntoTheSameGroup) {
 }
 
 TEST(ThreadPoolTest, NestedForkJoin) {
-  // A parallel merge inside a parallel band task: inner groups must join
-  // without starving the pool even when every worker is inside a Wait.
+  // Tasks that fork and join groups of their own (a merge task splitting
+  // its subtree): inner groups must join without starving the pool even
+  // when every worker is inside a Wait.
   ThreadPool pool(4);
   std::atomic<int> count{0};
   TaskGroup outer(&pool);

@@ -165,27 +165,23 @@ TEST(FrameworkEdgeTest, FiveBandsStress) {
 // punctuate from. It must be a no-op, not kMinTimestamp - latency wrapped
 // into a huge punctuation that late-drops every event after it.
 TEST(FrameworkEdgeTest, PunctuationBeforeFirstEventDropsNothing) {
-  for (const bool parallel : {false, true}) {
-    SCOPED_TRACE(parallel ? "parallel bands" : "sequential bands");
-    ThreadPool pool(2);
-    std::vector<Event> events = InOrderEvents(1000);
-    for (size_t i = 0; i < events.size(); i += 10) {
-      events[i].sync_time = std::max<Timestamp>(0, events[i].sync_time - 50);
-    }
-    QueryPipeline<4> q(NoPunctIngress());
-    FrameworkOptions options;
-    options.reorder_latencies = {10, 100};
-    options.punctuation_period = 100;
-    options.parallel_bands = parallel;
-    options.thread_pool = &pool;
-    Streamables<4> streams = ToStreamables<4>(q.disordered(), options);
-    CollectSink<4>* full = streams.stream(1).Collect();
-    streams.mutable_partition()->ForcePunctuation();
-    EXPECT_EQ(streams.partition().band_punctuation(0), kMinTimestamp);
-    q.Run(events);
-    EXPECT_EQ(streams.TotalDrops(), 0u);
-    EXPECT_EQ(full->events().size(), events.size());
+  ThreadPool pool(2);
+  std::vector<Event> events = InOrderEvents(1000);
+  for (size_t i = 0; i < events.size(); i += 10) {
+    events[i].sync_time = std::max<Timestamp>(0, events[i].sync_time - 50);
   }
+  QueryPipeline<4> q(NoPunctIngress());
+  FrameworkOptions options;
+  options.reorder_latencies = {10, 100};
+  options.punctuation_period = 100;
+  options.sorter_config.thread_pool = &pool;
+  Streamables<4> streams = ToStreamables<4>(q.disordered(), options);
+  CollectSink<4>* full = streams.stream(1).Collect();
+  streams.mutable_partition()->ForcePunctuation();
+  EXPECT_EQ(streams.partition().band_punctuation(0), kMinTimestamp);
+  q.Run(events);
+  EXPECT_EQ(streams.TotalDrops(), 0u);
+  EXPECT_EQ(full->events().size(), events.size());
 }
 
 TEST(FrameworkEdgeTest, PartitionCountsAreConsistent) {
@@ -195,6 +191,8 @@ TEST(FrameworkEdgeTest, PartitionCountsAreConsistent) {
   options.reorder_latencies = {10, 100};
   Streamables<4> streams = ToStreamables<4>(q.disordered(), options);
   streams.stream(1).Collect();
+  EXPECT_EQ(streams.partition().band_counts(),
+            std::vector<uint64_t>(options.reorder_latencies.size(), 0));
   q.Run(events);
   uint64_t routed = streams.partition().dropped();
   for (const uint64_t c : streams.partition().band_counts()) routed += c;

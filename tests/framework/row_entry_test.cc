@@ -86,7 +86,6 @@ struct RunResult {
 
 struct RunConfig {
   ThreadPool* pool = nullptr;
-  bool parallel_bands = false;
   bool advanced = false;
   size_t budget = 0;
 };
@@ -105,8 +104,6 @@ RunResult RunFramework(const Workload& w, const std::vector<Event>& events,
     FrameworkOptions options;
     options.reorder_latencies = w.latencies;
     options.punctuation_period = kPunctuationPeriod;
-    options.parallel_bands = rc.parallel_bands;
-    options.thread_pool = rc.pool;
     options.sorter_config.thread_pool = rc.pool;
     options.sorter_config.spill.flusher = &flusher;
     options.sorter_config.spill.memory_budget = rc.budget;
@@ -249,24 +246,17 @@ TEST_P(RowEntryTest, PushRowsIdenticalToBatchEntry) {
   ASSERT_GT(model.band_counts[2], 0u);
   for (const size_t threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
-    for (const bool parallel_bands : {false, true}) {
-      for (const bool advanced : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << threads
-                     << " parallel_bands=" << parallel_bands
-                     << " advanced=" << advanced);
-        const RunConfig rc{&pool, parallel_bands, advanced, budget};
-        const std::vector<Event>& input = advanced ? windowed : w.events;
-        const RunResult batch =
-            RunFramework(w, input, rc, /*row_spans=*/false);
-        const RunResult rows =
-            RunFramework(w, input, rc, /*row_spans=*/true);
-        ExpectIdentical(batch, rows);
-        ExpectMatchesModel(advanced ? windowed_model : model, rows,
-                           advanced);
-        if (budget != 0) {
-          EXPECT_GT(rows.counters.runs_spilled, 0u);
-        }
+    for (const bool advanced : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " advanced=" << advanced);
+      const RunConfig rc{&pool, advanced, budget};
+      const std::vector<Event>& input = advanced ? windowed : w.events;
+      const RunResult batch = RunFramework(w, input, rc, /*row_spans=*/false);
+      const RunResult rows = RunFramework(w, input, rc, /*row_spans=*/true);
+      ExpectIdentical(batch, rows);
+      ExpectMatchesModel(advanced ? windowed_model : model, rows, advanced);
+      if (budget != 0) {
+        EXPECT_GT(rows.counters.runs_spilled, 0u);
       }
     }
   }

@@ -31,7 +31,7 @@ FrameworkOptions OrderFramework(ThreadPool* pool) {
   FrameworkOptions options;
   options.reorder_latencies = {kLatencySmall, kLatencyLarge};
   options.punctuation_period = 300;
-  options.thread_pool = pool;
+  options.sorter_config.thread_pool = pool;
   return options;
 }
 

@@ -7,7 +7,7 @@
 # into build-ubsan/ — and runs the full ctest suite (including the server
 # loopback/TCP tests) with IMPATIENCE_THREADS=8, so every parallel code
 # path (work-stealing pool, parallel punctuation merge + partition,
-# band-parallel framework, shard workers) executes multi-threaded under
+# strands, shard workers) executes multi-threaded under
 # each detector even on small machines. TSan finds the races; ASan finds
 # lifetime bugs the races would cause (use-after-free on connection
 # teardown, buffer overruns in the wire decoder); UBSan catches the

@@ -87,10 +87,6 @@ class SortOp : public Operator<W, W> {
   // Events dropped for arriving at or before a past punctuation.
   uint64_t late_drops() const { return sorter_->late_drops(); }
 
-  // Mutable access for maintenance that does not affect the stream —
-  // counter snapshot-and-reset from the metrics path.
-  IncrementalSorter<Element>* mutable_sorter() { return sorter_.get(); }
-
  private:
   std::unique_ptr<IncrementalSorter<Element>> sorter_;
   MemoryReservation reservation_;

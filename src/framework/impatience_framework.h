@@ -16,6 +16,12 @@
 //    (memory).
 // Passing identity stages yields the basic framework.
 //
+// ToStreamables builds the graph on a QueryContext. The partition then has
+// no upstream, and its owner pushes rows, forces punctuation rounds and
+// flushes it directly, as each server shard does. Its other form builds
+// the same graph behind a DisorderedStreamable, whose tail feeds the
+// partition batches (in-process queries).
+//
 // The framework runs in two stages. The calling thread drives the
 // partition, which pushes every routed event straight into its band's
 // sorter, and every band's subplan (sort, PIQ). Each band's output then
@@ -282,14 +288,16 @@ class PartitionOp : public Sink<W> {
 template <int W>
 class Streamables {
  public:
+  using Sorter = ImpatienceSorter<BasicEvent<W>>;
+
   Streamables(std::shared_ptr<QueryContext> ctx,
               std::vector<Emitter<W>*> tails, PartitionOp<W>* partition,
-              std::vector<SortOp<W>*> sorts,
+              std::vector<Sorter*> sorters,
               std::vector<UnionMergeOp<W>*> unions)
       : ctx_(std::move(ctx)),
         tails_(std::move(tails)),
         partition_(partition),
-        sorts_(std::move(sorts)),
+        sorters_(std::move(sorters)),
         unions_(std::move(unions)) {}
 
   size_t size() const { return tails_.size(); }
@@ -303,30 +311,26 @@ class Streamables {
   const PartitionOp<W>& partition() const { return *partition_; }
 
   // Mutable partition access for the ingest path (PushRows,
-  // ForcePunctuation).
+  // ForcePunctuation, OnFlush).
   PartitionOp<W>* mutable_partition() { return partition_; }
 
   // Total events lost: too late for the largest latency, plus the rare
   // boundary events each band's sorter had to discard.
   uint64_t TotalDrops() const {
     uint64_t drops = partition_->dropped();
-    for (const SortOp<W>* sort : sorts_) drops += sort->late_drops();
+    for (const Sorter* sorter : sorters_) drops += sorter->late_drops();
     return drops;
   }
 
-  // Sums the Impatience counters across every band's sorter. Bands driven
-  // by a substituted non-Impatience sorter contribute nothing. With `reset`
+  // Sums the Impatience counters across every band's sorter. With `reset`
   // each band's counters are read and zeroed in one touch, so no sample
   // recorded between a read and a reset is lost (server metrics scrapes).
   // Buffered sorter state is untouched.
   ImpatienceCounters AggregatedCounters(bool reset = false) {
     ImpatienceCounters total;
-    for (SortOp<W>* sort : sorts_) {
-      auto* impatience = dynamic_cast<ImpatienceSorter<BasicEvent<W>>*>(
-          sort->mutable_sorter());
-      if (impatience == nullptr) continue;
-      total += impatience->counters();
-      if (reset) impatience->ResetCounters();
+    for (Sorter* sorter : sorters_) {
+      total += sorter->counters();
+      if (reset) sorter->ResetCounters();
     }
     return total;
   }
@@ -345,12 +349,8 @@ class Streamables {
   // Returns true if any band did work.
   bool PerformSpillMaintenance(bool flush_tails = false) {
     bool did = false;
-    for (SortOp<W>* sort : sorts_) {
-      auto* impatience = dynamic_cast<ImpatienceSorter<BasicEvent<W>>*>(
-          sort->mutable_sorter());
-      if (impatience != nullptr) {
-        did |= impatience->PerformSpillMaintenance(flush_tails);
-      }
+    for (Sorter* sorter : sorters_) {
+      did |= sorter->PerformSpillMaintenance(flush_tails);
     }
     return did;
   }
@@ -359,7 +359,7 @@ class Streamables {
   std::shared_ptr<QueryContext> ctx_;
   std::vector<Emitter<W>*> tails_;
   PartitionOp<W>* partition_;
-  std::vector<SortOp<W>*> sorts_;
+  std::vector<Sorter*> sorters_;
   std::vector<UnionMergeOp<W>*> unions_;
 };
 
@@ -368,23 +368,24 @@ class Streamables {
 template <int W>
 using StageFn = std::function<Streamable<W>(Streamable<W>)>;
 
-// Builds the framework DAG behind `source` and returns its output streams.
+// Builds the framework DAG on `ctx` and returns its output streams. The
+// partition has no upstream: a driver feeds it directly (PushRows,
+// ForcePunctuation, OnFlush), as the server shard does.
 //
 // `piq` runs once per band on the band's sorted slice; `merge` runs after
 // each union. Pass {} for both to get the basic framework. The graph-owned
 // nodes report buffering to the context's MemoryTracker.
 template <int W>
-Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
+Streamables<W> ToStreamables(std::shared_ptr<QueryContext> ctx,
                              const FrameworkOptions& options,
                              StageFn<W> piq = {}, StageFn<W> merge = {}) {
-  std::shared_ptr<QueryContext> ctx = source.context();
+  using Sorter = typename Streamables<W>::Sorter;
   Graph& graph = ctx->graph;
   const size_t k = options.reorder_latencies.size();
   IMPATIENCE_CHECK(k > 0);
 
   auto* partition = graph.Make<PartitionOp<W>>(options.reorder_latencies,
                                               options.punctuation_period);
-  source.tail()->SetDownstream(partition);
 
   auto apply = [&ctx](const StageFn<W>& fn, Emitter<W>* tail) {
     Streamable<W> s(ctx, tail);
@@ -393,14 +394,15 @@ Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
 
   // Per-band: sort, then PIQ, then a strand stage, behind which the union
   // chain runs.
-  std::vector<SortOp<W>*> sorts;
+  std::vector<Sorter*> sorters;
   std::vector<Emitter<W>*> piq_tails;
-  sorts.reserve(k);
+  sorters.reserve(k);
   piq_tails.reserve(k);
   for (size_t i = 0; i < k; ++i) {
-    auto* sort = graph.Make<SortOp<W>>(options.sorter_config, ctx->tracker);
+    auto sorter = std::make_unique<Sorter>(options.sorter_config);
+    sorters.push_back(sorter.get());
+    auto* sort = graph.Make<SortOp<W>>(std::move(sorter), ctx->tracker);
     partition->SetBandDownstream(i, sort);
-    sorts.push_back(sort);
     Emitter<W>* tail = apply(piq, sort).tail();
     auto* strand_stage =
         graph.Make<StrandStageOp<W>>(options.strand, ctx->tracker);
@@ -429,7 +431,19 @@ Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
   outputs[k - 1] = combined;
 
   return Streamables<W>(ctx, std::move(outputs), partition,
-                        std::move(sorts), std::move(unions));
+                        std::move(sorters), std::move(unions));
+}
+
+// Builds the framework DAG behind `source`: the graph above on the
+// source's context, with the source feeding the partition.
+template <int W>
+Streamables<W> ToStreamables(const DisorderedStreamable<W>& source,
+                             const FrameworkOptions& options,
+                             StageFn<W> piq = {}, StageFn<W> merge = {}) {
+  Streamables<W> streams = ToStreamables<W>(source.context(), options,
+                                            std::move(piq), std::move(merge));
+  source.tail()->SetDownstream(streams.mutable_partition());
+  return streams;
 }
 
 }  // namespace impatience

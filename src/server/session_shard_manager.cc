@@ -76,12 +76,6 @@ struct SessionShardManager::Shard {
   Shard(size_t index, const ShardManagerOptions& options)
       : index(index),
         queue(options.queue_capacity),
-        // Rows bypass the ingress (Process hands them to the partition),
-        // which only carries the shutdown flush; SIZE_MAX disables its
-        // punctuation cadence.
-        pipeline({.punctuation_period = static_cast<size_t>(-1),
-                  .reorder_latency = 0},
-                 &memory),
         strand(options.framework.sorter_config.thread_pool != nullptr
                    ? options.framework.sorter_config.thread_pool
                    : &ThreadPool::Global(),
@@ -90,9 +84,10 @@ struct SessionShardManager::Shard {
   const size_t index;
   BoundedMpscQueue<Frame> queue;
 
-  // Byte-accurate buffering footprint of everything behind this shard's
-  // pipeline; the spill policy reads it against the shard's budget slice.
-  // Declared before the pipeline, which registers reservations against it.
+  // Byte-accurate buffering footprint of everything in this shard's
+  // framework; the spill policy reads it against the shard's budget slice.
+  // Declared before `streams`, whose nodes register reservations against
+  // it.
   MemoryTracker memory;
   // Durable run store under <spill_dir>/shard-<index> (nullptr without a
   // spill dir): sorter spill target and the WAL recovery replays.
@@ -100,10 +95,11 @@ struct SessionShardManager::Shard {
   uint64_t runs_recovered = 0;    // Stamped once during construction.
   uint64_t events_recovered = 0;
 
-  // Guards the pipeline, `streams`, and `sessions` — held by the worker
-  // while processing and by SnapshotShards while reading.
+  // Guards `streams` and `sessions` — held by the worker while processing
+  // and by SnapshotShards while reading.
   std::mutex pipeline_mu;
-  QueryPipeline<4> pipeline;
+  // The shard's framework. Its partition has no upstream: Process pushes
+  // rows and forces rounds into it, and FlushPipeline flushes it.
   std::optional<Streamables<4>> streams;
   // Session id -> largest event sync_time the session has sent (the
   // session's event-time watermark; kMinTimestamp until it sends events).
@@ -113,8 +109,8 @@ struct SessionShardManager::Shard {
   // progress report or flush ack the emit stage ran.
   LatencyHistogram emit;
   // The emit stage: runs the union chain, on_result, progress reports and
-  // flush acks in the order the worker posts them. Declared after the
-  // pipeline so it is destroyed (and waited for) first.
+  // flush acks in the order the worker posts them. Declared after
+  // `streams` so it is destroyed (and waited for) first.
   Strand strand;
 
   std::thread worker;
@@ -179,16 +175,16 @@ SessionShardManager::SessionShardManager(ShardManagerOptions options,
       std::string error;
       s->store = storage::RunStore::Open(store_options, &error);
       IMPATIENCE_CHECK_MSG(s->store != nullptr, "%s", error.c_str());
+      // The sorters sync this store at every punctuation: a crash loses
+      // at most the events still in RAM.
       fw.sorter_config.spill.store = s->store.get();
-      // Make punctuation boundaries durable: every live spilled byte is
-      // fsync'd once the punctuation that could emit it has run, so a
-      // crash loses at most the events still in RAM.
-      fw.sorter_config.spill.sync_on_punctuation = true;
     }
     fw.sorter_config.spill.memory_budget = shard_budget;
     fw.sorter_config.spill.tracker = &s->memory;
     fw.sorter_config.spill.flusher = flusher_.get();
-    s->streams.emplace(ToStreamables(s->pipeline.disordered(), fw));
+    auto ctx = std::make_shared<QueryContext>();
+    ctx->tracker = &s->memory;
+    s->streams.emplace(ToStreamables<4>(std::move(ctx), fw));
     const size_t first_stream =
         options_.subscribe_all_streams ? 0 : s->streams->size() - 1;
     for (size_t j = first_stream; j < s->streams->size(); ++j) {
@@ -401,7 +397,7 @@ void SessionShardManager::FlushPipeline(Shard* s) {
   Timestamp frontier = kMinTimestamp;
   {
     std::lock_guard<std::mutex> lock(s->pipeline_mu);
-    s->pipeline.ingress().Finish();
+    s->streams->mutable_partition()->OnFlush();
     frontier = s->streams->partition().band_punctuation(0);
   }
   PostProgress(s, frontier);

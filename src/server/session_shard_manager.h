@@ -1,6 +1,8 @@
 // Session-sharded ingestion: hash-partitions client sessions across N
-// shards, each shard owning a bounded ingress queue and a dedicated
-// Impatience framework pipeline.
+// shards, each shard owning a bounded ingress queue and its own Impatience
+// framework. The shard builds the framework without a source and drives
+// its partition directly: decoded rows go to PushRows, client
+// punctuations and flushes to ForcePunctuation, and shutdown to OnFlush.
 //
 // Sharding model (after Prasaad et al., "Scaling Ordered Stream
 // Processing on Shared-Memory Multicores"): all state is per-shard, so
@@ -27,8 +29,8 @@
 //                  wins; eviction counted per frame and per event).
 //
 // Shutdown is drain-and-flush: queues close (no new frames), workers
-// drain what is queued, every pipeline is flushed (all buffered events
-// released in order), and only then do the workers exit.
+// drain what is queued, every shard's partition is flushed (all buffered
+// events released in order), and only then do the workers exit.
 
 #ifndef IMPATIENCE_SERVER_SESSION_SHARD_MANAGER_H_
 #define IMPATIENCE_SERVER_SESSION_SHARD_MANAGER_H_

@@ -45,6 +45,9 @@
 
 namespace impatience {
 
+// The fewest consumed-prefix bytes worth compacting a RAM run for.
+inline constexpr size_t kCompactMinBytes = 4096;
+
 // Tuning and ablation switches for ImpatienceSorter.
 struct ImpatienceConfig {
   // Merge head runs smallest-two-first (§III-E1); false merges them in
@@ -58,7 +61,6 @@ struct ImpatienceConfig {
   // A run whose consumed prefix exceeds this fraction of its storage (and
   // at least kCompactMinBytes) is compacted to reclaim memory.
   double compact_fraction = 0.5;
-  size_t compact_min_bytes = 4096;
 
   // Pool for parallel punctuation merges (Huffman merge only): a
   // punctuation that releases enough head runs and bytes merges them as a
@@ -311,12 +313,13 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     }
 
     if constexpr (std::is_trivially_copyable_v<T>) {
-      // Durable mode flushes BEFORE the heads advance: an `advance` record
-      // must never cover records whose blocks are still in the flusher
-      // queue, or a crash between the two would lose data the manifest
-      // claims was emitted. (Without sync_on_punctuation the ordering is
-      // moot — nothing is durable by contract.)
-      if (spill_.budget() != 0 && config_.spill.sync_on_punctuation) {
+      // A caller-supplied store is the durable log recovery replays, so
+      // it is synced at every punctuation, BEFORE the heads advance: an
+      // `advance` record must never cover records whose blocks are still
+      // in the flusher queue, or a crash between the two would lose data
+      // the manifest claims was emitted. (A sorter-private temp store is
+      // not durable by contract and is never synced.)
+      if (spill_.budget() != 0 && config_.spill.store != nullptr) {
         for (Run& run : runs_) {
           if (run.spilled != nullptr) {
             counters_.spill_bytes_written +=
@@ -685,7 +688,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
       // back to the pool — erase + shrink_to_fit would instead free the
       // storage and force a fresh allocation on the next append.
       if (run.head > 0 &&
-          run.head * sizeof(T) >= config_.compact_min_bytes &&
+          run.head * sizeof(T) >= kCompactMinBytes &&
           static_cast<double>(run.head) >
               config_.compact_fraction *
                   static_cast<double>(run.items.size())) {

@@ -86,10 +86,12 @@ inline size_t MemoryBudgetFromEnv() {
 
 // Spill policy configuration, embedded in ImpatienceConfig.
 struct SpillSettings {
-  // Shared store (the server wires one per shard). nullptr with a nonzero
-  // budget makes the sorter lazily create a private temp-dir store at
-  // first spill — how the forced-spill env pass runs every existing test
-  // under spilling without any per-test setup.
+  // Shared store (the server wires one per shard): the durable log
+  // RunStore::Recover replays, so the sorter syncs it at every
+  // punctuation. nullptr with a nonzero budget makes the sorter lazily
+  // create a private temp-dir store at first spill, never synced — how the
+  // forced-spill env pass runs every existing test under spilling without
+  // any per-test setup.
   RunStore* store = nullptr;
   // Byte budget; spilling triggers when usage exceeds it. 0 defers to
   // IMPATIENCE_MEMORY_BUDGET (when use_env_default), else disables spill.
@@ -107,10 +109,6 @@ struct SpillSettings {
   // pending buffer and the read-back chunk size (the sorter derives
   // records-per-block as block_bytes / sizeof(T), at least 1).
   size_t block_bytes = 64 << 10;
-  // Flush pending appends to disk (and fsync when the store fsyncs) at
-  // every punctuation, making ingest durable at punctuation granularity.
-  // Off by default: pure spill needs no durability.
-  bool sync_on_punctuation = false;
   // Flusher that writes sealed blocks. A pool writes them off the sorter
   // thread and merge cursors prefetch through it. nullptr uses
   // storage::DefaultFlusher: the $IMPATIENCE_SPILL_FLUSHER_THREADS pool

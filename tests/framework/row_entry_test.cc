@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -91,7 +92,9 @@ struct RunConfig {
 };
 
 // Feeds `events` through ToStreamables, as batches when `row_spans` is
-// false and as PushRows spans of kSpanRows otherwise.
+// false and as PushRows spans of kSpanRows otherwise. The row arm is built
+// as a server shard builds its framework: on a bare context with the run's
+// tracker, no source, and the partition's OnFlush at the end.
 RunResult RunFramework(const Workload& w, const std::vector<Event>& events,
                        const RunConfig& rc, bool row_spans) {
   // Inline, so spill decisions never depend on write timing.
@@ -108,18 +111,24 @@ RunResult RunFramework(const Workload& w, const std::vector<Event>& events,
     options.sorter_config.spill.flusher = &flusher;
     options.sorter_config.spill.memory_budget = rc.budget;
 
-    typename Ingress<4>::Options ingress;
-    ingress.punctuation_period = SIZE_MAX;  // The partition punctuates.
     MemoryTracker tracker;
-    QueryPipeline<4> q(ingress, &tracker);
     StageFn<4> piq;
     StageFn<4> merge;
     if (rc.advanced) {
       piq = [](Streamable<4> s) { return s.GroupCount(); };
       merge = [](Streamable<4> s) { return s.CombinePartials(); };
     }
+    auto ctx = std::make_shared<QueryContext>();
+    ctx->tracker = &tracker;
+    std::optional<QueryPipeline<4>> q;
+    if (!row_spans) {
+      typename Ingress<4>::Options ingress;
+      ingress.punctuation_period = SIZE_MAX;  // The partition punctuates.
+      q.emplace(ingress, &tracker);
+    }
     Streamables<4> streams =
-        ToStreamables<4>(q.disordered(), options, piq, merge);
+        row_spans ? ToStreamables<4>(ctx, options, piq, merge)
+                  : ToStreamables<4>(q->disordered(), options, piq, merge);
     for (size_t i = 0; i < streams.size(); ++i) {
       streams.stream(i).tail()->SetDownstream(&result.streams[i]);
     }
@@ -128,9 +137,9 @@ RunResult RunFramework(const Workload& w, const std::vector<Event>& events,
         streams.mutable_partition()->PushRows(
             events.data() + i, std::min(kSpanRows, events.size() - i));
       }
-      q.ingress().Finish();
+      streams.mutable_partition()->OnFlush();
     } else {
-      q.Run(events);
+      q->Run(events);
     }
     result.band_counts = streams.partition().band_counts();
     result.partition_drops = streams.partition().dropped();

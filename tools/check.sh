@@ -34,9 +34,11 @@
 # A fifth pass reruns the full suite with IMPATIENCE_MEMORY_BUDGET=64k: a
 # budget that tiny forces every Impatience sorter in every test to evict
 # its runs to temp-dir spill files and stream punctuation merges back from
-# disk, so the whole storage tier (run files, manifests, cursor merges,
-# head advancement) runs under each detector with the existing suites'
-# output assertions verifying byte-identical results.
+# disk, so the spill tier (run files, cursor merges, head advancement,
+# spilled union buffers) runs under each detector with the existing suites'
+# output assertions verifying byte-identical results. Temp-dir stores keep
+# no manifest; durable-store manifests are covered by run_store_test and
+# the server spill/recovery suites in every pass.
 #
 # A sixth pass repeats the forced-spill run with
 # IMPATIENCE_SPILL_FLUSHER_THREADS=2: the fifth pass writes every sealed

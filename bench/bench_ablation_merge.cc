@@ -32,6 +32,7 @@
 #include "bench/harness.h"
 #include "common/random.h"
 #include "sort/impatience_sorter.h"
+#include "tests/testing/run_spans.h"
 #include "workload/generators.h"
 
 namespace impatience::bench {
@@ -141,19 +142,19 @@ SortOutcome RunFanInMerge(FanInMerge merge, size_t k, size_t total,
   MergeBufferPool<Timestamp> pool;
   LoserTreeScratch<Timestamp> scratch;
   MergeStats stats;
+  const auto runs = testing::RunSpans(source);
   double best = 1e100;
   for (int rep = 0; rep < 5; ++rep) {
-    auto runs = source;
     std::vector<Timestamp> out;
     out.reserve(n);
     stats = MergeStats{};
     const double secs = TimeSeconds([&]() {
       switch (merge) {
         case FanInMerge::kHuffman:
-          HuffmanMergeInto(&runs, less, &out, &stats, &pool);
+          HuffmanMergeInto(runs, less, &out, &stats, &pool);
           break;
         case FanInMerge::kBalanced:
-          BalancedMergeInto(&runs, less, &out, &stats, &pool);
+          BalancedMergeInto(runs, less, &out, &stats, &pool);
           break;
         case FanInMerge::kLoserTree: {
           std::vector<VectorRunCursor<Timestamp>> owned;

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "sort/kernels.h"
 #include "sort/merge.h"
 #include "sort/sort_algorithms.h"
+#include "tests/testing/run_spans.h"
 #include "tests/testing/sequences.h"
 
 namespace impatience {
@@ -57,23 +59,25 @@ void BM_MergePolicy(benchmark::State& state, Merge merge) {
   const size_t k = static_cast<size_t>(state.range(0));
   const size_t run_len = 100000 / k;
   const auto source = MakeRuns(k, run_len, /*seed=*/1);
+  const auto runs = testing::RunSpans(source);
   for (auto _ : state) {
-    auto runs = source;
     std::vector<int64_t> out;
-    merge(&runs, &out);
+    merge(runs, &out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(k * run_len));
 }
-const auto kHuffmanMerge = [](std::vector<std::vector<int64_t>>* runs,
-                              std::vector<int64_t>* out) {
-  HuffmanMergeInto(runs, std::less<int64_t>(), out);
-};
-const auto kBalancedMerge = [](std::vector<std::vector<int64_t>>* runs,
-                               std::vector<int64_t>* out) {
-  BalancedMergeInto(runs, std::less<int64_t>(), out);
-};
+const auto kHuffmanMerge =
+    [](const std::vector<std::span<const int64_t>>& runs,
+       std::vector<int64_t>* out) {
+      HuffmanMergeInto(runs, std::less<int64_t>(), out);
+    };
+const auto kBalancedMerge =
+    [](const std::vector<std::span<const int64_t>>& runs,
+       std::vector<int64_t>* out) {
+      BalancedMergeInto(runs, std::less<int64_t>(), out);
+    };
 #define MERGE_FANIN_ARGS \
   ->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(64)->Arg(256)
 BENCHMARK_CAPTURE(BM_MergePolicy, huffman, kHuffmanMerge) MERGE_FANIN_ARGS;
@@ -354,7 +358,7 @@ void BM_PunctuationMerge(benchmark::State& state, bool legacy) {
     if (legacy) {
       LegacyHuffmanMergeInto(&runs, &out);
     } else {
-      HuffmanMergeInto(&runs, less, &out);
+      HuffmanMergeInto(testing::RunSpans(runs), less, &out);
     }
     benchmark::DoNotOptimize(out.data());
   }

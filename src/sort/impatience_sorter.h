@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -47,6 +48,10 @@ namespace impatience {
 
 // The fewest consumed-prefix bytes worth compacting a RAM run for.
 inline constexpr size_t kCompactMinBytes = 4096;
+
+// Free merge buffers a sorter keeps after every punctuation, however few
+// events it still buffers, so the next merge rarely allocates.
+inline constexpr size_t kMergePoolRetainBytes = size_t{64} << 10;
 
 // Tuning and ablation switches for ImpatienceSorter.
 struct ImpatienceConfig {
@@ -269,46 +274,34 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
                                               : kMaxTimestamp;
     }
     buffered_ -= emitted;
-    // Size the output once up front so neither the fast path nor the merge
-    // reallocates mid-emit.
+    // Size the output once up front so the merge never reallocates
+    // mid-emit.
     out->reserve(out->size() + emitted);
 
     if (any_spilled) {
       if constexpr (std::is_trivially_copyable_v<T>) {
         MergeSpilledCuts(out);
       }
-    } else if (cut_runs_.size() == 1) {
-      // Fast path: one head run goes straight to the output.
-      const CutRange& c = cut_runs_[0];
-      const std::vector<T>& items = runs_[c.run].items;
-      out->insert(out->end(),
-                  items.begin() + static_cast<ptrdiff_t>(c.begin),
-                  items.begin() + static_cast<ptrdiff_t>(c.end));
-      counters_.merge.elements_moved += c.end - c.begin;
     } else if (!cut_runs_.empty()) {
-      std::vector<std::vector<T>> heads;
-      heads.reserve(cut_runs_.size());
+      // Every cut is a range of a live run: the merge reads it in place.
+      cut_spans_.clear();
       for (const CutRange& c : cut_runs_) {
-        const std::vector<T>& items = runs_[c.run].items;
-        std::vector<T> head = pool_.Acquire(c.end - c.begin);
-        head.insert(head.end(),
-                    items.begin() + static_cast<ptrdiff_t>(c.begin),
-                    items.begin() + static_cast<ptrdiff_t>(c.end));
-        heads.push_back(std::move(head));
+        cut_spans_.emplace_back(runs_[c.run].items.data() + c.begin,
+                                c.end - c.begin);
       }
       auto less = [this](const T& a, const T& b) {
         return time_of_(a) < time_of_(b);
       };
       if (config_.huffman_merge) {
         const size_t tasks =
-            ParallelMergeRunsInto(&heads, less, out, &counters_.merge,
+            ParallelMergeRunsInto(cut_spans_, less, out, &counters_.merge,
                                   &pool_, config_.thread_pool);
         if (tasks > 0) {
           ++counters_.parallel_merges;
           counters_.merge_tasks += tasks;
         }
       } else {
-        BalancedMergeInto(&heads, less, out, &counters_.merge, &pool_);
+        BalancedMergeInto(cut_spans_, less, out, &counters_.merge, &pool_);
       }
     }
 
@@ -344,8 +337,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     RemoveEmptyRunsAndCompact();
     // Keep some scratch for the next punctuation, but never let the pool
     // dominate the live buffer.
-    pool_.Trim(std::max<size_t>(size_t{64} << 10,
-                                buffered_ * sizeof(T) / 2));
+    pool_.Trim(std::max(kMergePoolRetainBytes, buffered_ * sizeof(T) / 2));
     if constexpr (std::is_trivially_copyable_v<T>) {
       // Opportunistic end-of-punctuation budget check: merges and cuts
       // just churned buffers, so this is where usage peaks move.
@@ -369,12 +361,15 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
   size_t buffered_count() const override { return buffered_; }
 
   size_t MemoryBytes() const override {
-    // pool_.MemoryBytes() covers merge buffers both pooled and checked
-    // out; scratch_ covers the cursor merge's loser-tree nodes.
+    // pool_.MemoryBytes() covers the merge buffers the pool holds; a
+    // merge's interior buffers leave it only while that merge runs, and
+    // the runs it reads are counted below. scratch_ covers the cursor
+    // merge's loser-tree nodes.
     size_t bytes = tails_.capacity() * sizeof(Timestamp) +
                    head_times_.capacity() * sizeof(Timestamp) +
                    runs_.capacity() * sizeof(Run) +
                    cut_runs_.capacity() * sizeof(CutRange) +
+                   cut_spans_.capacity() * sizeof(std::span<const T>) +
                    pool_.MemoryBytes() + scratch_.MemoryBytes();
     for (const Run& run : runs_) {
       bytes += run.items.capacity() * sizeof(T);
@@ -488,9 +483,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
 
   // Streams the cut ranges (at least one of them spilled) through run
   // cursors into `out`. RAM cuts participate as zero-copy single-chunk
-  // cursors — unlike the in-RAM path there is no staging copy into pool
-  // buffers, because the cursor merge does not consume its inputs.
-  // Byte-identical to the in-RAM merge of the same cuts (see
+  // cursors. Byte-identical to the in-RAM merge of the same cuts (see
   // HuffmanCursorMergeInto).
   void MergeSpilledCuts(std::vector<T>* out) {
     std::vector<std::unique_ptr<RunCursor<T>>> owned;
@@ -520,9 +513,10 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
 
   // Enforces the byte budget: usage is the larger of this sorter's own
   // bytes and the shared tracker (the whole pipeline's residency, when
-  // configured). Over budget, trims the buffer pool, then spills victim
-  // runs coldest-first (least recently appended, ties to the larger run)
-  // until the measured excess is covered or nothing spillable remains.
+  // configured). Over budget, reclaims landed spill blocks, trims the
+  // buffer pool, then spills victim runs coldest-first (least recently
+  // appended, ties to the larger run) until the measured excess is covered
+  // or nothing spillable remains.
   //
   // A write-behind flusher leaves sealed blocks in flight, RAM-accounted
   // until their writes land and a seal or read reclaims them, and each
@@ -540,12 +534,18 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     }
     if (used <= spill_.budget()) return;
     const size_t deficit = used - spill_.budget();
-    // Pooled merge buffers are pure cache — drop them before touching any
-    // run.
-    pool_.Trim(0);
     ReclaimSpillBuffers();
     size_t own = MemoryBytes() - InflightBytes();
     auto covered = [&] { return own + deficit <= own_before; };
+    // Pooled merge buffers are pure cache — drop them before touching any
+    // run, unless the reclaim already covered the excess: a write-behind
+    // sorter goes over on blocks in flight where an inline one would not,
+    // and its pool, which later merges and compactions draw on, must stay
+    // as the inline one's.
+    if (!covered()) {
+      pool_.Trim(0);
+      own = MemoryBytes() - InflightBytes();
+    }
     // Spill until covered; stop early if spilling grew the footprint (a
     // run smaller than its spill block costs more spilled than in RAM).
     while (!covered() && own <= own_before) {
@@ -741,6 +741,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     size_t end;
   };
   std::vector<CutRange> cut_runs_;
+  // Scratch for the RAM merge: the cuts as spans of their runs.
+  std::vector<std::span<const T>> cut_spans_;
   size_t last_run_ = 0;           // Run used by the previous insertion.
   size_t buffered_ = 0;
   // Wall-clock (ns) of the first push since the last emitting punctuation;

@@ -124,12 +124,9 @@ class IncrementalAdapter : public IncrementalSorter<T, TimeOf> {
   }
 
   size_t MemoryBytes() const override {
-    // `sorted_` is a pool buffer held across punctuations (it stays
-    // outstanding in the pool), so count it once via the vector itself and
-    // add only the pool's cached free buffer — the ping-pong partner — on
-    // top.
+    // The two buffers plus the ping-pong partner the pool holds.
     return sorted_.capacity() * sizeof(T) + unsorted_.capacity() * sizeof(T) +
-           (pool_.MemoryBytes() - pool_.OutstandingBytes());
+           pool_.MemoryBytes();
   }
 
   uint64_t late_drops() const override { return late_drops_; }

@@ -21,14 +21,16 @@
 // outputs are byte-identical by construction. A balanced (size-oblivious)
 // order remains as the paper's "w/o HM" ablation baseline.
 //
-// One pool: every executor that consumes its input runs takes its
-// intermediate buffers from the caller's MergeBufferPool and gives them,
-// and the consumed runs, back to it on the calling thread, so the pool's
-// accounting covers every run-sized byte a merge holds. The sequential
-// executors' steady-state merges allocate no run buffers (the cursor merge
-// writes straight into the output); the parallel executor also allocates
-// small per-call bookkeeping (plan, fan-in/parent/role/dependency arrays)
-// and per-leaf cursor and loser-tree scratch, all O(runs), not O(events).
+// Runs are read in place: the RAM executors take each run as a span they
+// do not own (a punctuation's cut of a live run, a slice of the offline
+// sort's key array) and leave it untouched. The only buffers a merge owns
+// are its interior outputs, the cascade levels between the runs and the
+// caller's output. Those come from the caller's MergeBufferPool and go back
+// to it on the calling thread when the merge is done. The cursor merge has
+// no interior and writes straight into the output; the parallel executor
+// also allocates small per-call bookkeeping (plan, fan-in/parent/role/
+// dependency arrays) and per-leaf cursor and loser-tree scratch, all
+// O(runs), not O(events).
 
 #ifndef IMPATIENCE_SORT_MERGE_H_
 #define IMPATIENCE_SORT_MERGE_H_
@@ -39,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -49,16 +52,11 @@
 
 namespace impatience {
 
-// Recycles merge buffers so repeated merges (one per punctuation, or a
-// whole offline merge tree) do not thrash the allocator.
-//
-// Accounting: the pool tracks both the bytes it is holding (free list) and
-// the bytes currently checked out via Acquire (outstanding), so
-// MemoryBytes() covers the intermediate buffers a merge is writing,
-// not just the ones at rest. Release clamps against buffers the pool never
-// handed out (merges return consumed input runs here so they recycle), and
-// PeakBytes() keeps the high-water mark of free + outstanding for
-// memory-bound assertions.
+// A free list of merge buffers, so repeated merges (one per punctuation,
+// or a whole offline merge tree) do not thrash the allocator. MemoryBytes()
+// counts only the buffers the pool holds: a buffer Acquire hands out
+// belongs to its new owner, who counts it, and any vector may be Released
+// into the pool, whether it came from Acquire or not.
 template <typename T>
 class MergeBufferPool {
  public:
@@ -68,75 +66,46 @@ class MergeBufferPool {
     if (!free_.empty()) {
       buf = std::move(free_.back());
       free_.pop_back();
-      free_bytes_ -= buf.capacity() * sizeof(T);
+      held_bytes_ -= buf.capacity() * sizeof(T);
       buf.clear();
     }
     buf.reserve(capacity);
-    outstanding_bytes_ += buf.capacity() * sizeof(T);
-    if (free_bytes_ + outstanding_bytes_ > peak_bytes_) {
-      peak_bytes_ = free_bytes_ + outstanding_bytes_;
-    }
     return buf;
   }
 
   void Release(std::vector<T>&& buf) {
-    const size_t bytes = buf.capacity() * sizeof(T);
-    outstanding_bytes_ -= std::min(outstanding_bytes_, bytes);
-    if (bytes > 0) {
-      free_bytes_ += bytes;
-      if (free_bytes_ + outstanding_bytes_ > peak_bytes_) {
-        peak_bytes_ = free_bytes_ + outstanding_bytes_;
-      }
-      free_.push_back(std::move(buf));
-    }
+    if (buf.capacity() == 0) return;
+    held_bytes_ += buf.capacity() * sizeof(T);
+    free_.push_back(std::move(buf));
   }
 
-  // Bytes reserved across pooled and checked-out buffers.
-  size_t MemoryBytes() const { return free_bytes_ + outstanding_bytes_; }
+  // Bytes reserved by the held buffers.
+  size_t MemoryBytes() const { return held_bytes_; }
 
-  // Bytes checked out via Acquire and not yet Released (zero once a merge
-  // that pools its buffers has completed).
-  size_t OutstandingBytes() const { return outstanding_bytes_; }
-
-  // High-water mark of MemoryBytes() over the pool's lifetime.
-  size_t PeakBytes() const { return peak_bytes_; }
-
-  // Frees pooled buffers until at most `max_bytes` are retained, so a pool
+  // Frees held buffers until at most `max_bytes` are retained, so a pool
   // sized by a burst does not hold that memory forever.
   void Trim(size_t max_bytes) {
-    while (free_bytes_ > max_bytes && !free_.empty()) {
-      free_bytes_ -= free_.back().capacity() * sizeof(T);
+    while (held_bytes_ > max_bytes && !free_.empty()) {
+      held_bytes_ -= free_.back().capacity() * sizeof(T);
       free_.pop_back();
     }
   }
 
  private:
   std::vector<std::vector<T>> free_;
-  size_t free_bytes_ = 0;
-  size_t outstanding_bytes_ = 0;
-  size_t peak_bytes_ = 0;
+  size_t held_bytes_ = 0;
 };
-
-
-// Merges the sorted vectors `a` and `b` into `out` (appended). Stable: on
-// ties, elements of `a` precede elements of `b`. Returns true when the
-// disjoint fast path ran (see kernels::MergeIntoVector).
-template <typename T, typename Less>
-bool BinaryMergeInto(const std::vector<T>& a, const std::vector<T>& b,
-                     Less less, std::vector<T>* out) {
-  return kernels::MergeIntoVector(a.data(), a.data() + a.size(), b.data(),
-                                  b.data() + b.size(), less, out);
-}
 
 // Statistics describing the work a merge performed; used by ablation
 // benchmarks to quantify the benefit of the Huffman order.
 struct MergeStats {
   // Total elements moved across all merge steps (the quantity the Huffman
   // order minimizes). For the binary cascades this is the sum of both
-  // input sizes per merge; for the single-pass cursor merge it is each
-  // element once. ParallelMergeRunsInto reports the plan's binary-cascade
-  // figure even when it executes plan subtrees as k-way leaf tasks, so the
-  // Huffman cost model stays comparable across execution strategies.
+  // input sizes per merge; for the single-pass cursor merge, and for a
+  // lone run copied out, it is each element once. ParallelMergeRunsInto
+  // reports the plan's binary-cascade figure even when it executes plan
+  // subtrees as k-way leaf tasks, so the Huffman cost model stays
+  // comparable across execution strategies.
   uint64_t elements_moved = 0;
   // Number of merge steps: binary merges for the cascades, one per call
   // for the cursor merge.
@@ -157,17 +126,15 @@ struct MergeStats {
 };
 
 // ---------------------------------------------------------------------------
-// The Huffman merge plan.
+// Merge plans.
 
-// The binary merge tree a smallest-two-first cascade builds over k runs.
-// Ids [0, k) name the input runs; id k + j names merges[j]'s output.
-struct HuffmanPlan {
+// A binary merge tree over k runs, as a cascade runs it: the Huffman
+// plan, or the balanced one of the "w/o HM" ablation. Ids [0, k) name the
+// input runs; id k + j names merges[j]'s output.
+struct MergePlan {
   struct Merge {
     uint32_t left;  // Input ids.
     uint32_t right;
-    // The merge's leftmost input run: an in-place cascade keeps the
-    // output in that run's slot, whose buffer is free once left is merged.
-    uint32_t slot;
     size_t size;  // Elements in the merged output.
   };
   size_t runs = 0;
@@ -206,15 +173,14 @@ struct HuffmanPlan {
 // on the left. This is the only place the size heap runs. It allocates
 // just the heap and the plan, because it sits on every punctuation merge.
 template <typename SizeOf>
-HuffmanPlan BuildHuffmanPlan(size_t k, SizeOf size_of) {
-  HuffmanPlan plan;
+MergePlan BuildHuffmanPlan(size_t k, SizeOf size_of) {
+  MergePlan plan;
   plan.runs = k;
   if (k < 2) return plan;
   plan.merges.reserve(k - 1);
   struct Entry {
     size_t size;
     uint32_t id;
-    uint32_t slot;
   };
   auto size_greater = [](const Entry& a, const Entry& b) {
     return a.size > b.size;
@@ -225,81 +191,100 @@ HuffmanPlan BuildHuffmanPlan(size_t k, SizeOf size_of) {
       heap(size_greater, std::move(storage));
   for (size_t i = 0; i < k; ++i) {
     const uint32_t run = static_cast<uint32_t>(i);
-    heap.push(Entry{size_of(i), run, run});
+    heap.push(Entry{size_of(i), run});
   }
   for (;;) {
     const Entry a = heap.top();
     heap.pop();
     const Entry b = heap.top();
     heap.pop();
-    plan.merges.push_back({a.id, b.id, a.slot, a.size + b.size});
+    plan.merges.push_back({a.id, b.id, a.size + b.size});
     if (heap.empty()) return plan;
     heap.push(Entry{a.size + b.size,
-                    static_cast<uint32_t>(k + plan.merges.size() - 1),
-                    a.slot});
+                    static_cast<uint32_t>(k + plan.merges.size() - 1)});
   }
 }
 
 namespace merge_internal {
 
+// The non-empty runs of `runs`, in order: empty runs take no part in a
+// plan. Reserves room for views of the plan's interior outputs too.
 template <typename T>
-void DropEmptyRuns(std::vector<std::vector<T>>* runs) {
-  runs->erase(std::remove_if(runs->begin(), runs->end(),
-                             [](const std::vector<T>& r) {
-                               return r.empty();
-                             }),
-              runs->end());
+std::vector<std::span<const T>> NonEmptyRuns(
+    const std::vector<std::span<const T>>& runs) {
+  std::vector<std::span<const T>> rs;
+  rs.reserve(2 * runs.size());
+  for (const std::span<const T> r : runs) {
+    if (!r.empty()) rs.push_back(r);
+  }
+  return rs;
 }
 
 template <typename T>
-HuffmanPlan PlanRuns(const std::vector<std::vector<T>>& runs) {
+MergePlan PlanRuns(const std::vector<std::span<const T>>& runs) {
   return BuildHuffmanPlan(runs.size(),
                           [&runs](size_t i) { return runs[i].size(); });
 }
 
-}  // namespace merge_internal
-
-// Merges `runs` (each sorted) into a single sorted sequence appended to
-// `out`, merging the two smallest runs first (§III-E1). Consumes the run
-// contents. `pool` (optional) recycles intermediate buffers.
+// Appends the stable merge of `a` and `b` to `out` (on ties, `a` first).
+// Returns true when the disjoint fast path ran.
 template <typename T, typename Less>
-void HuffmanMergeInto(std::vector<std::vector<T>>* runs, Less less,
-                      std::vector<T>* out, MergeStats* stats = nullptr,
-                      MergeBufferPool<T>* pool = nullptr) {
-  TRACE_SPAN("merge.huffman");
-  std::vector<std::vector<T>>& rs = *runs;
-  merge_internal::DropEmptyRuns(&rs);
-  if (rs.empty()) return;
-  if (rs.size() == 1) {
+bool MergeTwo(std::span<const T> a, std::span<const T> b, Less less,
+              std::vector<T>* out) {
+  return kernels::MergeIntoVector(a.data(), a.data() + a.size(), b.data(),
+                                  b.data() + b.size(), less, out);
+}
+
+// Runs `plan` over the non-empty runs `rs` merge by merge, appending the
+// result to `out`. A lone run needs no merge: it is copied out, one move
+// per element.
+template <typename T, typename Less>
+void RunCascade(const MergePlan& plan, std::vector<std::span<const T>> rs,
+                Less less, std::vector<T>* out, MergeStats* stats,
+                MergeBufferPool<T>* pool) {
+  const size_t k = rs.size();
+  if (k == 0) return;
+  if (k == 1) {
     out->insert(out->end(), rs[0].begin(), rs[0].end());
-    rs.clear();
+    if (stats != nullptr) stats->elements_moved += rs[0].size();
     return;
   }
   MergeBufferPool<T> local_pool;
   if (pool == nullptr) pool = &local_pool;
-  const HuffmanPlan plan = merge_internal::PlanRuns(rs);
-  // In place: each merge's output replaces its leftmost input run.
-  auto slot = [&plan](uint32_t id) {
-    return id < plan.runs ? id : plan.merges[id - plan.runs].slot;
-  };
-  for (const HuffmanPlan::Merge& m : plan.merges) {
-    std::vector<T>& a = rs[slot(m.left)];
-    std::vector<T>& b = rs[slot(m.right)];
-    // The root writes straight into the caller's output.
-    const bool root = &m == &plan.merges.back();
-    std::vector<T> merged;
-    if (!root) merged = pool->Acquire(m.size);
-    const bool disjoint = BinaryMergeInto(a, b, less, root ? out : &merged);
+  // rs[k + j] reads merges[j]'s output, which interior[j] holds until its
+  // parent has read it; the root writes straight into `out`.
+  rs.resize(2 * k - 1);
+  std::vector<std::vector<T>> interior(k - 1);
+  for (size_t j = 0; j + 1 < k; ++j) {
+    const MergePlan::Merge& m = plan.merges[j];
+    std::vector<T>* dst = j + 2 < k ? &interior[j] : out;
+    if (dst != out) *dst = pool->Acquire(m.size);
+    const bool disjoint = MergeTwo(rs[m.left], rs[m.right], less, dst);
+    rs[k + j] = *dst;
     if (stats != nullptr) {
       stats->elements_moved += m.size;
       ++stats->binary_merges;
       if (disjoint) ++stats->disjoint_concats;
     }
-    pool->Release(std::move(a));
-    pool->Release(std::move(b));
-    rs[m.slot] = std::move(merged);
+    for (const uint32_t id : {m.left, m.right}) {
+      if (id >= k) pool->Release(std::move(interior[id - k]));
+    }
   }
-  rs.clear();
+}
+
+}  // namespace merge_internal
+
+// Merges `runs` (each sorted) into a single sorted sequence appended to
+// `out`, merging the two smallest runs first (§III-E1). The runs are read
+// in place; `pool` (optional) recycles the interior buffers.
+template <typename T, typename Less>
+void HuffmanMergeInto(const std::vector<std::span<const T>>& runs, Less less,
+                      std::vector<T>* out, MergeStats* stats = nullptr,
+                      MergeBufferPool<T>* pool = nullptr) {
+  TRACE_SPAN("merge.huffman");
+  std::vector<std::span<const T>> rs = merge_internal::NonEmptyRuns(runs);
+  const MergePlan plan = merge_internal::PlanRuns(rs);
+  merge_internal::RunCascade(plan, std::move(rs), less, out, stats, pool);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,7 +506,7 @@ void HuffmanCursorMergeInto(
                [](RunCursor<T>* c) { return c->total() == 0; }),
            cs.end());
   if (cs.empty()) return;
-  const HuffmanPlan plan = BuildHuffmanPlan(
+  const MergePlan plan = BuildHuffmanPlan(
       cs.size(), [&cs](size_t i) { return cs[i]->total(); });
   if (stats != nullptr) {
     stats->elements_moved += plan.merges.empty() ? cs[0]->total()
@@ -558,40 +543,42 @@ inline constexpr size_t kParallelMergeMinBytes = size_t{1} << 20;
 // execution-dependent disjoint_concats) reports the plan's binary cascade
 // regardless of how leaves execute.
 //
-// Consumes the run contents. Every buffer the merge uses comes from
-// `pool` and goes back to it, on the calling thread: interior buffers are
-// acquired before any task starts, and the consumed runs and interior
-// buffers are released after the task group drains, so tasks never touch
-// the (single-threaded) pool. Requires T default-constructible (the output
-// is resized up front). Returns the number of pool tasks the merge used —
-// 0 means HuffmanMergeInto ran.
+// Reads the runs in place. Every interior buffer comes from `pool` and
+// goes back to it, on the calling thread: interior buffers are acquired
+// before any task starts and released after the task group drains, so
+// tasks never touch the (single-threaded) pool. Requires T
+// default-constructible (the output is resized up front). Returns the
+// number of pool tasks the merge used — 0 means HuffmanMergeInto ran.
 template <typename T, typename Less>
-size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
-                             std::vector<T>* out,
+size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
+                             Less less, std::vector<T>* out,
                              MergeStats* stats = nullptr,
                              std::type_identity_t<MergeBufferPool<T>*> pool =
                                  nullptr,
                              ThreadPool* threads = nullptr) {
   static_assert(std::is_default_constructible_v<T>,
                 "parallel merge resizes the output vector");
-  std::vector<std::vector<T>>& rs = *runs;
-  merge_internal::DropEmptyRuns(&rs);
   size_t total = 0;
-  for (const std::vector<T>& r : rs) total += r.size();
+  size_t nonempty = 0;
+  for (const std::span<const T> r : runs) {
+    total += r.size();
+    nonempty += r.empty() ? 0 : 1;
+  }
   ThreadPool& tp = threads != nullptr ? *threads : ThreadPool::Global();
-  if (tp.thread_count() < 2 || rs.size() < kParallelMergeMinRuns ||
+  if (tp.thread_count() < 2 || nonempty < kParallelMergeMinRuns ||
       total * sizeof(T) < kParallelMergeMinBytes) {
-    HuffmanMergeInto(&rs, less, out, stats, pool);
+    HuffmanMergeInto(runs, less, out, stats, pool);
     return 0;
   }
   MergeBufferPool<T> local_pool;
   if (pool == nullptr) pool = &local_pool;
 
-  const HuffmanPlan plan = merge_internal::PlanRuns(rs);
+  std::vector<std::span<const T>> rs = merge_internal::NonEmptyRuns(runs);
+  const MergePlan plan = merge_internal::PlanRuns(rs);
   const size_t k = plan.runs;
   const size_t root = k - 2;
   if (stats != nullptr) {
-    for (const HuffmanPlan::Merge& m : plan.merges) {
+    for (const MergePlan::Merge& m : plan.merges) {
       stats->elements_moved += m.size;
     }
     stats->binary_merges += plan.merges.size();
@@ -625,15 +612,17 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
   // Ready set and dependency counters, fixed before any task runs: k-way
   // roots depend on nothing, binary merges wait on their merge children
   // (never absorbed ones). Interior buffers come from the pool here, on
-  // the calling thread; rs[k + j] holds merges[j]'s output.
+  // the calling thread; interior[j] holds merges[j]'s output, which its
+  // task publishes as rs[k + j] before its parent can start.
   rs.resize(2 * k - 1);
+  std::vector<std::vector<T>> interior(k - 1);
   std::vector<std::atomic<int>> missing(k - 1);
   std::vector<size_t> ready;
   size_t task_nodes = 0;
   for (size_t j = 0; j + 1 < k; ++j) {
     if (role[j] == kAbsorbed) continue;
     ++task_nodes;
-    if (j != root) rs[k + j] = pool->Acquire(plan.merges[j].size);
+    if (j != root) interior[j] = pool->Acquire(plan.merges[j].size);
     const int deps = role[j] == kKwayRoot
                          ? 0
                          : (plan.merges[j].left >= k ? 1 : 0) +
@@ -665,9 +654,9 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
   TaskGroup group(&tp);
   std::function<void(size_t)> exec_node = [&](size_t j) {
     TRACE_SPAN("merge.task");
-    const HuffmanPlan::Merge& m = plan.merges[j];
-    const std::vector<T>& a = rs[m.left];
-    const std::vector<T>& b = rs[m.right];
+    const MergePlan::Merge& m = plan.merges[j];
+    const std::span<const T> a = rs[m.left];
+    const std::span<const T> b = rs[m.right];
     if (j == root) {
       T* dst = out->data() + out0;
       const T* pa = a.data();
@@ -694,7 +683,7 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
       });
       return;
     }
-    std::vector<T>& dst = rs[k + j];
+    std::vector<T>& dst = interior[j];
     if (role[j] == kKwayRoot) {
       TRACE_SPAN("merge.kway_leaf");
       std::vector<VectorRunCursor<T>> cursors;
@@ -708,9 +697,10 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
       LoserTreePass(slots.data(), slots.size(), less, &dst, &disjoint,
                     &scratch);
       disjoint_concats.fetch_add(disjoint, std::memory_order_relaxed);
-    } else if (BinaryMergeInto(a, b, less, &dst)) {
+    } else if (merge_internal::MergeTwo(a, b, less, &dst)) {
       disjoint_concats.fetch_add(1, std::memory_order_relaxed);
     }
+    rs[k + j] = dst;
     const size_t p = parent[j];
     if (missing[p].fetch_sub(1, std::memory_order_acq_rel) == 1) {
       group.Run([&exec_node, p] { exec_node(p); });
@@ -724,58 +714,45 @@ size_t ParallelMergeRunsInto(std::vector<std::vector<T>>* runs, Less less,
     stats->disjoint_concats +=
         disjoint_concats.load(std::memory_order_relaxed);
   }
-  // The group has drained: hand the consumed runs and every interior
-  // buffer back to the pool.
-  for (std::vector<T>& r : rs) pool->Release(std::move(r));
-  rs.clear();
+  // The group has drained: hand every interior buffer back to the pool,
+  // last acquired first, so the same merge run again finds each buffer it
+  // needs on top of the free list.
+  for (size_t j = interior.size(); j-- > 0;) {
+    pool->Release(std::move(interior[j]));
+  }
   return task_nodes + (split_final ? 2 : 0);
 }
 
 // Merges `runs` pairwise in rounds (run 0 with run 1, run 2 with run 3,
-// ...) regardless of size — the baseline order used by "Impatience w/o HM"
-// in Figure 7. Consumes the run contents.
+// ..., an odd run out carried to the next round) regardless of size — the
+// baseline order used by "Impatience w/o HM" in Figure 7. Reads the runs
+// in place, like HuffmanMergeInto.
 template <typename T, typename Less>
-void BalancedMergeInto(std::vector<std::vector<T>>* runs, Less less,
-                       std::vector<T>* out, MergeStats* stats = nullptr,
+void BalancedMergeInto(const std::vector<std::span<const T>>& runs,
+                       Less less, std::vector<T>* out,
+                       MergeStats* stats = nullptr,
                        MergeBufferPool<T>* pool = nullptr) {
-  std::vector<std::vector<T>>& rs = *runs;
-  merge_internal::DropEmptyRuns(&rs);
-  if (rs.empty()) return;
-  MergeBufferPool<T> local_pool;
-  if (pool == nullptr) pool = &local_pool;
-
-  while (rs.size() > 2) {
-    std::vector<std::vector<T>> next;
-    next.reserve((rs.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < rs.size(); i += 2) {
-      std::vector<T> merged = pool->Acquire(rs[i].size() + rs[i + 1].size());
-      const bool disjoint = BinaryMergeInto(rs[i], rs[i + 1], less, &merged);
-      if (stats != nullptr) {
-        stats->elements_moved += merged.size();
-        ++stats->binary_merges;
-        if (disjoint) ++stats->disjoint_concats;
-      }
-      pool->Release(std::move(rs[i]));
-      pool->Release(std::move(rs[i + 1]));
-      next.push_back(std::move(merged));
-    }
-    if (rs.size() % 2 == 1) next.push_back(std::move(rs.back()));
-    rs = std::move(next);
+  std::vector<std::span<const T>> rs = merge_internal::NonEmptyRuns(runs);
+  MergePlan plan;
+  plan.runs = rs.size();
+  // The ids left in the current round, and every id's size.
+  std::vector<uint32_t> round(rs.size());
+  std::vector<size_t> size(rs.size());
+  for (uint32_t i = 0; i < rs.size(); ++i) {
+    round[i] = i;
+    size[i] = rs[i].size();
   }
-  if (rs.size() == 2) {
-    const bool disjoint = BinaryMergeInto(rs[0], rs[1], less, out);
-    if (stats != nullptr) {
-      stats->elements_moved += rs[0].size() + rs[1].size();
-      ++stats->binary_merges;
-      if (disjoint) ++stats->disjoint_concats;
+  while (round.size() > 1) {
+    size_t w = 0;
+    for (size_t i = 0; i + 1 < round.size(); i += 2) {
+      size.push_back(size[round[i]] + size[round[i + 1]]);
+      plan.merges.push_back({round[i], round[i + 1], size.back()});
+      round[w++] = static_cast<uint32_t>(size.size() - 1);
     }
-    pool->Release(std::move(rs[0]));
-    pool->Release(std::move(rs[1]));
-  } else {
-    out->insert(out->end(), rs[0].begin(), rs[0].end());
-    pool->Release(std::move(rs[0]));
+    if (round.size() % 2 == 1) round[w++] = round.back();
+    round.resize(w);
   }
-  rs.clear();
+  merge_internal::RunCascade(plan, std::move(rs), less, out, stats, pool);
 }
 
 }  // namespace impatience

@@ -17,6 +17,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -107,8 +109,8 @@ void PatienceSortVector(std::vector<T>* items, bool huffman_merge = true,
 
   // Partition pass 1: assign each key a run (see sort/partition.h;
   // speculative parallel scan above the size gate, byte-identical to the
-  // sequential scan). Nothing is copied yet, so a run's storage can be
-  // sized exactly before the scatter.
+  // sequential scan). Nothing is copied yet, so every run's offset in the
+  // key array is known before the scatter.
   PartitionPass1 pass1;
   AssignRuns(times.data(), n, speculative_run_selection, level, &pool,
              &pass1);
@@ -117,24 +119,23 @@ void PatienceSortVector(std::vector<T>* items, bool huffman_merge = true,
   const size_t k = pass1.tails.size();
   if (k == 1) return;  // Single run: input was already sorted.
 
-  // Partition pass 2: scatter keys into exactly-sized runs. Pass 1 fixed
-  // every element's run AND its position within that run (arrival order),
-  // so the scatter is a permutation with precomputable destinations: given
-  // per-chunk, per-run element counts, an exclusive prefix sum over chunks
-  // yields each chunk's write offset into every run, and chunks write
-  // disjoint slots. The parallel path is gated on run count so the
-  // chunk-local histograms stay small; output is byte-identical to the
-  // sequential scatter.
-  std::vector<std::vector<KeyRef>> runs(k);
+  // Partition pass 2: scatter the keys into one n-key array, run r at its
+  // prefix offset first[r]. Pass 1 fixed every element's run AND its
+  // position within that run (arrival order), so the scatter is a
+  // permutation with precomputable destinations: given per-chunk, per-run
+  // element counts, an exclusive prefix sum over chunks yields each
+  // chunk's write offset into every run, and chunks write disjoint slots.
+  // The parallel path is gated on run count so the chunk-local histograms
+  // stay small; output is byte-identical to the sequential scatter.
+  std::vector<uint32_t> first(k);
+  for (size_t r = 0, offset = 0; r < k; offset += run_sizes[r++]) {
+    first[r] = static_cast<uint32_t>(offset);
+  }
+  std::unique_ptr<KeyRef[]> keys =
+      std::make_unique_for_overwrite<KeyRef[]>(n);
   const size_t kScatterChunk = size_t{1} << 16;
   if (pool.thread_count() > 1 && n >= 2 * kScatterChunk &&
       k <= (size_t{1} << 15)) {
-    ParallelFor(
-        0, k, size_t{1},
-        [&runs, &run_sizes](size_t lo, size_t hi) {
-          for (size_t r = lo; r < hi; ++r) runs[r].resize(run_sizes[r]);
-        },
-        &pool);
     const size_t num_chunks = (n + kScatterChunk - 1) / kScatterChunk;
     std::vector<std::vector<uint32_t>> chunk_offsets(num_chunks);
     ParallelFor(
@@ -152,8 +153,8 @@ void PatienceSortVector(std::vector<T>* items, bool huffman_merge = true,
         },
         &pool);
     // Exclusive prefix over chunks: chunk_offsets[c][r] becomes the index
-    // in runs[r] where chunk c's first element of run r belongs.
-    std::vector<uint32_t> base(k, 0);
+    // in `keys` where chunk c's first element of run r belongs.
+    std::vector<uint32_t> base = first;
     for (size_t c = 0; c < num_chunks; ++c) {
       for (size_t r = 0; r < k; ++r) {
         const uint32_t count = chunk_offsets[c][r];
@@ -163,43 +164,47 @@ void PatienceSortVector(std::vector<T>* items, bool huffman_merge = true,
     }
     ParallelFor(
         0, num_chunks, size_t{1},
-        [&runs, &chunk_offsets, &run_of, &times, n, kScatterChunk](
+        [&keys, &chunk_offsets, &run_of, &times, n, kScatterChunk](
             size_t clo, size_t chi) {
           for (size_t c = clo; c < chi; ++c) {
             std::vector<uint32_t>& offsets = chunk_offsets[c];
             const size_t end = std::min(n, (c + 1) * kScatterChunk);
             for (size_t i = c * kScatterChunk; i < end; ++i) {
-              const uint32_t r = run_of[i];
-              runs[r][offsets[r]++] =
+              keys[offsets[run_of[i]]++] =
                   KeyRef{times[i], static_cast<uint32_t>(i)};
             }
           }
         },
         &pool);
   } else {
-    for (size_t r = 0; r < k; ++r) runs[r].reserve(run_sizes[r]);
+    std::vector<uint32_t> next = first;
     for (size_t i = 0; i < n; ++i) {
-      runs[run_of[i]].push_back(KeyRef{times[i], static_cast<uint32_t>(i)});
+      keys[next[run_of[i]]++] = KeyRef{times[i], static_cast<uint32_t>(i)};
     }
   }
   run_of.clear();
   run_of.shrink_to_fit();
   times.clear();
   times.shrink_to_fit();
+  std::vector<std::span<const KeyRef>> runs(k);
+  for (size_t r = 0; r < k; ++r) {
+    runs[r] = std::span<const KeyRef>(keys.get() + first[r], run_sizes[r]);
+  }
 
-  // Merge phase over keys. The Huffman order runs as the parallel
-  // task-DAG merge (identical output; the sequential cascade on a 1-thread
-  // pool or below the size thresholds).
+  // Merge phase over keys, reading the runs in place. The Huffman order
+  // runs as the parallel task-DAG merge (identical output; the sequential
+  // cascade on a 1-thread pool or below the size thresholds).
   std::vector<KeyRef> order;
   order.reserve(n);
   auto key_less = [](const KeyRef& a, const KeyRef& b) {
     return a.time < b.time;
   };
   if (huffman_merge) {
-    ParallelMergeRunsInto(&runs, key_less, &order, nullptr, nullptr, &pool);
+    ParallelMergeRunsInto(runs, key_less, &order, nullptr, nullptr, &pool);
   } else {
-    BalancedMergeInto(&runs, key_less, &order);
+    BalancedMergeInto(runs, key_less, &order);
   }
+  keys.reset();
 
   // Gather the records in sorted order (near-sequential on nearly sorted
   // input). 8-byte trivially-copyable records route through the dispatched

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -164,6 +165,44 @@ TEST(FrameworkTest, BasicStreamsAreOrderedAndCumulative) {
   const auto t2 = times(sinks[2]);
   EXPECT_TRUE(std::includes(t1.begin(), t1.end(), t0.begin(), t0.end()));
   EXPECT_TRUE(std::includes(t2.begin(), t2.end(), t1.begin(), t1.end()));
+}
+
+// Once the partition's OnFlush has released every event, the band sorters
+// hold no runs, so the tracker may hold only what each sorter keeps for
+// its next merge: up to kMergePoolRetainBytes of free merge buffers, and
+// at most as much again of per-run bookkeeping. A merge buffer that left
+// the pool for good (as run storage, say) must not stay on its books.
+TEST(FrameworkTest, FlushLeavesOnlyRetainedMergeBuffers) {
+  CloudLogConfig config;
+  config.num_events = 200000;
+  config.seed = 7;
+  const std::vector<Event> events = GenerateCloudLog(config).events;
+  storage::SpillFlusher::Options inline_flusher;
+  inline_flusher.threads = 0;
+  storage::SpillFlusher flusher(inline_flusher);
+  MemoryTracker tracker;
+  auto ctx = std::make_shared<QueryContext>();
+  ctx->tracker = &tracker;
+  FrameworkOptions options;
+  options.reorder_latencies = {kSecond, kMinute};
+  options.punctuation_period = 10000;
+  options.sorter_config.spill.flusher = &flusher;
+  options.sorter_config.spill.use_env_default = false;  // No budget.
+  Streamables<4> streams = ToStreamables<4>(ctx, options);
+  std::vector<CountingSink<4>> sinks(streams.size());
+  for (size_t i = 0; i < streams.size(); ++i) {
+    streams.stream(i).tail()->SetDownstream(&sinks[i]);
+  }
+  constexpr size_t kSpanRows = 1024;
+  for (size_t i = 0; i < events.size(); i += kSpanRows) {
+    streams.mutable_partition()->PushRows(
+        events.data() + i, std::min(kSpanRows, events.size() - i));
+  }
+  streams.mutable_partition()->OnFlush();
+  ASSERT_GT(streams.AggregatedCounters().merge.binary_merges, 0u);
+  EXPECT_EQ(sinks.back().count() + streams.TotalDrops(), events.size());
+  EXPECT_LE(tracker.current_bytes(),
+            2 * streams.size() * kMergePoolRetainBytes);
 }
 
 TEST(FrameworkTest, SingleBandDegeneratesToSortedStream) {

@@ -397,18 +397,5 @@ TEST(GatherByIndexTest, MatchesScalarPermutationAtEveryLevel) {
   }
 }
 
-// The legacy merge entry points now route through the kernel layer;
-// confirm the wrappers preserve the historical contract too.
-TEST(MergeWrapperTest, BinaryMergeIntoStillStable) {
-  const std::vector<Tagged> a = Tag({1, 3, 3, 5}, 1);
-  const std::vector<Tagged> b = Tag({2, 3, 4}, 2);
-  std::vector<Tagged> want;
-  std::merge(a.begin(), a.end(), b.begin(), b.end(),
-             std::back_inserter(want), TimeLess{});
-  std::vector<Tagged> got;
-  BinaryMergeInto(a, b, TimeLess{}, &got);
-  EXPECT_EQ(got, want);
-}
-
 }  // namespace
 }  // namespace impatience

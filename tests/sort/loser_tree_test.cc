@@ -5,7 +5,7 @@
 // the pairwise Huffman cascade across adversarial run shapes and fan-ins
 // past one tree's leaf cap, the parallel k-way leaf collapse at several
 // thread counts and fan-ins, and the memory accounting contract (pool
-// outstanding/peak bytes, scratch bytes, sorter MemoryBytes). KernelLevel
+// held bytes, scratch bytes, sorter MemoryBytes). KernelLevel
 // coverage comes from tools/check.sh, which re-runs this suite under
 // forced IMPATIENCE_KERNEL_LEVEL settings.
 
@@ -19,9 +19,12 @@
 #include "common/thread_pool.h"
 #include "sort/impatience_sorter.h"
 #include "sort/merge.h"
+#include "tests/testing/run_spans.h"
 
 namespace impatience {
 namespace {
+
+using testing::RunSpans;
 
 // Timestamp plus a globally unique tag. The comparator looks at `time`
 // only, so cross-run ties are invisible to it — the tag then pins down the
@@ -115,19 +118,18 @@ const Shape kAllShapes[] = {Shape::kRandomTies, Shape::kAllTies,
                             Shape::kSkewed,     Shape::kWithEmpties};
 
 // Merges `runs` with one LoserTreePass through HuffmanCursorMergeInto over
-// single-chunk cursors, then clears them like the consuming entry points.
-void CursorMerge(std::vector<std::vector<Tagged>>* runs,
+// single-chunk cursors.
+void CursorMerge(const std::vector<std::vector<Tagged>>& runs,
                  std::vector<Tagged>* out, MergeStats* stats = nullptr,
                  LoserTreeScratch<Tagged>* scratch = nullptr) {
   std::vector<VectorRunCursor<Tagged>> owned;
-  owned.reserve(runs->size());
+  owned.reserve(runs.size());
   std::vector<RunCursor<Tagged>*> cursors;
-  for (const std::vector<Tagged>& r : *runs) {
+  for (const std::vector<Tagged>& r : runs) {
     owned.emplace_back(r.data(), r.data() + r.size());
     cursors.push_back(&owned.back());
   }
   HuffmanCursorMergeInto(&cursors, TimeLess{}, out, stats, scratch);
-  runs->clear();
 }
 
 // The loser tree must order values exactly like a stable reference sort of
@@ -142,7 +144,7 @@ TEST(LoserTreeTest, SortedPermutationAtEveryFanIn) {
       std::vector<Tagged> all;
       for (const auto& r : runs) all.insert(all.end(), r.begin(), r.end());
       std::vector<Tagged> out;
-      CursorMerge(&runs, &out);
+      CursorMerge(runs, &out);
       ASSERT_EQ(out.size(), all.size())
           << ShapeName(shape) << " k=" << k;
       EXPECT_TRUE(std::is_sorted(out.begin(), out.end(),
@@ -171,13 +173,12 @@ TEST(LoserTreeTest, ByteIdenticalToHuffmanCascade) {
                             33, 48, 64, 65, 100, 150, 200};
   for (const Shape shape : kAllShapes) {
     for (const size_t k : kFanIns) {
-      auto runs_tree = MakeRuns(shape, k, /*seed=*/1000 + k);
-      auto runs_huffman = runs_tree;
+      const auto runs = MakeRuns(shape, k, /*seed=*/1000 + k);
 
       std::vector<Tagged> want;
-      HuffmanMergeInto(&runs_huffman, TimeLess{}, &want);
+      HuffmanMergeInto(RunSpans(runs), TimeLess{}, &want);
       std::vector<Tagged> got;
-      CursorMerge(&runs_tree, &got);
+      CursorMerge(runs, &got);
 
       ASSERT_EQ(got, want) << ShapeName(shape) << " k=" << k;
     }
@@ -192,7 +193,7 @@ TEST(LoserTreeTest, WideFanInRunsOnePass) {
   for (const auto& r : runs) total += r.size();
   std::vector<Tagged> out;
   MergeStats stats;
-  CursorMerge(&runs, &out, &stats);
+  CursorMerge(runs, &out, &stats);
   EXPECT_EQ(stats.binary_merges, 1u);
   EXPECT_EQ(stats.elements_moved, total);
   EXPECT_EQ(out.size(), total);
@@ -204,14 +205,13 @@ TEST(LoserTreeTest, WideFanInRunsOnePass) {
 TEST(LoserTreeTest, ScratchReportsBytesAndIsReusable) {
   LoserTreeScratch<Tagged> scratch;
   EXPECT_EQ(scratch.MemoryBytes(), 0u);
-  auto runs = MakeRuns(Shape::kRandomTies, 32, /*seed=*/5);
-  auto runs2 = runs;
+  const auto runs = MakeRuns(Shape::kRandomTies, 32, /*seed=*/5);
   std::vector<Tagged> out;
-  CursorMerge(&runs, &out, nullptr, &scratch);
+  CursorMerge(runs, &out, nullptr, &scratch);
   const size_t after_first = scratch.MemoryBytes();
   EXPECT_GT(after_first, 0u);
   std::vector<Tagged> out2;
-  CursorMerge(&runs2, &out2, nullptr, &scratch);
+  CursorMerge(runs, &out2, nullptr, &scratch);
   EXPECT_EQ(scratch.MemoryBytes(), after_first);
   EXPECT_EQ(out, out2);
 }
@@ -234,35 +234,37 @@ std::vector<std::vector<Tagged>> MakeLargeRuns(size_t k, uint64_t seed) {
   return runs;
 }
 
-// The pool's accounting must bound the merge's actual buffer peak, and
-// every buffer must come back — a leak here silently inflates the
-// server's per-shard memory numbers forever. At 150 runs the parallel
+// Every interior buffer must come back to the pool, and the pool must
+// hold no more than a cascade's interior — a leak here silently inflates
+// the server's per-shard memory numbers forever. At 150 runs the parallel
 // merge runs k-way leaves under binary merges whose interior buffers come
-// from the pool.
+// from the pool. The runs are read in place, so the pool never holds
+// them; once one merge has returned its buffers, an identical second
+// merge finds each one it needs and allocates nothing.
 TEST(LoserTreeTest, PoolAccountingBoundsPeakAndLeaksNothing) {
   ThreadPool threads(4);
   MergeBufferPool<Tagged> pool;
-  std::vector<std::vector<Tagged>> runs;
-  size_t input_bytes = 0;
-  for (const auto& r : MakeLargeRuns(150, /*seed=*/11)) {
-    std::vector<Tagged> head = pool.Acquire(r.size());
-    head.insert(head.end(), r.begin(), r.end());
-    input_bytes += head.capacity() * sizeof(Tagged);
-    runs.push_back(std::move(head));
+  const auto runs = MakeLargeRuns(150, /*seed=*/11);
+  // Every non-root merge of the plan in a buffer of its own.
+  const MergePlan plan = BuildHuffmanPlan(
+      runs.size(), [&runs](size_t i) { return runs[i].size(); });
+  size_t cascade_interior_bytes = 0;
+  for (size_t j = 0; j + 1 < plan.merges.size(); ++j) {
+    cascade_interior_bytes += plan.merges[j].size * sizeof(Tagged);
   }
   std::vector<Tagged> out;
-  ASSERT_GT(ParallelMergeRunsInto(&runs, TimeLess{}, &out, nullptr, &pool,
-                                  &threads),
+  ASSERT_GT(ParallelMergeRunsInto(RunSpans(runs), TimeLess{}, &out, nullptr,
+                                  &pool, &threads),
             0u);  // The task DAG ran, not the sequential fallback.
+  const size_t held = pool.MemoryBytes();
+  EXPECT_GT(held, 0u);
+  EXPECT_LE(held, cascade_interior_bytes);
 
-  // Everything acquired was released.
-  EXPECT_EQ(pool.OutstandingBytes(), 0u);
-  // The lent input runs alone reach this high-water mark.
-  EXPECT_GE(pool.PeakBytes(), input_bytes);
-  // And MemoryBytes (free + outstanding) never under-reports what the
-  // pool still caches.
-  EXPECT_GE(pool.MemoryBytes(), pool.OutstandingBytes());
-  EXPECT_LE(pool.MemoryBytes(), pool.PeakBytes());
+  std::vector<Tagged> again;
+  ParallelMergeRunsInto(RunSpans(runs), TimeLess{}, &again, nullptr, &pool,
+                        &threads);
+  EXPECT_EQ(pool.MemoryBytes(), held);
+  EXPECT_EQ(again, out);
 }
 
 // The parallel task-DAG merge with k-way leaf collapse must stay
@@ -274,15 +276,15 @@ TEST(LoserTreeTest, ParallelKwayLeavesByteIdenticalAcrossThreadCounts) {
     ThreadPool pool(threads);
     for (const size_t k : {size_t{4}, size_t{9}, size_t{40}, size_t{130},
                            size_t{300}}) {
-      auto runs = MakeLargeRuns(k, 500 + k);
-      auto runs_seq = runs;
+      const auto runs = MakeLargeRuns(k, 500 + k);
 
       std::vector<Tagged> want;
-      HuffmanMergeInto(&runs_seq, TimeLess{}, &want);
+      HuffmanMergeInto(RunSpans(runs), TimeLess{}, &want);
 
       std::vector<Tagged> got;
-      const size_t tasks = ParallelMergeRunsInto(&runs, TimeLess{}, &got,
-                                                 nullptr, nullptr, &pool);
+      const size_t tasks = ParallelMergeRunsInto(RunSpans(runs), TimeLess{},
+                                                 &got, nullptr, nullptr,
+                                                 &pool);
       ASSERT_EQ(got, want) << "threads=" << threads << " k=" << k;
       EXPECT_EQ(tasks > 0, threads > 1) << "threads=" << threads;
     }
@@ -326,9 +328,8 @@ TEST(HuffmanCursorMergeTest, ByteIdenticalToHuffmanCascade) {
   for (const Shape shape : kShapes) {
     for (const size_t k : kFanIns) {
       const auto runs = MakeRuns(shape, k, /*seed=*/3000 + k);
-      auto runs_huffman = runs;
       std::vector<Tagged> want;
-      HuffmanMergeInto(&runs_huffman, TimeLess{}, &want);
+      HuffmanMergeInto(RunSpans(runs), TimeLess{}, &want);
 
       Rng rng(k);
       std::vector<ChunkedCursor> owned;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,9 +14,12 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "tests/testing/run_spans.h"
 
 namespace impatience {
 namespace {
+
+using testing::RunSpans;
 
 std::less<int> IntLess() { return std::less<int>(); }
 
@@ -42,11 +46,19 @@ std::vector<int> FlattenSorted(const std::vector<std::vector<int>>& runs) {
   return all;
 }
 
+// The two-way kernel every binary merge of a cascade runs.
+template <typename T, typename Less>
+void BinaryMerge(const std::vector<T>& a, const std::vector<T>& b, Less less,
+                 std::vector<T>* out) {
+  kernels::MergeIntoVector(a.data(), a.data() + a.size(), b.data(),
+                           b.data() + b.size(), less, out);
+}
+
 TEST(MergeTest, BinaryMergeBasic) {
   std::vector<int> a = {1, 3, 5};
   std::vector<int> b = {2, 4, 6};
   std::vector<int> out;
-  BinaryMergeInto(a, b, IntLess(), &out);
+  BinaryMerge(a, b, IntLess(), &out);
   EXPECT_EQ(out, std::vector<int>({1, 2, 3, 4, 5, 6}));
 }
 
@@ -55,11 +67,9 @@ TEST(MergeTest, BinaryMergeStableOnTies) {
   std::vector<std::pair<int, char>> a = {{1, 'a'}, {2, 'a'}};
   std::vector<std::pair<int, char>> b = {{1, 'b'}, {2, 'b'}};
   std::vector<std::pair<int, char>> out;
-  BinaryMergeInto(a, b,
-                  [](const auto& x, const auto& y) {
-                    return x.first < y.first;
-                  },
-                  &out);
+  BinaryMerge(a, b,
+              [](const auto& x, const auto& y) { return x.first < y.first; },
+              &out);
   ASSERT_EQ(out.size(), 4u);
   EXPECT_EQ(out[0].second, 'a');
   EXPECT_EQ(out[1].second, 'b');
@@ -71,10 +81,10 @@ TEST(MergeTest, BinaryMergeEmptySides) {
   std::vector<int> a;
   std::vector<int> b = {1, 2};
   std::vector<int> out;
-  BinaryMergeInto(a, b, IntLess(), &out);
+  BinaryMerge(a, b, IntLess(), &out);
   EXPECT_EQ(out, b);
   out.clear();
-  BinaryMergeInto(b, a, IntLess(), &out);
+  BinaryMerge(b, a, IntLess(), &out);
   EXPECT_EQ(out, b);
 }
 
@@ -92,11 +102,11 @@ enum class EntryPoint {
   kParallelFourThreads,
 };
 
-// Merges `runs` into `out` (appended) through `entry`, consuming the runs
-// as every RAM entry point does.
+// Merges `runs` into `out` (appended) through `entry`. Every entry point
+// reads the runs in place.
 template <typename T, typename Less>
-void MergeVia(EntryPoint entry, std::vector<std::vector<T>>* runs, Less less,
-              std::vector<T>* out) {
+void MergeVia(EntryPoint entry, const std::vector<std::span<const T>>& runs,
+              Less less, std::vector<T>* out) {
   static ThreadPool one_thread(1);
   static ThreadPool four_threads(4);
   switch (entry) {
@@ -108,14 +118,13 @@ void MergeVia(EntryPoint entry, std::vector<std::vector<T>>* runs, Less less,
       return;
     case EntryPoint::kLoserTree: {
       std::vector<VectorRunCursor<T>> owned;
-      owned.reserve(runs->size());
+      owned.reserve(runs.size());
       std::vector<RunCursor<T>*> cursors;
-      for (const std::vector<T>& r : *runs) {
+      for (const std::span<const T> r : runs) {
         owned.emplace_back(r.data(), r.data() + r.size());
         cursors.push_back(&owned.back());
       }
       HuffmanCursorMergeInto(&cursors, less, out);
-      runs->clear();
       return;
     }
     case EntryPoint::kParallelOneThread:
@@ -139,35 +148,36 @@ TEST_P(MergePolicyTest, MergesManyRunsCorrectly) {
     auto runs = MakeRuns(lengths, seed);
     const std::vector<int> want = FlattenSorted(runs);
 
+    const auto input = runs;
     std::vector<int> out;
-    MergeVia(GetParam(), &runs, IntLess(), &out);
+    MergeVia(GetParam(), RunSpans(runs), IntLess(), &out);
     EXPECT_EQ(out, want) << "seed " << seed;
-    EXPECT_TRUE(runs.empty());  // Consumed.
+    EXPECT_EQ(runs, input);  // Read in place, left as they were.
   }
 }
 
 TEST_P(MergePolicyTest, HandlesEmptyAndSingleRun) {
   std::vector<std::vector<int>> runs;
   std::vector<int> out;
-  MergeVia(GetParam(), &runs, IntLess(), &out);
+  MergeVia(GetParam(), RunSpans(runs), IntLess(), &out);
   EXPECT_TRUE(out.empty());
 
   runs = {{1, 2, 3}};
-  MergeVia(GetParam(), &runs, IntLess(), &out);
+  MergeVia(GetParam(), RunSpans(runs), IntLess(), &out);
   EXPECT_EQ(out, std::vector<int>({1, 2, 3}));
 }
 
 TEST_P(MergePolicyTest, SkipsEmptyRuns) {
   std::vector<std::vector<int>> runs = {{}, {5}, {}, {1, 9}, {}};
   std::vector<int> out;
-  MergeVia(GetParam(), &runs, IntLess(), &out);
+  MergeVia(GetParam(), RunSpans(runs), IntLess(), &out);
   EXPECT_EQ(out, std::vector<int>({1, 5, 9}));
 }
 
 TEST_P(MergePolicyTest, AppendsAfterExistingOutput) {
   std::vector<std::vector<int>> runs = {{3, 4}, {1, 2}};
   std::vector<int> out = {-1, 0};
-  MergeVia(GetParam(), &runs, IntLess(), &out);
+  MergeVia(GetParam(), RunSpans(runs), IntLess(), &out);
   EXPECT_EQ(out, std::vector<int>({-1, 0, 1, 2, 3, 4}));
 }
 
@@ -237,25 +247,70 @@ void ExpectMergeSpec(const std::vector<std::vector<Tagged>>& input,
   }
 }
 
+struct SpecCase {
+  size_t k;
+  int64_t time_step;
+  bool skewed;
+};
+// Fan-ins below, at and above one loser tree's cap, with and without
+// ties, plus one huge run among small ones.
+constexpr SpecCase kSpecCases[] = {{3, 2, false},   {9, 2, false},
+                                   {40, 0, false},  {64, 4, false},
+                                   {130, 2, false}, {17, 2, true}};
+
 TEST_P(MergePolicyTest, MatchesSpecAboveParallelGate) {
-  struct Case {
-    size_t k;
-    int64_t time_step;
-    bool skewed;
-  };
-  // Fan-ins below, at and above one loser tree's cap, with and without
-  // ties, plus one huge run among small ones.
-  const Case kCases[] = {{3, 2, false},  {9, 2, false},   {40, 0, false},
-                         {64, 4, false}, {130, 2, false}, {17, 2, true}};
-  for (const Case& c : kCases) {
+  for (const SpecCase& c : kSpecCases) {
     const auto input = MakeTaggedRuns(c.k, c.time_step, c.skewed, 70 + c.k);
-    auto runs = input;
     std::vector<Tagged> out;
-    MergeVia(GetParam(), &runs, TimeLess{}, &out);
+    MergeVia(GetParam(), RunSpans(input), TimeLess{}, &out);
     SCOPED_TRACE("k=" + std::to_string(c.k));
     ExpectMergeSpec(input, out);
-    EXPECT_TRUE(runs.empty());
   }
+}
+
+// Tag of the elements around a cut, which no merge may read.
+constexpr uint32_t kOutsideCut = UINT32_MAX;
+
+// `input` laid out the way a punctuation sees its runs: each run is a cut
+// from the middle of a longer sorted run (`*longer`), behind an already
+// emitted prefix and ahead of a suffix the punctuation does not release.
+std::vector<std::span<const Tagged>> CutsOfLongerRuns(
+    const std::vector<std::vector<Tagged>>& input,
+    std::vector<std::vector<Tagged>>* longer) {
+  longer->assign(input.size(), {});
+  std::vector<std::span<const Tagged>> cuts;
+  for (size_t r = 0; r < input.size(); ++r) {
+    const std::vector<Tagged>& run = input[r];
+    std::vector<Tagged>& whole = (*longer)[r];
+    const size_t prefix = 1 + r % 5;
+    const int64_t first = run.empty() ? 0 : run.front().time;
+    const int64_t last = run.empty() ? 0 : run.back().time;
+    whole.assign(prefix, Tagged{first - 1, kOutsideCut});
+    whole.insert(whole.end(), run.begin(), run.end());
+    whole.insert(whole.end(), 1 + r % 3, Tagged{last + 1, kOutsideCut});
+    cuts.emplace_back(whole.data() + prefix, run.size());
+  }
+  return cuts;
+}
+
+TEST_P(MergePolicyTest, MatchesSpecOnCutsOfLongerRuns) {
+  for (const SpecCase& c : kSpecCases) {
+    const auto input = MakeTaggedRuns(c.k, c.time_step, c.skewed, 90 + c.k);
+    std::vector<std::vector<Tagged>> longer;
+    const std::vector<std::span<const Tagged>> cuts =
+        CutsOfLongerRuns(input, &longer);
+    std::vector<Tagged> out;
+    MergeVia(GetParam(), cuts, TimeLess{}, &out);
+    SCOPED_TRACE("k=" + std::to_string(c.k));
+    ExpectMergeSpec(input, out);
+  }
+  // Below the parallel gate too, with empty cuts among them.
+  const std::vector<std::vector<Tagged>> small = {
+      {{1, 0}, {4, 1}}, {}, {{2, 2}}, {{1, 3}, {3, 4}, {3, 5}}, {}};
+  std::vector<std::vector<Tagged>> longer;
+  std::vector<Tagged> out;
+  MergeVia(GetParam(), CutsOfLongerRuns(small, &longer), TimeLess{}, &out);
+  ExpectMergeSpec(small, out);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, MergePolicyTest,
@@ -287,15 +342,14 @@ TEST(MergeStatsTest, HuffmanMovesNoMoreThanBalancedOnSkewedRuns) {
   std::vector<size_t> lengths = {100000};
   for (int i = 0; i < 16; ++i) lengths.push_back(10);
 
-  auto runs_huffman = MakeRuns(lengths, /*seed=*/5);
-  auto runs_balanced = runs_huffman;
+  const auto runs = MakeRuns(lengths, /*seed=*/5);
 
   std::vector<int> out;
   MergeStats huffman_stats;
-  HuffmanMergeInto(&runs_huffman, IntLess(), &out, &huffman_stats);
+  HuffmanMergeInto(RunSpans(runs), IntLess(), &out, &huffman_stats);
   out.clear();
   MergeStats balanced_stats;
-  BalancedMergeInto(&runs_balanced, IntLess(), &out, &balanced_stats);
+  BalancedMergeInto(RunSpans(runs), IntLess(), &out, &balanced_stats);
 
   EXPECT_LT(huffman_stats.elements_moved, balanced_stats.elements_moved);
   // Huffman should touch the big run exactly once: total moves are close to
@@ -304,12 +358,30 @@ TEST(MergeStatsTest, HuffmanMovesNoMoreThanBalancedOnSkewedRuns) {
 }
 
 TEST(MergeStatsTest, MergeCountsAreConsistent) {
-  auto runs = MakeRuns({4, 4, 4, 4}, /*seed=*/9);
+  const auto runs = MakeRuns({4, 4, 4, 4}, /*seed=*/9);
   std::vector<int> out;
   MergeStats stats;
-  HuffmanMergeInto(&runs, IntLess(), &out, &stats);
+  HuffmanMergeInto(RunSpans(runs), IntLess(), &out, &stats);
   // k runs need exactly k-1 binary merges.
   EXPECT_EQ(stats.binary_merges, 3u);
+}
+
+// A lone run is copied out, one move per element and no merge, by both
+// orders: a punctuation that releases one run counts its elements once.
+TEST(MergeStatsTest, LoneRunCountsOneMovePerElement) {
+  const std::vector<std::vector<int>> runs = {{}, {1, 2, 3}, {}};
+  for (const bool huffman : {true, false}) {
+    std::vector<int> out;
+    MergeStats stats;
+    if (huffman) {
+      HuffmanMergeInto(RunSpans(runs), IntLess(), &out, &stats);
+    } else {
+      BalancedMergeInto(RunSpans(runs), IntLess(), &out, &stats);
+    }
+    EXPECT_EQ(out, runs[1]);
+    EXPECT_EQ(stats.elements_moved, 3u);
+    EXPECT_EQ(stats.binary_merges, 0u);
+  }
 }
 
 }  // namespace

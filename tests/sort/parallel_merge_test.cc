@@ -13,10 +13,13 @@
 #include "common/thread_pool.h"
 #include "sort/impatience_sorter.h"
 #include "sort/merge.h"
+#include "tests/testing/run_spans.h"
 #include "tests/testing/sequences.h"
 
 namespace impatience {
 namespace {
+
+using testing::RunSpans;
 
 std::less<int> IntLess() { return std::less<int>(); }
 
@@ -56,22 +59,20 @@ TEST(ParallelMergeTest, IdenticalToSequentialAcrossThreadCounts) {
     for (uint64_t seed = 0; seed < 8; ++seed) {
       Rng rng(2000 + seed);
       const size_t k = 2 + rng.NextBelow(40);
-      auto runs =
+      const auto runs =
           MakeRuns(AboveThresholdLengths(k, sizeof(int), &rng), seed);
-      auto runs_seq = runs;
 
       std::vector<int> want;
       MergeStats want_stats;
-      HuffmanMergeInto(&runs_seq, IntLess(), &want, &want_stats);
+      HuffmanMergeInto(RunSpans(runs), IntLess(), &want, &want_stats);
 
       std::vector<int> got;
       MergeStats got_stats;
       const size_t tasks = ParallelMergeRunsInto(
-          &runs, IntLess(), &got, &got_stats, nullptr, &pool);
+          RunSpans(runs), IntLess(), &got, &got_stats, nullptr, &pool);
       ASSERT_EQ(got, want) << "threads " << threads << " seed " << seed;
       EXPECT_EQ(got_stats.elements_moved, want_stats.elements_moved);
       EXPECT_EQ(got_stats.binary_merges, want_stats.binary_merges);
-      EXPECT_TRUE(runs.empty());
       if (threads == 1 || k < kParallelMergeMinRuns) {
         EXPECT_EQ(tasks, 0u);  // Sequential fallback.
       } else {
@@ -86,14 +87,13 @@ TEST(ParallelMergeTest, SkewedRunSizes) {
   ThreadPool pool(4);
   std::vector<size_t> lengths = {kParallelMergeMinBytes / sizeof(int)};
   for (int i = 0; i < 24; ++i) lengths.push_back(1 + (i % 7));
-  auto runs = MakeRuns(lengths, /*seed=*/11);
-  auto runs_seq = runs;
+  const auto runs = MakeRuns(lengths, /*seed=*/11);
 
   std::vector<int> want;
-  HuffmanMergeInto(&runs_seq, IntLess(), &want);
+  HuffmanMergeInto(RunSpans(runs), IntLess(), &want);
   std::vector<int> got;
-  const size_t tasks = ParallelMergeRunsInto(&runs, IntLess(), &got, nullptr,
-                                             nullptr, &pool);
+  const size_t tasks = ParallelMergeRunsInto(RunSpans(runs), IntLess(), &got,
+                                             nullptr, nullptr, &pool);
   EXPECT_EQ(got, want);
   EXPECT_GT(tasks, 0u);
 }
@@ -118,59 +118,58 @@ TEST(ParallelMergeTest, StableOnTies) {
     }
     runs.push_back(std::move(run));
   }
-  auto runs_seq = runs;
   auto less = [](const std::pair<int, int>& a, const std::pair<int, int>& b) {
     return a.first < b.first;
   };
 
   std::vector<std::pair<int, int>> want;
-  HuffmanMergeInto(&runs_seq, less, &want);
+  HuffmanMergeInto(RunSpans(runs), less, &want);
   std::vector<std::pair<int, int>> got;
-  EXPECT_GT(ParallelMergeRunsInto(&runs, less, &got, nullptr, nullptr, &pool),
+  EXPECT_GT(ParallelMergeRunsInto(RunSpans(runs), less, &got, nullptr,
+                                  nullptr, &pool),
             0u);
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(got, want);  // Tags included: order of ties must match.
 }
 
 // Modelled on LoserTreeTest.PoolAccountingBoundsPeakAndLeaksNothing: the
-// sorter lends its head runs to the merge from its own pool, so every
-// buffer the parallel executor consumes or allocates must come back to
-// that pool — otherwise OutstandingBytes(), and with it the sorter's
-// MemoryBytes(), ratchets up after every parallel merge.
+// sorter hands its pool to every merge, so each interior buffer the
+// parallel executor takes from it must come back — otherwise the pool
+// reallocates on every merge and the sorter's MemoryBytes() loses track
+// of the buffers. Once one merge has returned them, an identical second
+// merge finds every buffer it needs in the pool and allocates nothing.
 TEST(ParallelMergeTest, PoolAccountingLeaksNothing) {
   ThreadPool tp(4);
   MergeBufferPool<int> pool;
   // 16 runs x 32k ints = 2 MiB: above the parallel thresholds.
-  std::vector<std::vector<int>> runs;
-  size_t total = 0;
-  for (const std::vector<int>& r :
-       MakeRuns(std::vector<size_t>(16, size_t{1} << 15), /*seed=*/5)) {
-    std::vector<int> head = pool.Acquire(r.size());
-    head.insert(head.end(), r.begin(), r.end());
-    total += head.size();
-    runs.push_back(std::move(head));
-  }
-  ASSERT_GT(pool.OutstandingBytes(), 0u);
+  const auto runs =
+      MakeRuns(std::vector<size_t>(16, size_t{1} << 15), /*seed=*/5);
   std::vector<int> out;
-  const size_t tasks =
-      ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, &pool, &tp);
-  ASSERT_GT(tasks, 0u);  // The task DAG ran, not the sequential fallback.
-  EXPECT_EQ(pool.OutstandingBytes(), 0u);
-  EXPECT_LE(pool.MemoryBytes(), pool.PeakBytes());
-  EXPECT_EQ(out.size(), total);
+  ASSERT_GT(
+      ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr, &pool,
+                            &tp),
+      0u);  // The task DAG ran, not the sequential fallback.
+  const size_t held = pool.MemoryBytes();
+  EXPECT_GT(held, 0u);  // The interior buffers came back.
+  std::vector<int> again;
+  ParallelMergeRunsInto(RunSpans(runs), IntLess(), &again, nullptr, &pool,
+                        &tp);
+  EXPECT_EQ(pool.MemoryBytes(), held);
+  EXPECT_EQ(again, out);
+  EXPECT_EQ(out.size(), size_t{16} << 15);
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
 }
 
 TEST(ParallelMergeTest, AppendsAfterExistingOutput) {
   ThreadPool pool(2);
   Rng rng(13);
-  auto runs = MakeRuns(AboveThresholdLengths(6, sizeof(int), &rng), 13);
-  auto runs_seq = runs;
+  const auto runs =
+      MakeRuns(AboveThresholdLengths(6, sizeof(int), &rng), 13);
   std::vector<int> want = {-2, -1};
-  HuffmanMergeInto(&runs_seq, IntLess(), &want);
+  HuffmanMergeInto(RunSpans(runs), IntLess(), &want);
   std::vector<int> out = {-2, -1};
-  EXPECT_GT(ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr,
-                                  &pool),
+  EXPECT_GT(ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr,
+                                  nullptr, &pool),
             0u);
   EXPECT_EQ(out, want);
 }
@@ -179,45 +178,45 @@ TEST(ParallelMergeTest, SkipsEmptyRunsAndHandlesSmallSets) {
   ThreadPool pool(4);
   std::vector<std::vector<int>> runs = {{}, {5}, {}, {1, 9}, {}};
   std::vector<int> out;
-  ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr, &pool);
+  ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr, nullptr,
+                        &pool);
   EXPECT_EQ(out, std::vector<int>({1, 5, 9}));
 
   runs = {{1, 2, 3}};
   out.clear();
-  const size_t tasks = ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr,
-                                             nullptr, &pool);
+  const size_t tasks = ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out,
+                                             nullptr, nullptr, &pool);
   EXPECT_EQ(out, std::vector<int>({1, 2, 3}));
   EXPECT_EQ(tasks, 0u);  // Single run: nothing to parallelize.
 
   runs = {};
   out.clear();
-  ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr, &pool);
+  ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr, nullptr,
+                        &pool);
   EXPECT_TRUE(out.empty());
 }
 
 TEST(ParallelMergeTest, ThresholdsFallBackToSequential) {
   ThreadPool pool(4);
   auto runs = MakeRuns({100, 100, 100, 100}, /*seed=*/3);
-  auto runs_seq = runs;
   std::vector<int> want;
-  HuffmanMergeInto(&runs_seq, IntLess(), &want);
+  HuffmanMergeInto(RunSpans(runs), IntLess(), &want);
 
   // Below the byte threshold.
   std::vector<int> out;
-  EXPECT_EQ(ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr,
-                                  &pool),
+  EXPECT_EQ(ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr,
+                                  nullptr, &pool),
             0u);
   EXPECT_EQ(out, want);
 
   // Below the run-count threshold: plenty of bytes in too few runs.
   const size_t len = kParallelMergeMinBytes / sizeof(int);
   runs = MakeRuns(std::vector<size_t>(kParallelMergeMinRuns - 1, len), 4);
-  runs_seq = runs;
   want.clear();
-  HuffmanMergeInto(&runs_seq, IntLess(), &want);
+  HuffmanMergeInto(RunSpans(runs), IntLess(), &want);
   out.clear();
-  EXPECT_EQ(ParallelMergeRunsInto(&runs, IntLess(), &out, nullptr, nullptr,
-                                  &pool),
+  EXPECT_EQ(ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr,
+                                  nullptr, &pool),
             0u);
   EXPECT_EQ(out, want);
 }

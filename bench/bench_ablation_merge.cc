@@ -7,8 +7,11 @@
 //      order.
 //  (2) Speculative run selection — hit rate per workload (§III-E2 is most
 //      valuable on AndroidLog's long natural runs).
-//  (3) Run-compaction — memory with and without the consumed-prefix
-//      compaction that keeps buffered bytes proportional to live events.
+//  (3) Run compaction — peak sorter bytes, and peak RAM run capacity
+//      against the live events it holds, under the one byte rule that
+//      compacts a run once its dead bytes exceed its live bytes plus
+//      kRunDeadFloorBytes. CHECKs that run capacity stays within that
+//      rule's bound after every punctuation.
 //  (4) Merge fan-in sweep — the pairwise Huffman cascade vs the k-way
 //      loser tree (HuffmanCursorMergeInto over RAM run cursors, the pass
 //      the parallel merge's leaves and the spilled merge run) on k equal
@@ -58,6 +61,12 @@ struct SortOutcome {
   uint64_t srs_hits = 0;
   uint64_t pushes = 0;
   size_t peak_memory = 0;
+  // RAM run capacity at its peak, and the live bytes at that punctuation.
+  size_t peak_run_bytes = 0;
+  size_t live_at_peak = 0;
+  // Largest run capacity seen, as a share of the rule's bound
+  // (2 x live bytes + runs x kRunDeadFloorBytes); at most 1.
+  double max_bound_share = 0;
 };
 
 // One measurement for the JSON dump: either a dataset/policy ablation row
@@ -181,7 +190,7 @@ SortOutcome RunSorter(const DatasetRef& d, ImpatienceConfig config,
                       size_t punctuation_period) {
   ImpatienceSorter<Event> sorter(config);
   std::vector<Event> out;
-  size_t peak_memory = 0;
+  SortOutcome r;
   const double secs = TimeSeconds([&]() {
     Timestamp high_watermark = kMinTimestamp;
     Timestamp last_punct = kMinTimestamp;
@@ -196,16 +205,31 @@ SortOutcome RunSorter(const DatasetRef& d, ImpatienceConfig config,
           out.clear();
           sorter.OnPunctuation(p, &out);
           last_punct = p;
-          peak_memory = std::max(peak_memory, sorter.MemoryBytes());
+          r.peak_memory = std::max(r.peak_memory, sorter.MemoryBytes());
+          const size_t run_bytes = sorter.RunCapacityBytes();
+          const size_t live = sorter.buffered_count() * sizeof(Event);
+          if (run_bytes > r.peak_run_bytes) {
+            r.peak_run_bytes = run_bytes;
+            r.live_at_peak = live;
+          }
+          const size_t bound =
+              2 * live + sorter.run_count() * kRunDeadFloorBytes;
+          if (bound > 0) {
+            r.max_bound_share =
+                std::max(r.max_bound_share, static_cast<double>(run_bytes) /
+                                                static_cast<double>(bound));
+          }
         }
       }
     }
     out.clear();
     sorter.Flush(&out);
   });
-  return {Throughput(d.events.size(), secs),
-          sorter.counters().merge.elements_moved, sorter.counters().srs_hits,
-          sorter.counters().pushes, peak_memory};
+  r.throughput_meps = Throughput(d.events.size(), secs);
+  r.elements_moved = sorter.counters().merge.elements_moved;
+  r.srs_hits = sorter.counters().srs_hits;
+  r.pushes = sorter.counters().pushes;
+  return r;
 }
 
 void Run() {
@@ -246,22 +270,28 @@ void Run() {
     }
   }
 
-  Section("Ablation 3: run compaction (peak sorter bytes, punctuation "
-          "every 10k)");
+  Section("Ablation 3: run compaction (peak sorter and run bytes, "
+          "punctuation every 10k)");
   {
-    TablePrinter table({"dataset", "with_compaction_MB",
-                        "without_compaction_MB"});
+    TablePrinter table({"dataset", "sorter_peak_MB", "run_peak_MB",
+                        "live_at_peak_MB", "run/live", "max_bound_share"});
+    auto mb = [](size_t bytes) {
+      return TablePrinter::Num(static_cast<double>(bytes) / (1 << 20));
+    };
     for (const DatasetRef& d : datasets) {
-      ImpatienceConfig with;
-      ImpatienceConfig without;
-      without.compact_fraction = 2.0;  // Never triggers.
-      const SortOutcome a = RunSorter(d, with, kPeriod);
-      const SortOutcome b = RunSorter(d, without, kPeriod);
+      ImpatienceConfig config;
+      config.spill.use_env_default = false;  // RAM runs only.
+      const SortOutcome r = RunSorter(d, config, kPeriod);
       table.PrintRow(
-          {d.name,
-           TablePrinter::Num(static_cast<double>(a.peak_memory) / (1 << 20)),
-           TablePrinter::Num(static_cast<double>(b.peak_memory) /
-                             (1 << 20))});
+          {d.name, mb(r.peak_memory), mb(r.peak_run_bytes),
+           mb(r.live_at_peak),
+           TablePrinter::Num(static_cast<double>(r.peak_run_bytes) /
+                             static_cast<double>(std::max<size_t>(
+                                 r.live_at_peak, 1))),
+           TablePrinter::Num(r.max_bound_share, 3)});
+      // The byte rule bounds every run at twice its live bytes plus the
+      // floor, after every punctuation.
+      IMPATIENCE_CHECK(r.max_bound_share <= 1.0);
     }
   }
 

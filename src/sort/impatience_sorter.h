@@ -46,8 +46,9 @@
 
 namespace impatience {
 
-// The fewest consumed-prefix bytes worth compacting a RAM run for.
-inline constexpr size_t kCompactMinBytes = 4096;
+// Dead bytes (consumed prefix plus unused capacity) a RAM run may hold
+// beyond its live bytes before it is compacted.
+inline constexpr size_t kRunDeadFloorBytes = 512;
 
 // Free merge buffers a sorter keeps after every punctuation, however few
 // events it still buffers, so the next merge rarely allocates.
@@ -62,10 +63,6 @@ struct ImpatienceConfig {
   // Fast path that retries the run used by the previous insertion before
   // falling back to binary search (§III-E2).
   bool speculative_run_selection = true;
-
-  // A run whose consumed prefix exceeds this fraction of its storage (and
-  // at least kCompactMinBytes) is compacted to reclaim memory.
-  double compact_fraction = 0.5;
 
   // Pool for parallel punctuation merges (Huffman merge only): a
   // punctuation that releases enough head runs and bytes merges them as a
@@ -370,13 +367,21 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
                    runs_.capacity() * sizeof(Run) +
                    cut_runs_.capacity() * sizeof(CutRange) +
                    cut_spans_.capacity() * sizeof(std::span<const T>) +
-                   pool_.MemoryBytes() + scratch_.MemoryBytes();
-    for (const Run& run : runs_) {
-      bytes += run.items.capacity() * sizeof(T);
-      if constexpr (std::is_trivially_copyable_v<T>) {
+                   pool_.MemoryBytes() + scratch_.MemoryBytes() +
+                   RunCapacityBytes();
+    if constexpr (std::is_trivially_copyable_v<T>) {
+      for (const Run& run : runs_) {
         if (run.spilled != nullptr) bytes += run.spilled->MemoryBytes();
       }
     }
+    return bytes;
+  }
+
+  // Storage the RAM runs reserve: the part the compaction rule bounds at
+  // about twice their live bytes plus kRunDeadFloorBytes per run.
+  size_t RunCapacityBytes() const {
+    size_t bytes = 0;
+    for (const Run& run : runs_) bytes += run.items.capacity() * sizeof(T);
     return bytes;
   }
 
@@ -540,8 +545,8 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
     // Pooled merge buffers are pure cache — drop them before touching any
     // run, unless the reclaim already covered the excess: a write-behind
     // sorter goes over on blocks in flight where an inline one would not,
-    // and its pool, which later merges and compactions draw on, must stay
-    // as the inline one's.
+    // and its pool, which later merges draw on, must stay as the inline
+    // one's.
     if (!covered()) {
       pool_.Trim(0);
       own = MemoryBytes() - InflightBytes();
@@ -682,23 +687,17 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
         ++counters_.removed_runs;
         continue;  // Run fully emitted: drop it (§III-D "cleanup").
       }
-      // Compact runs whose consumed prefix dominates their storage, so
-      // memory usage tracks the live buffer rather than history. The live
-      // suffix moves into a pool-acquired buffer and the old storage goes
-      // back to the pool — erase + shrink_to_fit would instead free the
-      // storage and force a fresh allocation on the next append.
-      if (run.head > 0 &&
-          run.head * sizeof(T) >= kCompactMinBytes &&
-          static_cast<double>(run.head) >
-              config_.compact_fraction *
-                  static_cast<double>(run.items.size())) {
-        std::vector<T> compacted = pool_.Acquire(run.live_size());
-        compacted.insert(compacted.end(),
-                         run.items.begin() +
-                             static_cast<ptrdiff_t>(run.head),
-                         run.items.end());
-        pool_.Release(std::move(run.items));
-        run.items = std::move(compacted);
+      // Compact on one byte rule, so a run holds at most about twice its
+      // live bytes plus the floor: once its dead bytes (consumed prefix
+      // plus unused capacity) exceed its live bytes plus the floor, the
+      // live suffix moves into storage sized to it exactly. Each copy
+      // moves fewer bytes than the dead ones that triggered it.
+      const size_t live = run.live_size();
+      if ((run.items.capacity() - live) * sizeof(T) >
+          live * sizeof(T) + kRunDeadFloorBytes) {
+        run.items = std::vector<T>(
+            run.items.begin() + static_cast<ptrdiff_t>(run.head),
+            run.items.end());
         run.head = 0;
         ++counters_.compactions;
       }

@@ -11,6 +11,7 @@
 
 #include "common/random.h"
 #include "tests/testing/sequences.h"
+#include "workload/generators.h"
 
 namespace impatience {
 namespace {
@@ -181,6 +182,41 @@ TEST(ImpatienceSorterTest, MemoryShrinksAfterEmission) {
   sorter.Flush(&out);
   EXPECT_LT(sorter.MemoryBytes(), before / 10);
   EXPECT_EQ(sorter.buffered_count(), 0u);
+}
+
+// Run storage follows the events still buffered: after every punctuation
+// the sorter holds at most twice its live bytes, plus kRunDeadFloorBytes
+// per run and the merge buffers its pool retains, however small the cut
+// prefixes and growth slack of its many small runs.
+TEST(ImpatienceSorterTest, RunCapacityTracksLiveEvents) {
+  CloudLogConfig cloud;
+  cloud.num_events = 200000;
+  cloud.seed = 7;
+  const std::vector<Event> events = GenerateCloudLog(cloud).events;
+  ImpatienceConfig config;
+  config.spill.use_env_default = false;  // RAM runs only.
+  ImpatienceSorter<Event> sorter(config);
+  std::vector<Event> out;
+  Timestamp high_watermark = kMinTimestamp;
+  Timestamp last_punct = kMinTimestamp;
+  size_t punctuations = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    sorter.Push(events[i]);
+    high_watermark = std::max(high_watermark, events[i].sync_time);
+    if ((i + 1) % 10000 != 0 || high_watermark - kSecond <= last_punct) {
+      continue;
+    }
+    last_punct = high_watermark - kSecond;
+    out.clear();
+    sorter.OnPunctuation(last_punct, &out);
+    ++punctuations;
+    const size_t live = sorter.buffered_count() * sizeof(Event);
+    const size_t pool_retain = std::max(kMergePoolRetainBytes, live / 2);
+    EXPECT_LE(sorter.MemoryBytes(),
+              2 * live + sorter.run_count() * kRunDeadFloorBytes + pool_retain)
+        << "after " << i + 1 << " events, " << sorter.run_count() << " runs";
+  }
+  EXPECT_EQ(punctuations, events.size() / 10000);
 }
 
 TEST(ImpatienceSorterTest, IncrementalEqualsOfflineAcrossFrequencies) {

@@ -1,20 +1,14 @@
-// Beyond the paper: multi-core scaling of the execution layer.
+// Beyond the paper: multi-core scaling of the offline sort.
 //
 // The paper evaluates everything single-threaded; this bench sweeps the
-// thread-pool size over {1, 2, 4, 8, #cores} and reports throughput for
-// three workloads that exercise the three parallel code paths:
-//   (a) offline Impatience sort of CloudLog events (parallel Huffman key
-//       merge + parallel record gather);
-//   (b) online Impatience sort at the Figure-8 punctuation frequencies
-//       (parallel punctuation merge);
-//   (c) the Figure-10 advanced framework query Q2 (its band sorters'
-//       parallel punctuation merges; the partition, PIQ and union chain
-//       run on the calling thread).
-// IMPATIENCE_THREADS=1 (or the threads=1 row) reproduces the sequential
-// engine exactly; outputs are identical at every thread count, only the
-// wall clock moves.
+// thread-pool size over {1, 2, 4, 8, #cores} and reports the throughput of
+// the offline Impatience sort of CloudLog events, whose timestamp column,
+// Huffman key merge and record gather run on the pool. Online sorters
+// merge each punctuation on their own thread, so nothing else is left to
+// sweep. The threads=1 row reproduces the sequential sort exactly; outputs
+// are identical at every thread count, only the wall clock moves.
 //
-// Alongside the tables the bench emits one JSON document on stdout
+// Alongside the table the bench emits one JSON document on stdout
 // (between BEGIN_JSON/END_JSON markers) for machine consumption.
 
 #include <algorithm>
@@ -25,8 +19,6 @@
 
 #include "bench/harness.h"
 #include "common/thread_pool.h"
-#include "engine/streamable.h"
-#include "framework/impatience_framework.h"
 #include "sort/sort_algorithms.h"
 #include "workload/generators.h"
 
@@ -60,10 +52,10 @@ void Record(const std::string& experiment, const std::string& config,
   Samples().push_back(Sample{experiment, config, threads, meps});
 }
 
-// (a) Offline sort. The parallel paths (key-run merge, gather) read the
-// global pool, so the sweep swaps the global pool between runs.
+// The offline sort's pool work reads the global pool, so the sweep swaps
+// the global pool between runs.
 void RunOffline(const std::vector<Event>& events) {
-  Section("Parallel scaling (a): offline Impatience sort, CloudLog, " +
+  Section("Parallel scaling: offline Impatience sort, CloudLog, " +
           std::to_string(events.size()) + " events");
   TablePrinter table({"threads", "throughput_Me/s", "speedup"});
   double base = 0;
@@ -77,87 +69,6 @@ void RunOffline(const std::vector<Event>& events) {
     table.PrintRow({TablePrinter::Int(threads), TablePrinter::Num(meps),
                     TablePrinter::Num(meps / base) + "x"});
     Record("offline_impatience", "cloudlog", threads, meps);
-  }
-}
-
-// (b) Online sort under punctuation, Figure-8 style.
-void RunOnline(const std::vector<Event>& events) {
-  Section("Parallel scaling (b): online Impatience sort, CloudLog, "
-          "reorder latency 60s");
-  std::vector<std::string> headers = {"threads"};
-  const std::vector<size_t> frequencies = {10000, 100000, 1000000};
-  for (const size_t freq : frequencies) {
-    headers.push_back("freq=" + std::to_string(freq));
-  }
-  TablePrinter table(headers);
-  for (const size_t threads : ThreadCounts()) {
-    ThreadPool::SetGlobalThreads(threads);
-    std::vector<std::string> row = {TablePrinter::Int(threads)};
-    for (const size_t freq : frequencies) {
-      ImpatienceSorter<Event> sorter;
-      std::vector<Event> out;
-      size_t emitted = 0;
-      const double secs = TimeSeconds([&]() {
-        Timestamp high_watermark = kMinTimestamp;
-        Timestamp last_punct = kMinTimestamp;
-        for (size_t i = 0; i < events.size(); ++i) {
-          sorter.Push(events[i]);
-          if (events[i].sync_time > high_watermark) {
-            high_watermark = events[i].sync_time;
-          }
-          if ((i + 1) % freq == 0) {
-            const Timestamp p = high_watermark - 60 * kSecond;
-            if (p > last_punct) {
-              sorter.OnPunctuation(p, &out);
-              last_punct = p;
-              emitted += out.size();
-              out.clear();
-            }
-          }
-        }
-        sorter.Flush(&out);
-        emitted += out.size();
-        out.clear();
-      });
-      IMPATIENCE_CHECK(emitted + sorter.late_drops() == events.size());
-      const double meps = Throughput(events.size(), secs);
-      row.push_back(TablePrinter::Num(meps));
-      Record("online_impatience", "freq=" + std::to_string(freq), threads,
-             meps);
-    }
-    table.PrintRow(row);
-  }
-}
-
-// (c) The Figure-10 advanced framework, Q2 (windowed group count). Only
-// the band sorters' punctuation merges use the pool.
-void RunFramework(const std::vector<Event>& events) {
-  Section("Parallel scaling (c): advanced framework Q2, CloudLog, "
-          "latencies {1s, 1m, 1h}");
-  TablePrinter table({"threads", "throughput_Me/s", "speedup"});
-  double base = 0;
-  for (const size_t threads : ThreadCounts()) {
-    ThreadPool::SetGlobalThreads(threads);
-    MemoryTracker tracker;
-    typename Ingress<4>::Options ingress;
-    ingress.punctuation_period = SIZE_MAX;  // The partition punctuates.
-    QueryPipeline<4> q(ingress, &tracker);
-    FrameworkOptions options;
-    options.reorder_latencies = {kSecond, kMinute, kHour};
-    options.punctuation_period = 10000;
-    StageFn<4> piq = [](Streamable<4> s) { return s.GroupCount(); };
-    StageFn<4> merge = [](Streamable<4> s) { return s.CombinePartials(); };
-    Streamables<4> streams = ToStreamables<4>(
-        q.disordered().TumblingWindow(kSecond), options, piq, merge);
-    for (size_t i = 0; i < streams.size(); ++i) {
-      streams.stream(i).ToCounting();
-    }
-    const double secs = TimeSeconds([&]() { q.Run(events); });
-    const double meps = Throughput(events.size(), secs);
-    if (base == 0) base = meps;
-    table.PrintRow({TablePrinter::Int(threads), TablePrinter::Num(meps),
-                    TablePrinter::Num(meps / base) + "x"});
-    Record("framework_q2_advanced", "cloudlog", threads, meps);
   }
 }
 
@@ -180,20 +91,9 @@ void PrintJson() {
 }
 
 void Run() {
-  // The paper's Figure 7/8 scale is 20M; default to 8M here (the sweep
-  // runs every workload once per thread count).
-  const size_t n = EventCount(8000000);
-  const Dataset cloudlog = BenchCloudLog(n);
-
-  RunOffline(cloudlog.events);
-  RunOnline(cloudlog.events);
-
-  const size_t framework_n = EventCount(1000000);
-  if (framework_n == n) {
-    RunFramework(cloudlog.events);
-  } else {
-    RunFramework(BenchCloudLog(framework_n).events);
-  }
+  // The paper's Figure 7 scale is 20M; default to 8M here (the sweep sorts
+  // once per thread count).
+  RunOffline(BenchCloudLog(EventCount(8000000)).events);
   PrintJson();
 }
 

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -16,18 +17,12 @@ namespace {
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local size_t tls_worker_index = 0;
 
-// A misconfigured value (non-numeric, <= 0, or absurdly large) falls back
-// to a sane count instead of aborting in the pool constructor.
-constexpr size_t kMaxThreads = 1024;
-
+// A misconfigured value (non-numeric, <= 0) falls back to the hardware's
+// count instead of aborting in the pool constructor.
 size_t DefaultThreadCount() {
-  if (const char* env = std::getenv("IMPATIENCE_THREADS")) {
-    const long long n = std::atoll(env);
-    if (n > 0) {
-      return n > static_cast<long long>(kMaxThreads) ? kMaxThreads
-                                                     : static_cast<size_t>(n);
-    }
-  }
+  const std::optional<size_t> n =
+      ParseThreadCount(std::getenv("IMPATIENCE_THREADS"));
+  if (n.has_value() && *n > 0) return *n;
   const unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? hc : 1;
 }
@@ -36,6 +31,15 @@ std::mutex g_global_mu;
 ThreadPool* g_global_pool = nullptr;
 
 }  // namespace
+
+std::optional<size_t> ParseThreadCount(const char* text) {
+  if (text == nullptr) return std::nullopt;
+  char* end = nullptr;
+  const long long n = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || n < 0) return std::nullopt;
+  return std::min(static_cast<unsigned long long>(n),
+                  static_cast<unsigned long long>(kMaxThreads));
+}
 
 ThreadPool::ThreadPool(size_t threads) {
   IMPATIENCE_CHECK(threads >= 1);

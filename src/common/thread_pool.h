@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -37,6 +38,15 @@ namespace impatience {
 
 class LatencyHistogram;
 class TaskGroup;
+
+// Upper bound on any thread count read from a flag or the environment.
+inline constexpr size_t kMaxThreads = 1024;
+
+// Parses a thread count given as a flag or environment variable: a
+// decimal integer >= 0, clamped to kMaxThreads. Returns nullopt for a null,
+// non-numeric or negative `text`; each caller picks its own fallback and
+// its own meaning for 0.
+std::optional<size_t> ParseThreadCount(const char* text);
 
 class ThreadPool {
  public:

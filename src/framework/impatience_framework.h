@@ -60,7 +60,8 @@ struct FrameworkOptions {
   std::vector<Timestamp> reorder_latencies;
   // Events between consecutive punctuation rounds at the partition.
   size_t punctuation_period = 10000;
-  // Every band's sorter; its thread_pool runs the punctuation merges.
+  // Every band's sorter; each merges its punctuations on the thread that
+  // drives the partition.
   ImpatienceConfig sorter_config;
   // Runs the union chain, merge stages and output subscribers; nullptr
   // runs them on the calling thread. The caller owns the strand and must

@@ -197,9 +197,6 @@ constexpr MetricDef kMetrics[] = {
     Metric("impatience_shard_sorter_removed_runs", kCounter,
            V(shard->sorter.removed_runs),
            "Sorted runs removed after punctuations."),
-    Metric("impatience_shard_sorter_parallel_merges", kCounter,
-           V(shard->sorter.parallel_merges),
-           "Punctuation merges executed on the thread pool."),
     Metric("impatience_shard_sorter_elements_moved", kCounter,
            V(shard->sorter.merge.elements_moved),
            "Elements moved by punctuation merges."),

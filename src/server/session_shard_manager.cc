@@ -76,10 +76,7 @@ struct SessionShardManager::Shard {
   Shard(size_t index, const ShardManagerOptions& options)
       : index(index),
         queue(options.queue_capacity),
-        strand(options.framework.sorter_config.thread_pool != nullptr
-                   ? options.framework.sorter_config.thread_pool
-                   : &ThreadPool::Global(),
-               &emit, "shard.emit") {}
+        strand(&ThreadPool::Global(), &emit, "shard.emit") {}
 
   const size_t index;
   BoundedMpscQueue<Frame> queue;

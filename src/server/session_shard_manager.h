@@ -9,16 +9,15 @@
 // shards never synchronize with each other — a session's frames always
 // land on the same shard, and cross-shard coordination is limited to the
 // metrics snapshot and shutdown barrier. Each shard's drain loop runs on
-// its own dedicated thread (it blocks on the queue, which a task on the
-// fork/join ThreadPool must never do); the pipeline *inside* the shard —
-// parallel punctuation merges and the emit strand — runs on the sorters'
-// pool (by default the process-wide ThreadPool, shared by all shards).
+// its own dedicated thread, because it blocks on the queue, which a task
+// on the fork/join ThreadPool must never do.
 //
-// Two stages: the shard thread pops frames, partitions and sorts; each
-// band's output goes to the shard's emit Strand on the same pool, which
-// runs the union chain, the result callback, progress reports and flush
-// acks serially, in the order the shard thread posted them. With a
-// 1-thread pool the strand runs every job inline on the shard thread.
+// Two stages: the shard thread pops frames, partitions and sorts (every
+// punctuation merge runs on it); each band's output goes to the shard's
+// emit Strand on the process-wide ThreadPool, which runs the union chain,
+// the result callback, progress reports and flush acks serially, in the
+// order the shard thread posted them. With a 1-thread pool the strand runs
+// every job inline on the shard thread.
 //
 // Backpressure: the queue holds whole decoded frames, and the policy
 // decides what happens when a shard falls behind:

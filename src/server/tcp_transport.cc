@@ -11,7 +11,9 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
+#include "common/thread_pool.h"
 #include "server/epoll_transport.h"
 
 namespace impatience {
@@ -49,12 +51,9 @@ bool WriteAllFd(int fd, const uint8_t* data, size_t n) {
 
 size_t ResolveIoThreads(size_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("IMPATIENCE_IO_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<size_t>(v);
-  }
-  return 2;
+  const std::optional<size_t> n =
+      ParseThreadCount(std::getenv("IMPATIENCE_IO_THREADS"));
+  return n.value_or(0) > 0 ? *n : 2;
 }
 
 TcpServer::TcpServer(IngestService* service, uint16_t port,

@@ -43,7 +43,8 @@ struct TcpServerOptions {
 };
 
 // Resolves the I/O thread count: `requested` if nonzero, else the
-// IMPATIENCE_IO_THREADS environment variable, else 2; never 0.
+// IMPATIENCE_IO_THREADS environment variable (ParseThreadCount), else 2;
+// never 0.
 size_t ResolveIoThreads(size_t requested);
 
 class TcpServer {

@@ -35,7 +35,6 @@
 #include "common/cpu_features.h"
 #include "common/event.h"
 #include "common/histogram.h"
-#include "common/thread_pool.h"
 #include "common/timestamp.h"
 #include "common/trace.h"
 #include "sort/kernels.h"
@@ -64,13 +63,6 @@ struct ImpatienceConfig {
   // falling back to binary search (§III-E2).
   bool speculative_run_selection = true;
 
-  // Pool for parallel punctuation merges (Huffman merge only): a
-  // punctuation that releases enough head runs and bytes merges them as a
-  // task DAG on this pool (see ParallelMergeRunsInto). Output is
-  // byte-identical to the sequential merge; with a 1-thread pool the
-  // sequential path always runs.
-  ThreadPool* thread_pool = nullptr;  // nullptr = ThreadPool::Global()
-
   // External-memory spill tier (storage/spill.h): when a memory budget is
   // set (explicitly or via IMPATIENCE_MEMORY_BUDGET) and usage exceeds it,
   // cold runs move to disk-backed run files and stream back through the
@@ -87,8 +79,6 @@ struct ImpatienceCounters {
   uint64_t new_runs = 0;        // Runs created over the sorter's lifetime.
   uint64_t removed_runs = 0;    // Runs cleaned up after punctuations.
   uint64_t compactions = 0;     // Run storage compactions.
-  uint64_t parallel_merges = 0;  // Punctuation merges run on the pool.
-  uint64_t merge_tasks = 0;      // Pool tasks across all parallel merges.
   // Spill tier: runs moved to disk, bytes written to run files (blocks and
   // their headers), and bytes read back (cut-boundary loads and merge
   // cursor streams).
@@ -136,8 +126,6 @@ struct ImpatienceCounters {
     new_runs += other.new_runs;
     removed_runs += other.removed_runs;
     compactions += other.compactions;
-    parallel_merges += other.parallel_merges;
-    merge_tasks += other.merge_tasks;
     runs_spilled += other.runs_spilled;
     spill_bytes_written += other.spill_bytes_written;
     spill_read_bytes += other.spill_read_bytes;
@@ -290,13 +278,7 @@ class ImpatienceSorter : public IncrementalSorter<T, TimeOf> {
         return time_of_(a) < time_of_(b);
       };
       if (config_.huffman_merge) {
-        const size_t tasks =
-            ParallelMergeRunsInto(cut_spans_, less, out, &counters_.merge,
-                                  &pool_, config_.thread_pool);
-        if (tasks > 0) {
-          ++counters_.parallel_merges;
-          counters_.merge_tasks += tasks;
-        }
+        HuffmanMergeInto(cut_spans_, less, out, &counters_.merge, &pool_);
       } else {
         BalancedMergeInto(cut_spans_, less, out, &counters_.merge, &pool_);
       }

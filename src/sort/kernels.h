@@ -560,13 +560,12 @@ bool MergeIntoVector(const T* pa, const T* ea, const T* pb, const T* eb,
 // `dst` (the caller guarantees room for both ranges), in the same element
 // order as MergeIntoVector; the parallel merge uses it to let two tasks
 // write disjoint halves of one output. Returns one past the last element
-// written; sets *disjoint (if non-null) when the concat fast path ran.
+// written.
 template <typename T, typename Less>
 T* MergeToPtr(const T* pa, const T* ea, const T* pb, const T* eb, Less less,
-              T* dst, bool* disjoint = nullptr) {
+              T* dst) {
   detail::PointerSink<T> sink{dst};
-  const bool concat = detail::MergeRanges(pa, ea, pb, eb, less, sink);
-  if (disjoint != nullptr) *disjoint = concat;
+  detail::MergeRanges(pa, ea, pb, eb, less, sink);
   return sink.dst;
 }
 

@@ -7,11 +7,12 @@
 // coding. That order is decided in one place, BuildHuffmanPlan, and the
 // sorters' merges run it through one of three executors:
 //
-//   * HuffmanMergeInto runs it node by node as a binary cascade.
+//   * HuffmanMergeInto runs it node by node as a binary cascade on the
+//     calling thread: every online punctuation merge of RAM runs.
 //   * ParallelMergeRunsInto runs it as a task DAG on the thread pool:
 //     small subtrees collapse into k-way loser-tree leaves and the final
-//     merge is split in two. Below its size gate it runs the cascade, so
-//     it is the one call a sorter's RAM merge makes.
+//     merge is split in two. Only the offline sort's key merge calls it;
+//     below its size gate it runs the cascade.
 //   * HuffmanCursorMergeInto runs one LoserTreePass over chunked run
 //     cursors (spilled runs), keyed by each run's position in the plan's
 //     in-order leaf walk.
@@ -25,12 +26,12 @@
 // do not own (a punctuation's cut of a live run, a slice of the offline
 // sort's key array) and leave it untouched. The only buffers a merge owns
 // are its interior outputs, the cascade levels between the runs and the
-// caller's output. Those come from the caller's MergeBufferPool and go back
-// to it on the calling thread when the merge is done. The cursor merge has
-// no interior and writes straight into the output; the parallel executor
-// also allocates small per-call bookkeeping (plan, fan-in/parent/role/
-// dependency arrays) and per-leaf cursor and loser-tree scratch, all
-// O(runs), not O(events).
+// caller's output. The cascade takes those from the caller's
+// MergeBufferPool and returns them on the calling thread when the merge is
+// done. The cursor merge has no interior and writes straight into the
+// output; the parallel executor allocates its interior buffers itself,
+// plus small per-call bookkeeping (plan, fan-in/parent/role/dependency
+// arrays) and per-leaf cursor and loser-tree scratch, all O(runs).
 
 #ifndef IMPATIENCE_SORT_MERGE_H_
 #define IMPATIENCE_SORT_MERGE_H_
@@ -102,26 +103,13 @@ struct MergeStats {
   // Total elements moved across all merge steps (the quantity the Huffman
   // order minimizes). For the binary cascades this is the sum of both
   // input sizes per merge; for the single-pass cursor merge, and for a
-  // lone run copied out, it is each element once. ParallelMergeRunsInto
-  // reports the plan's binary-cascade figure even when it executes plan
-  // subtrees as k-way leaf tasks, so the Huffman cost model stays
-  // comparable across execution strategies.
+  // lone run copied out, it is each element once.
   uint64_t elements_moved = 0;
   // Number of merge steps: binary merges for the cascades, one per call
   // for the cursor merge.
   uint64_t binary_merges = 0;
-  // Merge steps resolved by a disjoint-run fast path. For binary merges:
-  // the two ranges did not overlap and concatenated as two bulk copies.
-  // For the parallel merge's k-way leaves: a run the loser tree emitted
-  // start-to-end in a single bulk copy, i.e. it was disjoint from
-  // everything still unmerged when it won (disjoint prefix runs each count
-  // once). Unlike the fields above, this counter is execution-dependent:
-  // the parallel merge splits the final merge in two and each half
-  // classifies independently, a k-way leaf can see disjointness a binary
-  // cascade of the same runs would not (and vice versa), and the tree's
-  // adaptive gallop may emit a disjoint run element-by-element when
-  // earlier short chunks raised its gallop threshold — so counts are only
-  // comparable within one merge strategy.
+  // Binary merges resolved by the disjoint-run fast path: the two ranges
+  // did not overlap and concatenated as two bulk copies.
   uint64_t disjoint_concats = 0;
 };
 
@@ -346,32 +334,26 @@ template <typename T>
 struct LoserTreeScratch {
   std::vector<int32_t> tree;     // Losers; tree[0] holds the winner.
   std::vector<int32_t> winners;  // Winner bracket, build only.
-  std::vector<const T*> begin;   // Current chunk starts (concat detection).
   std::vector<const T*> cur;     // Next unmerged element per cursor.
   std::vector<const T*> end;     // One past each current chunk.
 
   size_t MemoryBytes() const {
     return (tree.capacity() + winners.capacity()) * sizeof(int32_t) +
-           (begin.capacity() + cur.capacity() + end.capacity()) *
-               sizeof(const T*);
+           (cur.capacity() + end.capacity()) * sizeof(const T*);
   }
 };
 
 // One loser-tree pass: merges `cursors[0..k)` into `out` (appended).
 // Cross-run ties resolve to the lower slot, so the caller presents cursors
-// in tie-break order. Counts a chunk emitted start-to-end in one bulk copy
-// (disjoint from everything then unmerged) in `*disjoint_concats` when
-// that is non-null; callers account moves and passes themselves.
+// in tie-break order; callers account moves and passes themselves.
 template <typename T, typename Less>
 void LoserTreePass(RunCursor<T>* const* cursors, size_t k, Less less,
-                   std::vector<T>* out, uint64_t* disjoint_concats,
-                   LoserTreeScratch<T>* scratch) {
+                   std::vector<T>* out, LoserTreeScratch<T>* scratch) {
   size_t total = 0;
   for (size_t i = 0; i < k; ++i) total += cursors[i]->total();
   out->reserve(out->size() + total);
   if (k == 0) return;
   LoserTreeScratch<T>& sc = *scratch;
-  sc.begin.resize(k);
   sc.cur.resize(k);
   sc.end.resize(k);
   // Loads cursor i's next non-empty chunk; an exhausted cursor parks at
@@ -380,7 +362,7 @@ void LoserTreePass(RunCursor<T>* const* cursors, size_t k, Less less,
     for (;;) {
       const std::pair<const T*, const T*> c = cursors[i]->NextChunk();
       if (c.first != c.second || c.first == nullptr) {
-        sc.begin[i] = sc.cur[i] = c.first;
+        sc.cur[i] = c.first;
         sc.end[i] = c.second;
         return;
       }
@@ -469,10 +451,6 @@ void LoserTreePass(RunCursor<T>* const* cursors, size_t k, Less less,
       bound = kernels::GallopLowerBound(p, sc.end[w], *sc.cur[ru], less);
     }
     out->insert(out->end(), p, bound);
-    if (disjoint_concats != nullptr && p == sc.begin[w] &&
-        bound == sc.end[w]) {
-      ++*disjoint_concats;
-    }
     min_streak = bound - p >= kGallopWin
                      ? 0
                      : std::min(kMaxMinStreak, min_streak + 1);
@@ -518,7 +496,7 @@ void HuffmanCursorMergeInto(
   std::vector<RunCursor<T>*> slots;
   slots.reserve(cs.size());
   for (const uint32_t i : plan.LeafOrder(plan.root())) slots.push_back(cs[i]);
-  LoserTreePass(slots.data(), slots.size(), less, out, nullptr, scratch);
+  LoserTreePass(slots.data(), slots.size(), less, out, scratch);
 }
 
 // ---------------------------------------------------------------------------
@@ -539,22 +517,16 @@ inline constexpr size_t kParallelMergeMinBytes = size_t{1} << 20;
 // merge starts as soon as its two inputs are ready, and the final merge is
 // split at a GallopLowerBound midpoint so both halves of the output are
 // written in parallel into the pre-sized destination. Output is
-// byte-identical to HuffmanMergeInto, and MergeStats (bar the
-// execution-dependent disjoint_concats) reports the plan's binary cascade
-// regardless of how leaves execute.
+// byte-identical to HuffmanMergeInto. This is the offline sort's key
+// merge: one large input, split by the plan rather than by punctuations.
 //
-// Reads the runs in place. Every interior buffer comes from `pool` and
-// goes back to it, on the calling thread: interior buffers are acquired
-// before any task starts and released after the task group drains, so
-// tasks never touch the (single-threaded) pool. Requires T
+// Reads the runs in place. Interior buffers are allocated before any task
+// starts and freed after the task group drains. Requires T
 // default-constructible (the output is resized up front). Returns the
 // number of pool tasks the merge used — 0 means HuffmanMergeInto ran.
 template <typename T, typename Less>
 size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
                              Less less, std::vector<T>* out,
-                             MergeStats* stats = nullptr,
-                             std::type_identity_t<MergeBufferPool<T>*> pool =
-                                 nullptr,
                              ThreadPool* threads = nullptr) {
   static_assert(std::is_default_constructible_v<T>,
                 "parallel merge resizes the output vector");
@@ -567,22 +539,14 @@ size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
   ThreadPool& tp = threads != nullptr ? *threads : ThreadPool::Global();
   if (tp.thread_count() < 2 || nonempty < kParallelMergeMinRuns ||
       total * sizeof(T) < kParallelMergeMinBytes) {
-    HuffmanMergeInto(runs, less, out, stats, pool);
+    HuffmanMergeInto(runs, less, out);
     return 0;
   }
-  MergeBufferPool<T> local_pool;
-  if (pool == nullptr) pool = &local_pool;
 
   std::vector<std::span<const T>> rs = merge_internal::NonEmptyRuns(runs);
   const MergePlan plan = merge_internal::PlanRuns(rs);
   const size_t k = plan.runs;
   const size_t root = k - 2;
-  if (stats != nullptr) {
-    for (const MergePlan::Merge& m : plan.merges) {
-      stats->elements_moved += m.size;
-    }
-    stats->binary_merges += plan.merges.size();
-  }
   // Fan-in and parent of every merge (children precede their parent in
   // plan order).
   std::vector<uint32_t> fanin(k - 1, 0);
@@ -611,9 +575,9 @@ size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
   }
   // Ready set and dependency counters, fixed before any task runs: k-way
   // roots depend on nothing, binary merges wait on their merge children
-  // (never absorbed ones). Interior buffers come from the pool here, on
-  // the calling thread; interior[j] holds merges[j]'s output, which its
-  // task publishes as rs[k + j] before its parent can start.
+  // (never absorbed ones). Interior buffers are reserved here, on the
+  // calling thread; interior[j] holds merges[j]'s output, which its task
+  // publishes as rs[k + j] before its parent can start.
   rs.resize(2 * k - 1);
   std::vector<std::vector<T>> interior(k - 1);
   std::vector<std::atomic<int>> missing(k - 1);
@@ -622,7 +586,7 @@ size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
   for (size_t j = 0; j + 1 < k; ++j) {
     if (role[j] == kAbsorbed) continue;
     ++task_nodes;
-    if (j != root) interior[j] = pool->Acquire(plan.merges[j].size);
+    if (j != root) interior[j].reserve(plan.merges[j].size);
     const int deps = role[j] == kKwayRoot
                          ? 0
                          : (plan.merges[j].left >= k ? 1 : 0) +
@@ -640,17 +604,6 @@ size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
   const size_t out0 = out->size();
   out->resize(out0 + total);  // Pre-sized so halves can write in place.
 
-  // Tasks record disjoint-concat fast paths here; folded into `stats`
-  // after the group drains (the other MergeStats fields come from the
-  // plan and are already exact).
-  std::atomic<uint64_t> disjoint_concats{0};
-  auto merge_to = [&less, &disjoint_concats](const T* pa, const T* ea,
-                                            const T* pb, const T* eb,
-                                            T* dst) {
-    bool disjoint = false;
-    kernels::MergeToPtr(pa, ea, pb, eb, less, dst, &disjoint);
-    if (disjoint) disjoint_concats.fetch_add(1, std::memory_order_relaxed);
-  };
   TaskGroup group(&tp);
   std::function<void(size_t)> exec_node = [&](size_t j) {
     TRACE_SPAN("merge.task");
@@ -664,7 +617,7 @@ size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
       const T* pb = b.data();
       const T* eb = pb + b.size();
       if (!split_final) {
-        merge_to(pa, ea, pb, eb, dst);
+        kernels::MergeToPtr(pa, ea, pb, eb, less, dst);
         return;
       }
       // Everything strictly below the left midpoint forms the first half;
@@ -673,13 +626,13 @@ size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
       const T* ma = pa + a.size() / 2;
       const T* mb = kernels::GallopLowerBound(pb, eb, *ma, less);
       T* mid = dst + (ma - pa) + (mb - pb);
-      group.Run([&merge_to, pa, ma, pb, mb, dst] {
+      group.Run([&less, pa, ma, pb, mb, dst] {
         TRACE_SPAN("merge.final_half");
-        merge_to(pa, ma, pb, mb, dst);
+        kernels::MergeToPtr(pa, ma, pb, mb, less, dst);
       });
-      group.Run([&merge_to, ma, ea, mb, eb, mid] {
+      group.Run([&less, ma, ea, mb, eb, mid] {
         TRACE_SPAN("merge.final_half");
-        merge_to(ma, ea, mb, eb, mid);
+        kernels::MergeToPtr(ma, ea, mb, eb, less, mid);
       });
       return;
     }
@@ -692,13 +645,10 @@ size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
       }
       std::vector<RunCursor<T>*> slots;
       for (VectorRunCursor<T>& c : cursors) slots.push_back(&c);
-      uint64_t disjoint = 0;
       LoserTreeScratch<T> scratch;
-      LoserTreePass(slots.data(), slots.size(), less, &dst, &disjoint,
-                    &scratch);
-      disjoint_concats.fetch_add(disjoint, std::memory_order_relaxed);
-    } else if (merge_internal::MergeTwo(a, b, less, &dst)) {
-      disjoint_concats.fetch_add(1, std::memory_order_relaxed);
+      LoserTreePass(slots.data(), slots.size(), less, &dst, &scratch);
+    } else {
+      merge_internal::MergeTwo(a, b, less, &dst);
     }
     rs[k + j] = dst;
     const size_t p = parent[j];
@@ -710,16 +660,6 @@ size_t ParallelMergeRunsInto(const std::vector<std::span<const T>>& runs,
     group.Run([&exec_node, j] { exec_node(j); });
   }
   group.Wait();
-  if (stats != nullptr) {
-    stats->disjoint_concats +=
-        disjoint_concats.load(std::memory_order_relaxed);
-  }
-  // The group has drained: hand every interior buffer back to the pool,
-  // last acquired first, so the same merge run again finds each buffer it
-  // needs on top of the free list.
-  for (size_t j = interior.size(); j-- > 0;) {
-    pool->Release(std::move(interior[j]));
-  }
   return task_nodes + (split_final ? 2 : 0);
 }
 

@@ -2,32 +2,9 @@
 //
 // Pass 1 scans the timestamp column and gives each element the index of
 // the first run whose tail is <= its timestamp (or a fresh run), leaving
-// the actual data movement to the scatter in pass 2. This file holds the
-// sequential scan and a speculative parallel version that is byte-identical
-// to it.
-//
-// The parallel version splits the column into chunks and runs a *local*
-// patience assignment per chunk (from an empty tails array) in parallel —
-// pure speculation, since the real assignment depends on the global tails
-// left by every earlier chunk. A sequential reconciliation pass then walks
-// the chunks in order and validates each local result against the global
-// tails G:
-//
-//   case B  — the chunk's maximum timestamp is below min(G): no element
-//             can reach an existing run, so the local runs ARE the
-//             sequential result, renumbered to start at |G|.
-//   case A' — the chunk collapsed to a single local run (it is
-//             non-decreasing): if the first element lands in run g and the
-//             chunk's maximum stays below tail(g-1), every element lands
-//             in g.
-//   case C  — speculation failed: replay the chunk against G with the
-//             exact sequential scan.
-//
-// Cases A'/B record a small per-chunk run renumbering; a final parallel
-// pass rewrites the speculative run ids through it. Assignment depends
-// only on timestamps and first-fit order — the speculative-run-selection
-// fast path never changes the chosen run, only skips the search — so the
-// result is byte-identical to the sequential scan at every thread count.
+// the actual data movement to the scatter in pass 2. Assignment depends
+// only on timestamps and first-fit order: the speculative-run-selection
+// fast path never changes the chosen run, only skips the search.
 
 #ifndef IMPATIENCE_SORT_PARTITION_H_
 #define IMPATIENCE_SORT_PARTITION_H_
@@ -36,9 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/check.h"
 #include "common/cpu_features.h"
-#include "common/thread_pool.h"
 #include "common/timestamp.h"
 #include "common/trace.h"
 #include "sort/kernels.h"
@@ -53,30 +28,25 @@ struct PartitionPass1 {
   std::vector<size_t> run_sizes;
 };
 
-namespace partition_internal {
-
-// Chunk length for the speculative parallel scan. Large enough that a
-// chunk amortizes its reconciliation, small enough to expose parallelism
-// on mid-sized inputs.
-inline constexpr size_t kPartitionChunk = size_t{1} << 15;
-
-// Sequential first-fit scan of times[begin, end) against the global
-// `tails`/`run_sizes`, writing final run ids. The exact reference
-// semantics; also the case-C replay.
-inline void ScanRange(const Timestamp* times, size_t begin, size_t end,
-                      bool speculative_run_selection, KernelLevel level,
-                      std::vector<Timestamp>* tails,
-                      std::vector<size_t>* run_sizes, uint32_t* run_of,
-                      size_t* last_run) {
-  std::vector<Timestamp>& ts = *tails;
-  std::vector<size_t>& sizes = *run_sizes;
-  for (size_t i = begin; i < end; ++i) {
+// First-fit scan of times[0, n) into `out`.
+inline void AssignRuns(const Timestamp* times, size_t n,
+                       bool speculative_run_selection, KernelLevel level,
+                       PartitionPass1* out) {
+  TRACE_SPAN("partition.pass1");
+  out->run_of.resize(n);
+  out->tails.clear();
+  out->run_sizes.clear();
+  std::vector<Timestamp>& ts = out->tails;
+  std::vector<size_t>& sizes = out->run_sizes;
+  uint32_t* run_of = out->run_of.data();
+  size_t last_run = 0;
+  for (size_t i = 0; i < n; ++i) {
     const Timestamp t = times[i];
-    if (speculative_run_selection && *last_run < ts.size()) {
+    if (speculative_run_selection && last_run < ts.size()) {
       // §III-E2: the previous insertion's run is often right again. The
       // test certifies "first run whose tail <= t", so hitting it never
       // changes the assignment, only skips the search.
-      const size_t r = *last_run;
+      const size_t r = last_run;
       if (ts[r] <= t && (r == 0 || t < ts[r - 1])) {
         run_of[i] = static_cast<uint32_t>(r);
         ts[r] = t;
@@ -93,147 +63,8 @@ inline void ScanRange(const Timestamp* times, size_t begin, size_t end,
     run_of[i] = static_cast<uint32_t>(lo);
     ts[lo] = t;
     ++sizes[lo];
-    *last_run = lo;
+    last_run = lo;
   }
-}
-
-}  // namespace partition_internal
-
-// Sequential pass 1 over the timestamp column.
-inline void AssignRunsSequential(const Timestamp* times, size_t n,
-                                 bool speculative_run_selection,
-                                 KernelLevel level, PartitionPass1* out) {
-  TRACE_SPAN("partition.pass1");
-  out->run_of.resize(n);
-  out->tails.clear();
-  out->run_sizes.clear();
-  size_t last_run = 0;
-  partition_internal::ScanRange(times, 0, n, speculative_run_selection,
-                                level, &out->tails, &out->run_sizes,
-                                out->run_of.data(), &last_run);
-}
-
-// Parallel pass 1: speculative per-chunk assignment + sequential
-// reconciliation (see the file comment). Byte-identical to
-// AssignRunsSequential on the same column.
-inline void AssignRunsParallel(const Timestamp* times, size_t n,
-                               bool speculative_run_selection,
-                               KernelLevel level, ThreadPool* pool,
-                               PartitionPass1* out) {
-  TRACE_SPAN("partition.pass1_parallel");
-  using partition_internal::kPartitionChunk;
-  out->run_of.resize(n);
-  out->tails.clear();
-  out->run_sizes.clear();
-  uint32_t* run_of = out->run_of.data();
-
-  const size_t num_chunks = (n + kPartitionChunk - 1) / kPartitionChunk;
-  struct ChunkLocal {
-    // Local patience state built from an empty tails array. tails[0] is
-    // the chunk's maximum element (the max always lands in run 0 and
-    // nothing larger follows it there).
-    std::vector<Timestamp> tails;
-    std::vector<size_t> sizes;
-  };
-  std::vector<ChunkLocal> locals(num_chunks);
-  ParallelFor(
-      0, num_chunks, size_t{1},
-      [times, n, run_of, &locals, speculative_run_selection, level](
-          size_t clo, size_t chi) {
-        TRACE_SPAN("partition.chunk_scan");
-        for (size_t c = clo; c < chi; ++c) {
-          const size_t begin = c * kPartitionChunk;
-          const size_t end = std::min(n, begin + kPartitionChunk);
-          size_t last_run = 0;
-          partition_internal::ScanRange(
-              times, begin, end, speculative_run_selection, level,
-              &locals[c].tails, &locals[c].sizes, run_of, &last_run);
-        }
-      },
-      pool);
-
-  // Reconciliation: sequential over chunks, so G is exactly the
-  // sequential tails state at each chunk boundary (induction over chunks).
-  std::vector<Timestamp>& G = out->tails;
-  std::vector<size_t>& run_sizes = out->run_sizes;
-  // remap[c][j] = global run id of the chunk's local run j; empty when the
-  // chunk was replayed (case C wrote final ids directly).
-  std::vector<std::vector<uint32_t>> remap(num_chunks);
-  size_t last_run = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    const size_t begin = c * kPartitionChunk;
-    const size_t end = std::min(n, begin + kPartitionChunk);
-    ChunkLocal& local = locals[c];
-    const size_t m = local.tails.size();
-    const Timestamp chunk_max = m > 0 ? local.tails[0] : kMinTimestamp;
-    if (G.empty() || chunk_max < G.back()) {
-      // Case B: every element is below every existing tail, so the whole
-      // chunk replays onto fresh runs exactly as the local scan did.
-      std::vector<uint32_t>& r = remap[c];
-      r.resize(m);
-      const size_t base = G.size();
-      for (size_t j = 0; j < m; ++j) {
-        r[j] = static_cast<uint32_t>(base + j);
-      }
-      G.insert(G.end(), local.tails.begin(), local.tails.end());
-      run_sizes.insert(run_sizes.end(), local.sizes.begin(),
-                       local.sizes.end());
-      last_run = G.size() - 1;
-      continue;
-    }
-    if (m == 1) {
-      // Case A': the chunk is non-decreasing. If its first element lands
-      // in an existing run g and its maximum stays below tail(g-1), every
-      // element first-fits to g (runs before g keep tails above the whole
-      // chunk; g's tail trails the chunk's own non-decreasing elements).
-      const Timestamp first = times[begin];
-      const size_t g =
-          kernels::FindFirstLEDesc(G.data(), G.size(), first, level);
-      if (g < G.size() && (g == 0 || chunk_max < G[g - 1])) {
-        remap[c].assign(1, static_cast<uint32_t>(g));
-        G[g] = chunk_max;
-        run_sizes[g] += end - begin;
-        last_run = g;
-        continue;
-      }
-    }
-    // Case C: speculation failed — replay this chunk sequentially.
-    partition_internal::ScanRange(times, begin, end,
-                                  speculative_run_selection, level, &G,
-                                  &run_sizes, run_of, &last_run);
-  }
-
-  // Rewrite speculative local run ids through the per-chunk renumbering.
-  ParallelFor(
-      0, num_chunks, size_t{1},
-      [n, run_of, &remap](size_t clo, size_t chi) {
-        for (size_t c = clo; c < chi; ++c) {
-          const std::vector<uint32_t>& r = remap[c];
-          if (r.empty()) continue;  // Case C already wrote final ids.
-          const size_t begin = c * kPartitionChunk;
-          const size_t end = std::min(n, begin + kPartitionChunk);
-          for (size_t i = begin; i < end; ++i) {
-            run_of[i] = r[run_of[i]];
-          }
-        }
-      },
-      pool);
-}
-
-// Pass 1 over the timestamp column: parallel speculative scan when the
-// pool has workers and the input is large enough to amortize
-// reconciliation, sequential otherwise. Byte-identical either way.
-inline void AssignRuns(const Timestamp* times, size_t n,
-                       bool speculative_run_selection, KernelLevel level,
-                       ThreadPool* pool, PartitionPass1* out) {
-  using partition_internal::kPartitionChunk;
-  if (pool != nullptr && pool->thread_count() > 1 &&
-      n >= 2 * kPartitionChunk) {
-    AssignRunsParallel(times, n, speculative_run_selection, level, pool,
-                       out);
-    return;
-  }
-  AssignRunsSequential(times, n, speculative_run_selection, level, out);
 }
 
 }  // namespace impatience

@@ -81,6 +81,8 @@ using KeyRef = kernels::SortKey;
 // (§III-E1, on the pool above the parallel merge's gate); false merges in
 // size-oblivious pairwise rounds, classic Patience sort and the "w/o HM"
 // ablation. `speculative_run_selection` enables the §III-E2 fast path.
+// Partitioning is one sequential scan; the timestamp column, the Huffman
+// merge and the gather run on `thread_pool` (nullptr = the global pool).
 template <typename T, typename TimeOf = SyncTimeOf>
 void PatienceSortVector(std::vector<T>* items, bool huffman_merge = true,
                         bool speculative_run_selection = false,
@@ -94,8 +96,9 @@ void PatienceSortVector(std::vector<T>* items, bool huffman_merge = true,
   ThreadPool& pool =
       thread_pool != nullptr ? *thread_pool : ThreadPool::Global();
 
-  // Extract the timestamp column once: pass 1 and the pass-2 scatter both
-  // read timestamps only, and a packed column beats strided event loads.
+  // Extract the timestamp column once, on the pool: pass 1 and the pass-2
+  // scatter both read timestamps only, and a packed column beats strided
+  // event loads.
   std::vector<Timestamp> times(n);
   {
     std::vector<T>& in = *items;
@@ -107,80 +110,27 @@ void PatienceSortVector(std::vector<T>* items, bool huffman_merge = true,
         &pool);
   }
 
-  // Partition pass 1: assign each key a run (see sort/partition.h;
-  // speculative parallel scan above the size gate, byte-identical to the
-  // sequential scan). Nothing is copied yet, so every run's offset in the
-  // key array is known before the scatter.
+  // Partition pass 1: assign each key a run (see sort/partition.h).
+  // Nothing is copied yet, so every run's offset in the key array is known
+  // before the scatter.
   PartitionPass1 pass1;
-  AssignRuns(times.data(), n, speculative_run_selection, level, &pool,
-             &pass1);
+  AssignRuns(times.data(), n, speculative_run_selection, level, &pass1);
   std::vector<uint32_t>& run_of = pass1.run_of;
   std::vector<size_t>& run_sizes = pass1.run_sizes;
   const size_t k = pass1.tails.size();
   if (k == 1) return;  // Single run: input was already sorted.
 
   // Partition pass 2: scatter the keys into one n-key array, run r at its
-  // prefix offset first[r]. Pass 1 fixed every element's run AND its
-  // position within that run (arrival order), so the scatter is a
-  // permutation with precomputable destinations: given per-chunk, per-run
-  // element counts, an exclusive prefix sum over chunks yields each
-  // chunk's write offset into every run, and chunks write disjoint slots.
-  // The parallel path is gated on run count so the chunk-local histograms
-  // stay small; output is byte-identical to the sequential scatter.
+  // prefix offset first[r], each run in arrival order.
   std::vector<uint32_t> first(k);
   for (size_t r = 0, offset = 0; r < k; offset += run_sizes[r++]) {
     first[r] = static_cast<uint32_t>(offset);
   }
   std::unique_ptr<KeyRef[]> keys =
       std::make_unique_for_overwrite<KeyRef[]>(n);
-  const size_t kScatterChunk = size_t{1} << 16;
-  if (pool.thread_count() > 1 && n >= 2 * kScatterChunk &&
-      k <= (size_t{1} << 15)) {
-    const size_t num_chunks = (n + kScatterChunk - 1) / kScatterChunk;
-    std::vector<std::vector<uint32_t>> chunk_offsets(num_chunks);
-    ParallelFor(
-        0, num_chunks, size_t{1},
-        [&chunk_offsets, &run_of, n, k, kScatterChunk](size_t clo,
-                                                       size_t chi) {
-          for (size_t c = clo; c < chi; ++c) {
-            std::vector<uint32_t>& counts = chunk_offsets[c];
-            counts.assign(k, 0);
-            const size_t end = std::min(n, (c + 1) * kScatterChunk);
-            for (size_t i = c * kScatterChunk; i < end; ++i) {
-              ++counts[run_of[i]];
-            }
-          }
-        },
-        &pool);
-    // Exclusive prefix over chunks: chunk_offsets[c][r] becomes the index
-    // in `keys` where chunk c's first element of run r belongs.
-    std::vector<uint32_t> base = first;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      for (size_t r = 0; r < k; ++r) {
-        const uint32_t count = chunk_offsets[c][r];
-        chunk_offsets[c][r] = base[r];
-        base[r] += count;
-      }
-    }
-    ParallelFor(
-        0, num_chunks, size_t{1},
-        [&keys, &chunk_offsets, &run_of, &times, n, kScatterChunk](
-            size_t clo, size_t chi) {
-          for (size_t c = clo; c < chi; ++c) {
-            std::vector<uint32_t>& offsets = chunk_offsets[c];
-            const size_t end = std::min(n, (c + 1) * kScatterChunk);
-            for (size_t i = c * kScatterChunk; i < end; ++i) {
-              keys[offsets[run_of[i]]++] =
-                  KeyRef{times[i], static_cast<uint32_t>(i)};
-            }
-          }
-        },
-        &pool);
-  } else {
-    std::vector<uint32_t> next = first;
-    for (size_t i = 0; i < n; ++i) {
-      keys[next[run_of[i]]++] = KeyRef{times[i], static_cast<uint32_t>(i)};
-    }
+  std::vector<uint32_t> next = first;
+  for (size_t i = 0; i < n; ++i) {
+    keys[next[run_of[i]]++] = KeyRef{times[i], static_cast<uint32_t>(i)};
   }
   run_of.clear();
   run_of.shrink_to_fit();
@@ -200,7 +150,7 @@ void PatienceSortVector(std::vector<T>* items, bool huffman_merge = true,
     return a.time < b.time;
   };
   if (huffman_merge) {
-    ParallelMergeRunsInto(runs, key_less, &order, nullptr, nullptr, &pool);
+    ParallelMergeRunsInto(runs, key_less, &order, &pool);
   } else {
     BalancedMergeInto(runs, key_less, &order);
   }

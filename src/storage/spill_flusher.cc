@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace impatience {
@@ -128,11 +129,12 @@ SpillFlusher::Stats SpillFlusher::stats() const {
 
 SpillFlusher* DefaultFlusher(bool use_env) {
   static SpillFlusher* env_pool = []() -> SpillFlusher* {
-    const char* env = std::getenv("IMPATIENCE_SPILL_FLUSHER_THREADS");
-    const long n = env == nullptr ? 0 : std::atol(env);
-    if (n <= 0) return nullptr;
+    const size_t n =
+        ParseThreadCount(std::getenv("IMPATIENCE_SPILL_FLUSHER_THREADS"))
+            .value_or(0);
+    if (n == 0) return nullptr;
     SpillFlusher::Options options;
-    options.threads = static_cast<size_t>(n);
+    options.threads = n;
     return new SpillFlusher(options);  // Leaked; see header.
   }();
   static SpillFlusher* inline_flusher =

@@ -1,12 +1,14 @@
 // Thread pool semantics: serial pools run inline in submission order,
 // ParallelFor covers its range exactly once with disjoint chunks, TaskGroup
 // joins everything including nested fork/join, and the whole machinery
-// survives a randomized stress run.
+// survives a randomized stress run; thread counts from flags and the
+// environment parse and clamp by one rule.
 
 #include "common/thread_pool.h"
 
 #include <atomic>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,21 @@
 
 namespace impatience {
 namespace {
+
+// The one parse-and-clamp rule for every thread count taken from a flag
+// or the environment. Parsing starts no threads.
+TEST(ParseThreadCountTest, ClampsAndRejects) {
+  EXPECT_EQ(ParseThreadCount("0"), std::optional<size_t>(0));
+  EXPECT_EQ(ParseThreadCount("4"), std::optional<size_t>(4));
+  EXPECT_EQ(ParseThreadCount("100000"), std::optional<size_t>(kMaxThreads));
+  EXPECT_EQ(ParseThreadCount("99999999999999999999999"),
+            std::optional<size_t>(kMaxThreads));
+  EXPECT_EQ(ParseThreadCount("-3"), std::nullopt);
+  EXPECT_EQ(ParseThreadCount("abc"), std::nullopt);
+  EXPECT_EQ(ParseThreadCount("4x"), std::nullopt);
+  EXPECT_EQ(ParseThreadCount(""), std::nullopt);
+  EXPECT_EQ(ParseThreadCount(nullptr), std::nullopt);
+}
 
 TEST(ThreadPoolTest, SerialPoolRunsInlineInOrder) {
   ThreadPool pool(1);

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "engine/streamable.h"
 #include "framework/impatience_framework.h"
 #include "workload/generators.h"
@@ -165,7 +164,6 @@ TEST(FrameworkEdgeTest, FiveBandsStress) {
 // punctuate from. It must be a no-op, not kMinTimestamp - latency wrapped
 // into a huge punctuation that late-drops every event after it.
 TEST(FrameworkEdgeTest, PunctuationBeforeFirstEventDropsNothing) {
-  ThreadPool pool(2);
   std::vector<Event> events = InOrderEvents(1000);
   for (size_t i = 0; i < events.size(); i += 10) {
     events[i].sync_time = std::max<Timestamp>(0, events[i].sync_time - 50);
@@ -174,7 +172,6 @@ TEST(FrameworkEdgeTest, PunctuationBeforeFirstEventDropsNothing) {
   FrameworkOptions options;
   options.reorder_latencies = {10, 100};
   options.punctuation_period = 100;
-  options.sorter_config.thread_pool = &pool;
   Streamables<4> streams = ToStreamables<4>(q.disordered(), options);
   CollectSink<4>* full = streams.stream(1).Collect();
   streams.mutable_partition()->ForcePunctuation();

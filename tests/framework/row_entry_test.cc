@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "engine/streamable.h"
 #include "framework/impatience_framework.h"
 #include "storage/spill_flusher.h"
@@ -86,7 +85,6 @@ struct RunResult {
 };
 
 struct RunConfig {
-  ThreadPool* pool = nullptr;
   bool advanced = false;
   size_t budget = 0;
 };
@@ -107,7 +105,6 @@ RunResult RunFramework(const Workload& w, const std::vector<Event>& events,
     FrameworkOptions options;
     options.reorder_latencies = w.latencies;
     options.punctuation_period = kPunctuationPeriod;
-    options.sorter_config.thread_pool = rc.pool;
     options.sorter_config.spill.flusher = &flusher;
     options.sorter_config.spill.memory_budget = rc.budget;
 
@@ -253,20 +250,16 @@ TEST_P(RowEntryTest, PushRowsIdenticalToBatchEntry) {
   const Model windowed_model = RunModel(w, windowed);
   ASSERT_GT(model.band_counts[1], 0u);
   ASSERT_GT(model.band_counts[2], 0u);
-  for (const size_t threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    for (const bool advanced : {false, true}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " advanced=" << advanced);
-      const RunConfig rc{&pool, advanced, budget};
-      const std::vector<Event>& input = advanced ? windowed : w.events;
-      const RunResult batch = RunFramework(w, input, rc, /*row_spans=*/false);
-      const RunResult rows = RunFramework(w, input, rc, /*row_spans=*/true);
-      ExpectIdentical(batch, rows);
-      ExpectMatchesModel(advanced ? windowed_model : model, rows, advanced);
-      if (budget != 0) {
-        EXPECT_GT(rows.counters.runs_spilled, 0u);
-      }
+  for (const bool advanced : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "advanced=" << advanced);
+    const RunConfig rc{advanced, budget};
+    const std::vector<Event>& input = advanced ? windowed : w.events;
+    const RunResult batch = RunFramework(w, input, rc, /*row_spans=*/false);
+    const RunResult rows = RunFramework(w, input, rc, /*row_spans=*/true);
+    ExpectIdentical(batch, rows);
+    ExpectMatchesModel(advanced ? windowed_model : model, rows, advanced);
+    if (budget != 0) {
+      EXPECT_GT(rows.counters.runs_spilled, 0u);
     }
   }
 }

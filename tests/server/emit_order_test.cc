@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "common/timestamp.h"
 #include "framework/impatience_framework.h"
 #include "server/client.h"
@@ -27,11 +26,10 @@ namespace {
 constexpr Timestamp kLatencySmall = 10;
 constexpr Timestamp kLatencyLarge = 1000;
 
-FrameworkOptions OrderFramework(ThreadPool* pool) {
+FrameworkOptions OrderFramework() {
   FrameworkOptions options;
   options.reorder_latencies = {kLatencySmall, kLatencyLarge};
   options.punctuation_period = 300;
-  options.sorter_config.thread_pool = pool;
   return options;
 }
 
@@ -56,13 +54,12 @@ uint64_t ReleasedUpTo(Timestamp frontier) {
 }
 
 TEST(EmitOrderTest, FlushAckFollowsTheRecordsItsPunctuationReleased) {
-  ThreadPool pool(4);
   std::mutex mu;
   uint64_t records = 0;
   ServiceOptions options;
   options.shards.num_shards = 1;
   options.shards.queue_capacity = 16;
-  options.shards.framework = OrderFramework(&pool);
+  options.shards.framework = OrderFramework();
   options.on_result = [&](size_t, size_t, const Event&) {
     std::lock_guard<std::mutex> lock(mu);
     ++records;
@@ -106,13 +103,12 @@ struct ShardLog {
 };
 
 TEST(EmitOrderTest, ProgressNeverOvertakesTheResultsOfItsBurst) {
-  ThreadPool pool(4);
   constexpr size_t kShards = 2;
   ShardLog logs[kShards];
   ShardManagerOptions options;
   options.num_shards = kShards;
   options.queue_capacity = 8;
-  options.framework = OrderFramework(&pool);
+  options.framework = OrderFramework();
   options.subscribe_all_streams = true;
   SessionShardManager manager(
       options,

@@ -128,7 +128,6 @@ inline ServerMetrics MakeMetrics() {
   s.sorter.srs_hits = 4100;
   s.sorter.new_runs = 37;
   s.sorter.removed_runs = 31;
-  s.sorter.parallel_merges = 43;
   s.sorter.merge.elements_moved = 9999;
   s.sorter.merge.disjoint_concats = 47;
 

@@ -29,7 +29,7 @@ TEST(MetricsRenderTest, JsonCarriesHistogramsAndWatermarks) {
   EXPECT_NE(json.find("\"drain_stall_ns\":{"), std::string::npos);
   EXPECT_NE(json.find("\"emit_ns\":{\"count\":1000,"), std::string::npos);
   EXPECT_NE(json.find("\"ingest_to_emit_ns\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"sorter_parallel_merges\":43"), std::string::npos);
+  EXPECT_NE(json.find("\"sorter_removed_runs\":31"), std::string::npos);
   EXPECT_NE(json.find("\"spill_merge_fanin\":{\"count\":3,"),
             std::string::npos);
   EXPECT_NE(json.find("\"max_watermark_lag\":2000"), std::string::npos);
@@ -53,7 +53,7 @@ TEST(MetricsRenderTest, TextCarriesQuantileLines) {
   EXPECT_NE(text.find("impatience_shard_max_watermark_lag{shard=\"0\"} 2000"),
             std::string::npos);
   EXPECT_NE(
-      text.find("impatience_shard_sorter_parallel_merges{shard=\"0\"} 43"),
+      text.find("impatience_shard_sorter_removed_runs{shard=\"0\"} 31"),
       std::string::npos);
   EXPECT_NE(
       text.find("impatience_shard_spill_merge_fanin_count{shard=\"0\"} 3"),
@@ -87,10 +87,10 @@ TEST(MetricsRenderTest, PrometheusSummariesAndEscaping) {
                       " 1000"),
             std::string::npos);
   EXPECT_NE(
-      prom.find("# TYPE impatience_shard_sorter_parallel_merges counter"),
+      prom.find("# TYPE impatience_shard_sorter_removed_runs counter"),
       std::string::npos);
-  EXPECT_NE(prom.find("impatience_shard_sorter_parallel_merges"
-                      "{shard=\"0\"} 43"),
+  EXPECT_NE(prom.find("impatience_shard_sorter_removed_runs"
+                      "{shard=\"0\"} 31"),
             std::string::npos);
   EXPECT_NE(prom.find("# TYPE impatience_shard_spill_merge_fanin summary"),
             std::string::npos);

@@ -256,6 +256,60 @@ TEST(ImpatienceSorterTest, IncrementalEqualsOfflineAcrossFrequencies) {
   }
 }
 
+// Figure-8-style punctuation over shuffled upload batches, with some
+// punctuations releasing at least 3 head runs and 1 MiB at once, the
+// merges where a punctuation's cost concentrates. Each punctuation must
+// emit exactly the sorted multiset of everything pushed at or below it and
+// not emitted before, and every push at or below the last punctuation
+// must be dropped late.
+TEST(ImpatienceSorterTest, LargePunctuationsMatchReferenceModel) {
+  const std::vector<Timestamp> input =
+      testing::BatchUploadSequence(1200000, 40000, /*seed=*/41);
+  ImpatienceConfig config;
+  config.spill.use_env_default = false;  // RAM merges only.
+  Sorter sorter(config);
+  std::vector<Timestamp> pending;  // The model's buffer.
+  uint64_t late = 0;
+  size_t large = 0;
+  Timestamp hw = kMinTimestamp;
+  Timestamp last = kMinTimestamp;
+  std::vector<Timestamp> out;
+  auto punctuate = [&](Timestamp p) {
+    const auto cut = std::partition(pending.begin(), pending.end(),
+                                    [p](Timestamp t) { return t <= p; });
+    std::vector<Timestamp> want(pending.begin(), cut);
+    std::sort(want.begin(), want.end());
+    pending.erase(pending.begin(), cut);
+    const uint64_t merges_before = sorter.counters().merge.binary_merges;
+    out.clear();
+    sorter.OnPunctuation(p, &out);
+    ASSERT_EQ(out, want) << "punctuation " << p;
+    // A Huffman cascade over k runs takes k - 1 binary merges.
+    const uint64_t merges =
+        sorter.counters().merge.binary_merges - merges_before;
+    if (merges >= 2 && out.size() * sizeof(Timestamp) >= (size_t{1} << 20)) {
+      ++large;
+    }
+  };
+  for (size_t i = 0; i < input.size(); ++i) {
+    sorter.Push(input[i]);
+    if (input[i] <= last) {
+      ++late;
+    } else {
+      pending.push_back(input[i]);
+    }
+    hw = std::max(hw, input[i]);
+    if ((i + 1) % 14000 == 0 && hw - 600000 > last) {
+      last = hw - 600000;
+      punctuate(last);
+    }
+  }
+  punctuate(kMaxTimestamp);  // Flush.
+  EXPECT_EQ(sorter.late_drops(), late);
+  EXPECT_EQ(sorter.buffered_count(), 0u);
+  EXPECT_GT(large, 0u);
+}
+
 TEST(ImpatienceSorterTest, CountersTrackWork) {
   Sorter sorter;
   for (Timestamp t : {5, 3, 8, 1}) sorter.Push(t);
@@ -273,8 +327,6 @@ TEST(ImpatienceCountersTest, ResetZeroesEveryField) {
   c.new_runs = 3;
   c.removed_runs = 4;
   c.compactions = 5;
-  c.parallel_merges = 6;
-  c.merge_tasks = 7;
   c.kernel_level = 2;
   c.merge.elements_moved = 8;
   c.merge.binary_merges = 9;
@@ -285,8 +337,6 @@ TEST(ImpatienceCountersTest, ResetZeroesEveryField) {
   EXPECT_EQ(c.new_runs, 0u);
   EXPECT_EQ(c.removed_runs, 0u);
   EXPECT_EQ(c.compactions, 0u);
-  EXPECT_EQ(c.parallel_merges, 0u);
-  EXPECT_EQ(c.merge_tasks, 0u);
   EXPECT_EQ(c.kernel_level, 0u);
   EXPECT_EQ(c.merge.elements_moved, 0u);
   EXPECT_EQ(c.merge.binary_merges, 0u);

@@ -222,10 +222,9 @@ void ExpectMergeMatchesStd(const std::vector<Timestamp>& ta,
 
   // Pre-sized pointer merge (the parallel-merge leaf path).
   std::vector<Tagged> dst(want.size());
-  bool ptr_disjoint = false;
   Tagged* end = kernels::MergeToPtr(a.data(), a.data() + a.size(),
                                     b.data(), b.data() + b.size(),
-                                    TimeLess{}, dst.data(), &ptr_disjoint);
+                                    TimeLess{}, dst.data());
   ASSERT_EQ(static_cast<size_t>(end - dst.data()), want.size()) << label;
   EXPECT_EQ(dst, want) << label;
 }

@@ -4,8 +4,8 @@
 // equivalence against a flatten-and-sort of the input, byte-identity with
 // the pairwise Huffman cascade across adversarial run shapes and fan-ins
 // past one tree's leaf cap, the parallel k-way leaf collapse at several
-// thread counts and fan-ins, and the memory accounting contract (pool
-// held bytes, scratch bytes, sorter MemoryBytes). KernelLevel
+// thread counts and fan-ins, and the memory accounting contract (scratch
+// bytes, sorter MemoryBytes). KernelLevel
 // coverage comes from tools/check.sh, which re-runs this suite under
 // forced IMPATIENCE_KERNEL_LEVEL settings.
 
@@ -234,39 +234,6 @@ std::vector<std::vector<Tagged>> MakeLargeRuns(size_t k, uint64_t seed) {
   return runs;
 }
 
-// Every interior buffer must come back to the pool, and the pool must
-// hold no more than a cascade's interior — a leak here silently inflates
-// the server's per-shard memory numbers forever. At 150 runs the parallel
-// merge runs k-way leaves under binary merges whose interior buffers come
-// from the pool. The runs are read in place, so the pool never holds
-// them; once one merge has returned its buffers, an identical second
-// merge finds each one it needs and allocates nothing.
-TEST(LoserTreeTest, PoolAccountingBoundsPeakAndLeaksNothing) {
-  ThreadPool threads(4);
-  MergeBufferPool<Tagged> pool;
-  const auto runs = MakeLargeRuns(150, /*seed=*/11);
-  // Every non-root merge of the plan in a buffer of its own.
-  const MergePlan plan = BuildHuffmanPlan(
-      runs.size(), [&runs](size_t i) { return runs[i].size(); });
-  size_t cascade_interior_bytes = 0;
-  for (size_t j = 0; j + 1 < plan.merges.size(); ++j) {
-    cascade_interior_bytes += plan.merges[j].size * sizeof(Tagged);
-  }
-  std::vector<Tagged> out;
-  ASSERT_GT(ParallelMergeRunsInto(RunSpans(runs), TimeLess{}, &out, nullptr,
-                                  &pool, &threads),
-            0u);  // The task DAG ran, not the sequential fallback.
-  const size_t held = pool.MemoryBytes();
-  EXPECT_GT(held, 0u);
-  EXPECT_LE(held, cascade_interior_bytes);
-
-  std::vector<Tagged> again;
-  ParallelMergeRunsInto(RunSpans(runs), TimeLess{}, &again, nullptr, &pool,
-                        &threads);
-  EXPECT_EQ(pool.MemoryBytes(), held);
-  EXPECT_EQ(again, out);
-}
-
 // The parallel task-DAG merge with k-way leaf collapse must stay
 // byte-identical to the sequential cascade at every thread count, from
 // fan-ins where both halves of the final merge are k-way leaves to fan-ins
@@ -282,9 +249,8 @@ TEST(LoserTreeTest, ParallelKwayLeavesByteIdenticalAcrossThreadCounts) {
       HuffmanMergeInto(RunSpans(runs), TimeLess{}, &want);
 
       std::vector<Tagged> got;
-      const size_t tasks = ParallelMergeRunsInto(RunSpans(runs), TimeLess{},
-                                                 &got, nullptr, nullptr,
-                                                 &pool);
+      const size_t tasks =
+          ParallelMergeRunsInto(RunSpans(runs), TimeLess{}, &got, &pool);
       ASSERT_EQ(got, want) << "threads=" << threads << " k=" << k;
       EXPECT_EQ(tasks > 0, threads > 1) << "threads=" << threads;
     }

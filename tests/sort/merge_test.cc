@@ -128,11 +128,10 @@ void MergeVia(EntryPoint entry, const std::vector<std::span<const T>>& runs,
       return;
     }
     case EntryPoint::kParallelOneThread:
-      ParallelMergeRunsInto(runs, less, out, nullptr, nullptr, &one_thread);
+      ParallelMergeRunsInto(runs, less, out, &one_thread);
       return;
     case EntryPoint::kParallelFourThreads:
-      ParallelMergeRunsInto(runs, less, out, nullptr, nullptr,
-                            &four_threads);
+      ParallelMergeRunsInto(runs, less, out, &four_threads);
       return;
   }
 }

@@ -112,13 +112,14 @@ TEST(OfflineSortEventsTest, WorksAcrossPayloadWidths) {
   }
 }
 
-// The parallel partition scatter + gather inside PatienceSortVector must be
-// byte-identical to the sequential path at every thread count, including
-// the order of timestamp ties (stability), because pass 1 fixes each
-// element's run and in-run position before any copying happens.
+// PatienceSortVector's pool work (timestamp column, Huffman key merge,
+// record gather) must be byte-identical to the 1-thread sort at every
+// thread count, including the order of timestamp ties, because pass 1
+// fixes each element's run and in-run position before any copying
+// happens. The balanced merge is also stable.
 TEST(OfflineSortEventsTest, PatienceSortVectorParallelScatterDeterministic) {
-  // Above the 2*64Ki parallel-scatter gate; modest range forces heavy
-  // timestamp ties so stability violations would be visible.
+  // Above the parallel merge and gather gates; a modest range forces heavy
+  // timestamp ties so tie-order divergence would be visible.
   const size_t n = 200000;
   const auto ts = testing::RandomSequence(n, /*seed=*/123, /*max_value=*/4096);
   std::vector<Event> input(n);
@@ -127,30 +128,33 @@ TEST(OfflineSortEventsTest, PatienceSortVectorParallelScatterDeterministic) {
     input[i].payload = {static_cast<int32_t>(i), 0, 0, 0};
   }
 
-  std::vector<Event> want = input;
-  std::stable_sort(want.begin(), want.end(),
+  std::vector<Event> stable = input;
+  std::stable_sort(stable.begin(), stable.end(),
                    [](const Event& a, const Event& b) {
                      return a.sync_time < b.sync_time;
                    });
 
   ThreadPool serial(1);
-  std::vector<Event> sequential = input;
-  PatienceSortVector(&sequential, /*huffman_merge=*/false,
-                     /*speculative_run_selection=*/false, &serial);
-
-  for (const size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    ThreadPool pool(threads);
+  for (const bool huffman : {false, true}) {
     for (const bool speculative : {false, true}) {
-      std::vector<Event> got = input;
-      PatienceSortVector(&got, /*huffman_merge=*/false, speculative,
-                         &pool);
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i].sync_time, want[i].sync_time)
-            << "threads " << threads << " at " << i;
-        ASSERT_EQ(got[i].payload[0], want[i].payload[0])
-            << "threads " << threads << " tie order diverged at " << i;
-        ASSERT_EQ(got[i].payload[0], sequential[i].payload[0]);
+      std::vector<Event> want = input;
+      PatienceSortVector(&want, huffman, speculative, &serial);
+      for (const size_t threads :
+           {size_t{2}, size_t{4}, size_t{8}, size_t{16}}) {
+        ThreadPool pool(threads);
+        std::vector<Event> got = input;
+        PatienceSortVector(&got, huffman, speculative, &pool);
+        ASSERT_EQ(got.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(got[i].sync_time, stable[i].sync_time)
+              << "threads " << threads << " at " << i;
+          ASSERT_EQ(got[i].payload[0], want[i].payload[0])
+              << "threads " << threads << " huffman " << huffman
+              << " tie order diverged at " << i;
+          if (!huffman) {
+            ASSERT_EQ(got[i].payload[0], stable[i].payload[0]);
+          }
+        }
       }
     }
   }

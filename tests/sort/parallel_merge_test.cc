@@ -1,7 +1,6 @@
-// The parallel Huffman merge must be byte-identical to the sequential
-// HuffmanMergeInto — same elements, same order on ties, same MergeStats —
-// at every thread count, and ImpatienceSorter's parallel punctuation path
-// must match a sequential oracle under stress.
+// The parallel Huffman merge (the offline sort's key merge) must be
+// byte-identical to the sequential HuffmanMergeInto — same elements, same
+// order on ties — at every thread count.
 
 #include <algorithm>
 #include <utility>
@@ -11,10 +10,8 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "sort/impatience_sorter.h"
 #include "sort/merge.h"
 #include "tests/testing/run_spans.h"
-#include "tests/testing/sequences.h"
 
 namespace impatience {
 namespace {
@@ -63,16 +60,12 @@ TEST(ParallelMergeTest, IdenticalToSequentialAcrossThreadCounts) {
           MakeRuns(AboveThresholdLengths(k, sizeof(int), &rng), seed);
 
       std::vector<int> want;
-      MergeStats want_stats;
-      HuffmanMergeInto(RunSpans(runs), IntLess(), &want, &want_stats);
+      HuffmanMergeInto(RunSpans(runs), IntLess(), &want);
 
       std::vector<int> got;
-      MergeStats got_stats;
-      const size_t tasks = ParallelMergeRunsInto(
-          RunSpans(runs), IntLess(), &got, &got_stats, nullptr, &pool);
+      const size_t tasks =
+          ParallelMergeRunsInto(RunSpans(runs), IntLess(), &got, &pool);
       ASSERT_EQ(got, want) << "threads " << threads << " seed " << seed;
-      EXPECT_EQ(got_stats.elements_moved, want_stats.elements_moved);
-      EXPECT_EQ(got_stats.binary_merges, want_stats.binary_merges);
       if (threads == 1 || k < kParallelMergeMinRuns) {
         EXPECT_EQ(tasks, 0u);  // Sequential fallback.
       } else {
@@ -92,8 +85,8 @@ TEST(ParallelMergeTest, SkewedRunSizes) {
   std::vector<int> want;
   HuffmanMergeInto(RunSpans(runs), IntLess(), &want);
   std::vector<int> got;
-  const size_t tasks = ParallelMergeRunsInto(RunSpans(runs), IntLess(), &got,
-                                             nullptr, nullptr, &pool);
+  const size_t tasks =
+      ParallelMergeRunsInto(RunSpans(runs), IntLess(), &got, &pool);
   EXPECT_EQ(got, want);
   EXPECT_GT(tasks, 0u);
 }
@@ -125,39 +118,9 @@ TEST(ParallelMergeTest, StableOnTies) {
   std::vector<std::pair<int, int>> want;
   HuffmanMergeInto(RunSpans(runs), less, &want);
   std::vector<std::pair<int, int>> got;
-  EXPECT_GT(ParallelMergeRunsInto(RunSpans(runs), less, &got, nullptr,
-                                  nullptr, &pool),
-            0u);
+  EXPECT_GT(ParallelMergeRunsInto(RunSpans(runs), less, &got, &pool), 0u);
   ASSERT_EQ(got.size(), want.size());
   EXPECT_EQ(got, want);  // Tags included: order of ties must match.
-}
-
-// Modelled on LoserTreeTest.PoolAccountingBoundsPeakAndLeaksNothing: the
-// sorter hands its pool to every merge, so each interior buffer the
-// parallel executor takes from it must come back — otherwise the pool
-// reallocates on every merge and the sorter's MemoryBytes() loses track
-// of the buffers. Once one merge has returned them, an identical second
-// merge finds every buffer it needs in the pool and allocates nothing.
-TEST(ParallelMergeTest, PoolAccountingLeaksNothing) {
-  ThreadPool tp(4);
-  MergeBufferPool<int> pool;
-  // 16 runs x 32k ints = 2 MiB: above the parallel thresholds.
-  const auto runs =
-      MakeRuns(std::vector<size_t>(16, size_t{1} << 15), /*seed=*/5);
-  std::vector<int> out;
-  ASSERT_GT(
-      ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr, &pool,
-                            &tp),
-      0u);  // The task DAG ran, not the sequential fallback.
-  const size_t held = pool.MemoryBytes();
-  EXPECT_GT(held, 0u);  // The interior buffers came back.
-  std::vector<int> again;
-  ParallelMergeRunsInto(RunSpans(runs), IntLess(), &again, nullptr, &pool,
-                        &tp);
-  EXPECT_EQ(pool.MemoryBytes(), held);
-  EXPECT_EQ(again, out);
-  EXPECT_EQ(out.size(), size_t{16} << 15);
-  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
 }
 
 TEST(ParallelMergeTest, AppendsAfterExistingOutput) {
@@ -168,8 +131,7 @@ TEST(ParallelMergeTest, AppendsAfterExistingOutput) {
   std::vector<int> want = {-2, -1};
   HuffmanMergeInto(RunSpans(runs), IntLess(), &want);
   std::vector<int> out = {-2, -1};
-  EXPECT_GT(ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr,
-                                  nullptr, &pool),
+  EXPECT_GT(ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, &pool),
             0u);
   EXPECT_EQ(out, want);
 }
@@ -178,21 +140,19 @@ TEST(ParallelMergeTest, SkipsEmptyRunsAndHandlesSmallSets) {
   ThreadPool pool(4);
   std::vector<std::vector<int>> runs = {{}, {5}, {}, {1, 9}, {}};
   std::vector<int> out;
-  ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr, nullptr,
-                        &pool);
+  ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, &pool);
   EXPECT_EQ(out, std::vector<int>({1, 5, 9}));
 
   runs = {{1, 2, 3}};
   out.clear();
-  const size_t tasks = ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out,
-                                             nullptr, nullptr, &pool);
+  const size_t tasks =
+      ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, &pool);
   EXPECT_EQ(out, std::vector<int>({1, 2, 3}));
   EXPECT_EQ(tasks, 0u);  // Single run: nothing to parallelize.
 
   runs = {};
   out.clear();
-  ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr, nullptr,
-                        &pool);
+  ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, &pool);
   EXPECT_TRUE(out.empty());
 }
 
@@ -204,8 +164,7 @@ TEST(ParallelMergeTest, ThresholdsFallBackToSequential) {
 
   // Below the byte threshold.
   std::vector<int> out;
-  EXPECT_EQ(ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr,
-                                  nullptr, &pool),
+  EXPECT_EQ(ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, &pool),
             0u);
   EXPECT_EQ(out, want);
 
@@ -215,61 +174,9 @@ TEST(ParallelMergeTest, ThresholdsFallBackToSequential) {
   want.clear();
   HuffmanMergeInto(RunSpans(runs), IntLess(), &want);
   out.clear();
-  EXPECT_EQ(ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, nullptr,
-                                  nullptr, &pool),
+  EXPECT_EQ(ParallelMergeRunsInto(RunSpans(runs), IntLess(), &out, &pool),
             0u);
   EXPECT_EQ(out, want);
-}
-
-TEST(ParallelMergeTest, PunctuationStressMatchesSequentialOracle) {
-  // The full ImpatienceSorter pipeline under Figure-8-style punctuation,
-  // with punctuations releasing enough head runs and bytes for the
-  // parallel merge, must emit exactly the sequential (1-thread pool)
-  // sorter's output.
-  ThreadPool pool(4);
-  ThreadPool serial(1);
-  auto input = testing::BatchUploadSequence(1200000, 40000, /*seed=*/41);
-
-  ImpatienceConfig parallel_config;
-  parallel_config.thread_pool = &pool;
-  // A process-wide memory budget would route punctuation merges through
-  // the spill cursor path and starve the parallel-merge counter this
-  // test asserts on (spill + pool composition is covered in
-  // tests/storage/spill_determinism_test.cc).
-  parallel_config.spill.use_env_default = false;
-
-  ImpatienceConfig sequential_config;
-  sequential_config.thread_pool = &serial;
-  sequential_config.spill.use_env_default = false;
-
-  std::vector<std::vector<Timestamp>> results;
-  uint64_t parallel_merges = 0;
-  uint64_t merge_tasks = 0;
-  for (const ImpatienceConfig& config :
-       {parallel_config, sequential_config}) {
-    ImpatienceSorter<Timestamp, IdentityTimeOf> sorter(config);
-    std::vector<Timestamp> out;
-    Timestamp hw = kMinTimestamp;
-    Timestamp last = kMinTimestamp;
-    for (size_t i = 0; i < input.size(); ++i) {
-      sorter.Push(input[i]);
-      hw = std::max(hw, input[i]);
-      if ((i + 1) % 14000 == 0 && hw - 600000 > last) {
-        last = hw - 600000;
-        sorter.OnPunctuation(last, &out);
-      }
-    }
-    sorter.Flush(&out);
-    if (config.thread_pool == &pool) {
-      parallel_merges = sorter.counters().parallel_merges;
-      merge_tasks = sorter.counters().merge_tasks;
-    }
-    results.push_back(std::move(out));
-  }
-  EXPECT_EQ(results[0], results[1]);
-  EXPECT_TRUE(std::is_sorted(results[0].begin(), results[0].end()));
-  EXPECT_GT(parallel_merges, 0u);
-  EXPECT_GE(merge_tasks, parallel_merges);
 }
 
 }  // namespace

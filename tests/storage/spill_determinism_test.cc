@@ -2,7 +2,7 @@
 // emit byte-identical output to the pure in-RAM sorter — same elements,
 // same order on every cross-run tie — under forced spilling (budget 1,
 // checked every push), under a small budget, across adversarial disorder
-// shapes, and across thread-pool sizes. Plus the acceptance property: a
+// shapes, and after large RAM merges. Plus the acceptance property: a
 // session whose run bytes exceed 8x the budget completes with the
 // sorter's resident footprint bounded near the budget.
 
@@ -18,7 +18,6 @@
 
 #include "common/event.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "sort/impatience_sorter.h"
 #include "storage/spill_flusher.h"
 #include "workload/generators.h"
@@ -168,14 +167,13 @@ TEST(SpillDeterminismTest, ByteIdenticalAcrossBudgetsAndShapes) {
   }
 }
 
-// Drives one sorter through a session whose merges take both shapes the
-// thread pool can touch: three RAM punctuations that each release about
-// 80k events (1.2 MiB) from several runs, which is enough for
-// ParallelMergeRunsInto's task DAG; then a punctuation-free stretch that
-// pushes the buffer past a 2 MiB budget, so runs spill and the
-// remaining merges stream through the cursor path.
-std::vector<Tagged> RunParallelThenSpillSession(SpillSorter* sorter,
-                                                uint64_t seed) {
+// Drives one sorter through a session whose merges take both shapes: three
+// RAM punctuations that each release about 80k events (1.2 MiB) from
+// several runs; then a punctuation-free stretch that pushes the buffer
+// past a 2 MiB budget, so runs spill and the remaining merges stream
+// through the cursor path.
+std::vector<Tagged> RunLargeMergesThenSpillSession(SpillSorter* sorter,
+                                                   uint64_t seed) {
   constexpr size_t kPunctEvery = 80000;
   constexpr size_t kSteps = 7 * kPunctEvery;
   Rng rng(seed);
@@ -201,38 +199,23 @@ ImpatienceConfig TwoMiBBudgetConfig() {
   return config;
 }
 
-// Thread-pool invariance: the output must not depend on the pool the
-// merges run on (1, 2 and 8 threads), against a serial in-RAM oracle.
-// Under forced spilling nearly every punctuation cuts a spilled run, whose
-// merge takes the single-threaded cursor path, and its merges stay far
-// below the parallel thresholds; so this session mixes parallel RAM
-// merges with spilled cursor merges, and checks that the multi-threaded
-// pools really ran the task DAG.
-TEST(SpillDeterminismTest, ByteIdenticalAcrossThreadCounts) {
-  ThreadPool serial(1);
-  ImpatienceConfig oracle = InMemoryConfig();
-  oracle.thread_pool = &serial;
+// The same session under a 2 MiB budget and in RAM: large multi-run RAM
+// merges first, then spilled cursor merges. Under forced spilling nearly
+// every punctuation cuts a spilled run, so this is the session whose RAM
+// merges are large; the budgeted arm must really spill after them.
+TEST(SpillDeterminismTest, ByteIdenticalAfterLargeRamMerges) {
   for (uint64_t seed = 0; seed < 2; ++seed) {
-    SpillSorter ram_sorter(oracle);
+    SpillSorter ram_sorter(InMemoryConfig());
     const std::vector<Tagged> want =
-        RunParallelThenSpillSession(&ram_sorter, 300 + seed);
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      ThreadPool pool(threads);
-      ImpatienceConfig config = TwoMiBBudgetConfig();
-      config.thread_pool = &pool;
-      SpillSorter sorter(config);
-      const std::vector<Tagged> got =
-          RunParallelThenSpillSession(&sorter, 300 + seed);
-      ASSERT_EQ(got, want) << "threads=" << threads << " seed=" << seed;
-      const ImpatienceCounters& c = sorter.counters();
-      EXPECT_GT(c.runs_spilled, 0u) << "threads=" << threads;
-      EXPECT_GT(c.spill_merge_fanin.count(), 0u) << "threads=" << threads;
-      if (threads > 1) {
-        EXPECT_GT(c.parallel_merges, 0u) << "threads=" << threads;
-      } else {
-        EXPECT_EQ(c.parallel_merges, 0u);
-      }
-    }
+        RunLargeMergesThenSpillSession(&ram_sorter, 300 + seed);
+    SpillSorter sorter(TwoMiBBudgetConfig());
+    const std::vector<Tagged> got =
+        RunLargeMergesThenSpillSession(&sorter, 300 + seed);
+    ASSERT_EQ(got, want) << "seed=" << seed;
+    const ImpatienceCounters& c = sorter.counters();
+    EXPECT_EQ(ram_sorter.counters().runs_spilled, 0u);
+    EXPECT_GT(c.runs_spilled, 0u) << "seed=" << seed;
+    EXPECT_GT(c.spill_merge_fanin.count(), 0u) << "seed=" << seed;
   }
 }
 

@@ -6,13 +6,13 @@
 # build-tsan/, -fsanitize=address into build-asan/, -fsanitize=undefined
 # into build-ubsan/ — and runs the full ctest suite (including the server
 # loopback/TCP tests) with IMPATIENCE_THREADS=8, so every parallel code
-# path (work-stealing pool, parallel punctuation merge + partition,
-# strands, shard workers) executes multi-threaded under
-# each detector even on small machines. TSan finds the races; ASan finds
-# lifetime bugs the races would cause (use-after-free on connection
-# teardown, buffer overruns in the wire decoder); UBSan catches the
-# integer/pointer traps hand-written SIMD kernels invite (misaligned
-# loads, out-of-range shifts, signed overflow).
+# path (work-stealing pool, the offline sort's timestamp column, key-merge
+# task DAG and record gather, strands, shard workers, spill flushers)
+# executes multi-threaded under each detector even on small machines.
+# TSan finds the races; ASan finds lifetime bugs the races would cause
+# (use-after-free on connection teardown, buffer overruns in the wire
+# decoder); UBSan catches the integer/pointer traps hand-written SIMD
+# kernels invite (misaligned loads, out-of-range shifts, signed overflow).
 #
 # Each pass runs ctest four times: once at the CPU's native kernel
 # dispatch level, once with IMPATIENCE_KERNEL_LEVEL=scalar forced (so the

@@ -8,6 +8,8 @@
 // --io-threads sizes the epoll I/O pool that multiplexes all accepted
 // connections (0 = the IMPATIENCE_IO_THREADS environment variable,
 // defaulting to 2). Connection count is independent of thread count.
+// --shards, --io-threads and --spill-flusher-threads are clamped to
+// kMaxThreads (1024), like the IMPATIENCE_*THREADS environment variables.
 //
 // Listens on 127.0.0.1:port for wire-protocol clients (see
 // src/server/wire_format.h). Runs until SIGINT/SIGTERM or until a client
@@ -19,10 +21,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/timestamp.h"
 #include "server/ingest_service.h"
 #include "server/tcp_transport.h"
@@ -110,9 +114,9 @@ int main(int argc, char** argv) {
     if (arg == "--port") {
       port = static_cast<uint16_t>(std::atoi(next().c_str()));
     } else if (arg == "--shards") {
-      const int v = std::atoi(next().c_str());
-      if (v <= 0) Usage();
-      options.shards.num_shards = static_cast<size_t>(v);
+      const std::optional<size_t> v = ParseThreadCount(next().c_str());
+      if (v.value_or(0) == 0) Usage();
+      options.shards.num_shards = *v;
     } else if (arg == "--queue-capacity") {
       const int v = std::atoi(next().c_str());
       if (v <= 0) Usage();
@@ -128,9 +132,9 @@ int main(int argc, char** argv) {
       if (v <= 0) Usage();
       options.shards.framework.punctuation_period = static_cast<size_t>(v);
     } else if (arg == "--io-threads") {
-      const int v = std::atoi(next().c_str());
-      if (v < 0) Usage();
-      tcp_options.io_threads = static_cast<size_t>(v);
+      const std::optional<size_t> v = ParseThreadCount(next().c_str());
+      if (!v.has_value()) Usage();
+      tcp_options.io_threads = *v;
     } else if (arg == "--spill-dir") {
       options.shards.spill_dir = next();
     } else if (arg == "--memory-budget") {
@@ -138,9 +142,9 @@ int main(int argc, char** argv) {
       options.shards.memory_budget = storage::ParseByteSize(v.c_str());
       if (options.shards.memory_budget == 0) Usage();
     } else if (arg == "--spill-flusher-threads") {
-      const int v = std::atoi(next().c_str());
-      if (v < 0) Usage();
-      options.shards.spill_flusher_threads = static_cast<size_t>(v);
+      const std::optional<size_t> v = ParseThreadCount(next().c_str());
+      if (!v.has_value()) Usage();
+      options.shards.spill_flusher_threads = *v;
     } else if (arg == "--spill-flusher-inflight") {
       const std::string v = next();
       options.shards.spill_flusher_inflight_bytes =
